@@ -41,12 +41,45 @@ class DistanceContext:
     slot t (or None when unknown); cloud_cell_distance(k, cell) -> hops
     from MMC k to a cell; cloud_pair_distance(k, l) -> hops between MMCs.
     The backend cloud never contributes distance terms.
+
+    pair_table and cell_column are dense views of the two distance hooks,
+    built from them on first use and cached on the context.
     """
 
     user_cell_of: Callable[[int, int], int | None]
     cloud_cell_distance: Callable[[int, int], float]
     cloud_pair_distance: Callable[[int, int], float]
     backend: int
+    _views: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def pair_table(self, K: int) -> np.ndarray:
+        """(K+1, K+1) MMC-pair hops; zero on the diagonal and on the
+        backend's (and index 0's) rows and columns."""
+        key = ("pair", K)
+        table = self._views.get(key)
+        if table is None:
+            table = np.zeros((K + 1, K + 1))
+            mmcs = [k for k in range(1, K + 1) if k != self.backend]
+            for k in mmcs:
+                for l in mmcs:
+                    if l != k:
+                        table[k, l] = self.cloud_pair_distance(k, l)
+            self._views[key] = table
+        return table
+
+    def cell_column(self, cell: int, K: int) -> np.ndarray:
+        """(K+1,) hops from each MMC to cell; zero at index 0 and at the
+        backend."""
+        key = ("cell", cell, K)
+        col = self._views.get(key)
+        if col is None:
+            col = np.zeros(K + 1)
+            for k in range(1, K + 1):
+                if k != self.backend:
+                    col[k] = self.cloud_cell_distance(k, cell)
+            self._views[key] = col
+        return col
 
 
 class CostModel:

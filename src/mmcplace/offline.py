@@ -35,17 +35,18 @@ class OfflineSolution:
     relaxations: int
 
 
-def _slot_states(window: Window, instances: list[ServiceInstance], K: int):
+def _active_flags(window: Window, instances: list[ServiceInstance]):
+    """Per slot, whether each instance is active there."""
+    spans = [inst.active_span(window) for inst in instances]
+    return [[span is not None and span[0] <= t <= span[1] for span in spans]
+            for t in window.slots]
+
+
+def _slot_states(active, K: int):
     """Per-slot joint state lists, lexicographically ordered."""
     layers = []
-    for t in window.slots:
-        choices = []
-        for inst in instances:
-            span = inst.active_span(window)
-            if span is not None and span[0] <= t <= span[1]:
-                choices.append(range(1, K + 1))
-            else:
-                choices.append((0,))
+    for flags in active:
+        choices = [range(1, K + 1) if on else (0,) for on in flags]
         layers.append([tuple(s) for s in itertools.product(*choices)])
     return layers
 
@@ -62,10 +63,11 @@ def solve_window_offline(window: Window, instances: list[ServiceInstance],
     """
     instances = sorted(instances, key=lambda i: i.id)
     K = model.K
-    layers = _slot_states(window, instances, K)
-    widest = max(len(layer) for layer in layers)
+    active = _active_flags(window, instances)
+    widest = max(K ** sum(flags) for flags in active)
     if widest > state_budget:
         raise StateBudgetExceeded(widest, state_budget)
+    layers = _slot_states(active, K)
 
     ev = WindowCostEvaluator(window, instances, model, prev_config, distance)
     relax = 0

@@ -43,13 +43,14 @@ def brute_force_offline(window: Window, instances: list[ServiceInstance],
     """
     instances = sorted(instances, key=lambda i: i.id)
     K = model.K
-    seq_sets = [feasible_sequences(i, window, K) for i in instances]
     total = 1
-    for s in seq_sets:
-        total *= len(s)
+    for inst in instances:
+        span = inst.active_span(window)
+        total *= 1 if span is None else K ** (span[1] - span[0] + 1)
         if total > budget:
             raise EnumerationBudgetExceeded(
                 f"{total}+ candidate matrices exceeds budget {budget}")
+    seq_sets = [feasible_sequences(i, window, K) for i in instances]
     ev = WindowCostEvaluator(window, instances, model, prev_config, distance)
     best = None
     count = 0

@@ -102,15 +102,9 @@ class CostOracle:
         self.noise_shape = noise_shape
         self.spread = max(1, int(spread))
 
-    def offsets(self, t0: int, t: int) -> np.ndarray:
-        """Per-cloud additive local-cost offsets for slot t seen from t0."""
+    def _pattern(self, t0: int):
+        """The window's noise pattern: (scale, clouds, signs * weights)."""
         K = self.actual.K
-        out = np.zeros(K + 1)
-        if t < t0:
-            return out
-        eps = self.bound.epsilon(t - t0)
-        if eps <= 0:
-            return out
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[self.seed, t0]))
         if self.noise_shape == "uniform":
@@ -122,12 +116,34 @@ class CostOracle:
         clouds = rng.choice(np.arange(1, K + 1), size=m, replace=False)
         weights = rng.dirichlet(np.ones(m))
         signs = rng.choice((-1.0, 1.0), size=m)
-        out[clouds] = signs * weights * (scale * eps)
+        return scale, clouds, signs * weights
+
+    def _slot_offsets(self, pattern, eps: float) -> np.ndarray:
+        out = np.zeros(self.actual.K + 1)
+        if eps > 0:
+            scale, clouds, signed = pattern
+            out[clouds] = signed * (scale * eps)
         return out
 
+    def offsets(self, t0: int, t: int) -> np.ndarray:
+        """Per-cloud additive local-cost offsets for slot t seen from t0."""
+        eps = self.bound.epsilon(t - t0) if t >= t0 else 0.0
+        if eps <= 0:
+            return np.zeros(self.actual.K + 1)
+        return self._slot_offsets(self._pattern(t0), eps)
+
     def predicted_model(self, t0: int, window: Window) -> CostModel:
-        """Cost model seen by a planner deciding at the start of window."""
-        offs = {t: self.offsets(t0, t) for t in window.slots}
+        """Cost model seen by a planner deciding at the start of window.
+
+        The noise pattern is drawn once for the window; each slot scales
+        it by its own epsilon, exactly as offsets(t0, t) does.
+        """
+        eps = {t: self.bound.epsilon(t - t0) if t >= t0 else 0.0
+               for t in window.slots}
+        if all(e <= 0 for e in eps.values()):
+            return self.actual
+        pattern = self._pattern(t0)
+        offs = {t: self._slot_offsets(pattern, e) for t, e in eps.items()}
         if all(not off.any() for off in offs.values()):
             return self.actual
         return PerturbedCostModel(self.actual, offs)

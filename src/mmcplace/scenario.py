@@ -48,6 +48,22 @@ class HexTopology:
         self._xy = np.array([[c.x, c.y] for c in cells])
         # circumradius: farthest in-cell point from the center
         self.cell_radius_m = spacing_m / math.sqrt(3.0)
+        # hops[c1, c2] between cells, indexed by cloud id; row/column 0 and
+        # the backend's stay 0
+        qr = np.array([(c.q, c.r) for c in cells], dtype=np.int64).reshape(-1, 2)
+        dq = qr[:, None, 0] - qr[None, :, 0]
+        dr = qr[:, None, 1] - qr[None, :, 1]
+        ids = np.array([c.id for c in cells], dtype=np.int64)
+        self.hops = np.zeros((self.K + 1, self.K + 1), dtype=np.int64)
+        self.hops[np.ix_(ids, ids)] = (np.abs(dq) + np.abs(dr)
+                                       + np.abs(dq + dr)) // 2
+        # per cell: adjacent cells by id, and every cell by (hops, id)
+        cell_hops = self.hops[1:self.K, 1:self.K]
+        order = np.argsort(cell_hops, axis=1, kind="stable") + 1
+        self.nearest = dict(enumerate(order.tolist(), start=1))
+        self.neighbors = {c: [] for c in self.nearest}
+        for c, d in (np.argwhere(cell_hops == 1) + 1).tolist():
+            self.neighbors[c].append(d)
 
     @classmethod
     def build(cls, n_cells: int, spacing_m: float = 1000.0,
@@ -78,10 +94,7 @@ class HexTopology:
         """Hop count between two cells on the grid."""
         if c1 not in self._axial or c2 not in self._axial:
             raise KeyError(f"unknown cell id in ({c1}, {c2})")
-        q1, r1 = self._axial[c1]
-        q2, r2 = self._axial[c2]
-        dq, dr = q1 - q2, r1 - r2
-        return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
+        return int(self.hops[c1, c2])
 
     def to_xy(self, lat: float, lon: float) -> tuple[float, float]:
         m_per_lon = EARTH_M_PER_DEG_LON_EQ * math.cos(math.radians(self.anchor_lat))
@@ -176,9 +189,7 @@ def synthetic_mobility(topology: HexTopology, n_users: int, horizon: int,
                        rng: np.random.Generator, move_prob: float = 0.3):
     """Random-walk user positions: each slot, hop to a uniformly chosen
     adjacent cell with probability move_prob, else stay."""
-    neighbors = {c.id: [d.id for d in topology.cells
-                        if topology.hex_distance(c.id, d.id) == 1]
-                 for c in topology.cells}
+    neighbors = topology.neighbors
     ids = [c.id for c in topology.cells]
     user_cell: dict[tuple[int, int], int] = {}
     for uid in range(1, n_users + 1):

@@ -121,10 +121,11 @@ def _active_at(instances, t):
 
 def _slot_cost_from_placements(scn: BuiltScenario, t: int,
                                placed: dict[int, int],
-                               placed_prev: dict[int, int]) -> float:
+                               placed_prev: dict[int, int],
+                               by_id: dict[int, ServiceInstance]) -> float:
     """Actual cost of one slot given concrete instance->cloud maps."""
     model = scn.model
-    by_id = {i.id: i for i in scn.instances}
+    hops = scn.topology.hops
     K = model.K
     y = np.zeros(K + 1)
     r = np.zeros(K + 1)
@@ -138,7 +139,7 @@ def _slot_cost_from_placements(scn: BuiltScenario, t: int,
         if k != scn.topology.backend:
             cell = scn.distance.user_cell_of(iid, t)
             if cell is not None:
-                r[k] += scn.topology.hex_distance(k, cell)
+                r[k] += hops[k, cell]
         kp = placed_prev.get(iid, 0)
         if kp and kp != k:
             z[(kp, k)] = z.get((kp, k), 0.0) + inst.migration_demand
@@ -147,7 +148,7 @@ def _slot_cost_from_placements(scn: BuiltScenario, t: int,
         y_prev[k] += by_id[iid].local_demand
     for (kp, k), n in counts.items():
         if kp != scn.topology.backend and k != scn.topology.backend:
-            s[(kp, k)] = scn.topology.hex_distance(kp, k) * n
+            s[(kp, k)] = hops[kp, k] * n
     loads = SlotLoads(y=y, r=r, z=z, s=s)
     return (model.local_total(t, loads)
             + model.migration_total(t, y_prev, loads))
@@ -162,9 +163,7 @@ def _nearest_with_capacity(scn: BuiltScenario, user_cell: int | None,
     if user_cell is None:
         flags.append("no-user-cell")
         return topo.backend
-    order = sorted((topo.hex_distance(c.id, user_cell), c.id)
-                   for c in topo.cells)
-    for _dist, cid in order:
+    for cid in topo.nearest[user_cell]:
         if load[cid] + demand < scn.config.capacity:
             return cid
     flags.append("overflow-to-backend")
@@ -174,6 +173,7 @@ def _nearest_with_capacity(scn: BuiltScenario, user_cell: int | None,
 def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
     """Policies a (stay put) and b (always follow)."""
     config = scn.config
+    by_id = {i.id: i for i in scn.instances}
     assigned: dict[int, int] = {}        # instance -> cell chosen at arrival (a)
     placed_prev: dict[int, int] = {}
     result = PolicyResult(policy, {}, {}, {}, 0.0)
@@ -204,7 +204,7 @@ def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
                 placed[inst.id] = cell
                 load[cell] += inst.local_demand
         result.slot_costs[t] = _slot_cost_from_placements(scn, t, placed,
-                                                          placed_prev)
+                                                          placed_prev, by_id)
         result.num_active[t] = len(placed)
         result.num_migrations[t] = sum(
             1 for iid, k in placed.items()
@@ -215,12 +215,13 @@ def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
 
 def _run_backend_policy(scn: BuiltScenario) -> PolicyResult:
     result = PolicyResult("c", {}, {}, {}, 0.0)
+    by_id = {i.id: i for i in scn.instances}
     placed_prev: dict[int, int] = {}
     for t in range(1, scn.config.horizon + 1):
         placed = {i.id: scn.topology.backend
                   for i in _active_at(scn.instances, t)}
         result.slot_costs[t] = _slot_cost_from_placements(scn, t, placed,
-                                                          placed_prev)
+                                                          placed_prev, by_id)
         result.num_active[t] = len(placed)
         result.num_migrations[t] = 0
         placed_prev = placed

@@ -7,7 +7,7 @@ from mmcplace.core import ServiceInstance, Window
 from mmcplace.costs import LinearCostModel, MmcBackendCostModel
 from mmcplace.offline import (StateBudgetExceeded, run_offline,
                               solve_window_offline)
-from mmcplace.oracle import brute_force_offline
+from mmcplace.oracle import EnumerationBudgetExceeded, brute_force_offline
 from mmcplace.predictor import ZERO_BOUND, CostOracle
 
 
@@ -89,3 +89,31 @@ def test_run_offline_windows_chain():
     whole = solve_window_offline(Window(1, 6), insts, None, model)
     # chained 3-slot windows can only do as well as one 6-slot solve
     assert total >= whole.cost - 1e-9
+
+
+def test_budget_guards_raise_before_enumerating(monkeypatch):
+    """One instance over 30 slots at K = 10: 10^30 candidate sequences for
+    the brute force, and with six more instances in slot 1, 10^7 joint
+    states there. Both guards raise from sizes alone, without listing."""
+    from mmcplace import offline, oracle
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(offline, "_slot_states", never)
+    monkeypatch.setattr(oracle, "feasible_sequences", never)
+    w = Window(1, 30)
+    long_one = ServiceInstance(id=1, arrival_slot=1)
+    with pytest.raises(EnumerationBudgetExceeded):
+        brute_force_offline(w, [long_one], None, mmc(K=10))
+    with pytest.raises(StateBudgetExceeded) as info:
+        solve_window_offline(w, [long_one], None, mmc(K=10), state_budget=9)
+    assert info.value.required == 10
+    crowd = [long_one] + [ServiceInstance(id=j, arrival_slot=1,
+                                          max_lifetime=1)
+                          for j in range(2, 8)]
+    with pytest.raises(StateBudgetExceeded) as info:
+        solve_window_offline(w, crowd, None, mmc(K=10))
+    assert info.value.required == 10 ** 7
+    with pytest.raises(EnumerationBudgetExceeded):
+        brute_force_offline(w, crowd, None, mmc(K=10))

@@ -91,3 +91,18 @@ def test_prediction_gap_within_bound_random_states(seed):
         state = tuple(int(rng.integers(1, model.K + 1)) for _ in insts)
         gap = abs(ev_a.local(t, state) - ev_d.local(t, state))
         assert gap <= bound.epsilon(t - t0) + 1e-9
+
+
+@pytest.mark.parametrize("shape", ["uniform", "truncated-gaussian"])
+def test_predicted_model_offsets_equal_offsets(shape):
+    """The per-window draw gives offsets(t0, t) bit for bit, every slot."""
+    bound = PowerLawErrorBound(0.4, 1.1)
+    for seed in (1, 7):
+        oracle = CostOracle(_model(K=20), bound, seed=seed,
+                            noise_shape=shape)
+        for t0 in range(1, 30, 3):
+            window = Window(t0, 30)
+            predicted = oracle.predicted_model(t0, window)
+            for t in window.slots:
+                assert np.array_equal(predicted.offsets[t],
+                                      oracle.offsets(t0, t))

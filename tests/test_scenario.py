@@ -58,6 +58,27 @@ def test_hex_distance_matches_bfs(seed):
     assert topo.hex_distance(int(a), int(b)) == bfs_hops(topo, int(a), int(b))
 
 
+@pytest.mark.parametrize("n_cells", [7, 19, 91])
+def test_topology_tables_match_per_pair_scan(n_cells):
+    """The hop table, neighbour lists and (hops, id) orders equal what a
+    scan over every cell pair with the axial formula gives."""
+    topo = HexTopology.build(n_cells)
+
+    def axial_hops(a, b):
+        dq, dr = a.q - b.q, a.r - b.r
+        return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
+
+    for a in topo.cells:
+        hops = {b.id: axial_hops(a, b) for b in topo.cells}
+        assert all(topo.hex_distance(a.id, b) == h for b, h in hops.items())
+        assert topo.neighbors[a.id] == [b for b in sorted(hops)
+                                        if hops[b] == 1]
+        assert topo.nearest[a.id] == [b for _h, b in
+                                      sorted((h, b) for b, h in hops.items())]
+    with pytest.raises(KeyError):
+        topo.hex_distance(1, topo.backend)
+
+
 def test_latlon_round_trip():
     topo = HexTopology.build(19)
     for c in topo.cells:
