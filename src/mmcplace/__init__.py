@@ -11,7 +11,7 @@ from .core import (ConfigurationMatrix, ServiceInstance, Violation, Window,
 from .costs import (CostModel, DistanceContext, LinearCostModel,
                     MmcBackendCostModel, PerturbedCostModel,
                     PolynomialCostModel, SlotLoads, WindowCostEvaluator,
-                    aggregate_loads, window_cost)
+                    charge_placements, placement_loads, window_cost)
 from .offline import (OfflineSolution, StateBudgetExceeded, run_offline,
                       solve_window_offline)
 from .online import (OnlineRun, PlacementOutcome, handle_departure,

@@ -188,8 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override horizon length")
     sim.add_argument("--window", type=int, default=0,
                      help="fixed look-ahead window (0 = optimizer's choice)")
-    sim.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="parallel policy runs (results stay order-stable)")
+    sim.add_argument("--jobs", type=int, default=1,
+                     help="policy runs in parallel threads (same outputs, "
+                          "inflated runtime_ms)")
     sim.add_argument("--out-dir", default="out")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -201,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--beta-list", dest="beta_list", default="0.1,0.4")
     sw.add_argument("--seeds", type=int, default=8,
                     help="run seeds 1..N")
-    sw.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="parallel window-length runs per seed")
+    sw.add_argument("--jobs", type=int, default=1,
+                    help="window-length runs per seed in parallel threads")
     sw.add_argument("--out-dir", default="out")
     sw.set_defaults(func=_cmd_sweep_window)
 

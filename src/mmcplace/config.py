@@ -43,9 +43,6 @@ class ScenarioConfig:
     local_demand: float = 1.0
     migration_demand: float = 1.0
     lifetime: float = math.inf
-    a_max: float = 1.0
-    b_max: float = 1.0
-    departure_bound: int = 10
     # error
     beta: float = 0.4
     alpha: float = 1.1
@@ -67,8 +64,7 @@ _SECTIONS = {
     "cost": ["capacity", "backend_local_rate", "backend_migration_rate",
              "distance_local_weight", "distance_migration_weight"],
     "demand": ["mean_on_slots", "mean_off_slots", "local_demand",
-               "migration_demand", "lifetime", "a_max", "b_max",
-               "departure_bound"],
+               "migration_demand", "lifetime"],
     "error": ["beta", "alpha", "noise_shape", "noise_spread"],
     "window": ["gamma", "sigma", "window_T", "T_max"],
     "seeds": ["master_seed"],

@@ -1,9 +1,15 @@
-"""Cost families and aggregation from placements to local/migration costs.
+"""Cost families and the one path from placements to local/migration costs.
 
 Per-slot cost is C(t) = U(t) + W(t): U sums u_k(y_k) over clouds, W sums
 w_kl(y_k(t-1), y_l(t), z_kl) over ordered cloud pairs with migration
 traffic. Conventions baked in everywhere: u(0) = 0, w(.,.,0) = 0, and
 W = 0 in the very first slot of the whole run (t = 1).
+
+placement_loads is the only code that turns a concrete placement into
+SlotLoads. charge_placements charges a whole run from its per-slot
+placement maps (every policy and control loop goes through it);
+WindowCostEvaluator prices joint states inside one window for the
+solvers. online.WindowLedger keeps a vectorized mirror for the fast DP.
 """
 
 from __future__ import annotations
@@ -25,12 +31,14 @@ class SlotLoads:
     r[k]: instance-user distance sum at cloud k (0 when no topology).
     z[(k, l)]: migration resource moved k -> l at the slot boundary.
     s[(k, l)]: pair distance times number of migrated instances.
+    moved: number of instances that changed cloud at the boundary.
     """
 
     y: np.ndarray
     r: np.ndarray
     z: dict = field(default_factory=dict)
     s: dict = field(default_factory=dict)
+    moved: int = 0
 
 
 @dataclass(frozen=True)
@@ -313,6 +321,80 @@ class PerturbedCostModel(CostModel):
         return self.base.w(k, l, t, y_from, y_to, z, s)
 
 
+def placement_loads(t: int, instances, clouds, K: int,
+                    distance: DistanceContext | None = None,
+                    before=None) -> SlotLoads:
+    """Loads of slot t from a concrete placement: the one aggregation.
+
+    instances[j] runs at cloud clouds[j] (0 = not running). y sums local
+    demands per cloud and r the hops from each MMC to its instances'
+    users. before[j], when given, is instance j's cloud at t-1 and fills
+    z (migration demand per (k, l) pair, in order of first sight), s (pair
+    hops times moves, MMC-to-MMC only) and moved (instances that changed
+    cloud). Sums run in instance order.
+    """
+    y = np.zeros(K + 1)
+    r = np.zeros(K + 1)
+    for inst, k in zip(instances, clouds):
+        if k == 0:
+            continue
+        y[k] += inst.local_demand
+        if distance is not None and k != distance.backend:
+            cell = distance.user_cell_of(inst.id, t)
+            if cell is not None:
+                r[k] += distance.cell_column(cell, K)[k]
+    loads = SlotLoads(y=y, r=r)
+    if before is None:
+        return loads
+    z: dict = {}
+    count: dict = {}
+    for inst, l, k in zip(instances, clouds, before):
+        if l == 0 or k == 0 or k == l:
+            continue
+        z[(k, l)] = z.get((k, l), 0.0) + inst.migration_demand
+        count[(k, l)] = count.get((k, l), 0) + 1
+    loads.z = z
+    loads.moved = sum(count.values())
+    if distance is not None:
+        pair = distance.pair_table(K)
+        loads.s = {(k, l): pair[k, l] * n for (k, l), n in count.items()
+                   if k != distance.backend and l != distance.backend}
+    return loads
+
+
+def charge_placements(model: CostModel,
+                      placements: dict[int, dict[int, int]],
+                      instances: list[ServiceInstance],
+                      distance: DistanceContext | None = None):
+    """Actual cost and migration count of every slot of a run.
+
+    placements maps slot -> {instance id: cloud} for the running instances.
+    C(t) = U(t) + W(t) is charged from each slot's map, with the whole map
+    of slot t-1 (empty when absent) as y(t-1) and the migration baseline,
+    so a slot costs O(its running instances). Returns (cost by slot,
+    migrations by slot).
+    """
+    by_id = {inst.id: inst for inst in instances}
+    K = model.K
+    cost: dict[int, float] = {}
+    moved: dict[int, int] = {}
+    prev_t, y_prev = None, None
+    for t in sorted(placements):
+        placed = placements[t]
+        before = placements.get(t - 1, {})
+        loads = placement_loads(t, [by_id[iid] for iid in placed],
+                                placed.values(), K, distance,
+                                [before.get(iid, 0) for iid in placed])
+        if prev_t != t - 1:
+            y_prev = placement_loads(t - 1, [by_id[iid] for iid in before],
+                                     before.values(), K).y
+        cost[t] = (model.local_total(t, loads)
+                   + model.migration_total(t, y_prev, loads))
+        moved[t] = loads.moved
+        prev_t, y_prev = t, loads.y
+    return cost, moved
+
+
 class WindowCostEvaluator:
     """Evaluates predicted/actual window costs from joint placement states.
 
@@ -320,6 +402,7 @@ class WindowCostEvaluator:
     evaluator owns the transition bookkeeping: migration loads between
     consecutive slots and, at the window's first slot, from the externally
     supplied prior placement prev_config (instance id -> cloud at t0-1).
+    Loads come from placement_loads.
     """
 
     def __init__(self, window: Window, instances: list[ServiceInstance],
@@ -330,28 +413,15 @@ class WindowCostEvaluator:
         self.model = model
         self.prev_config = dict(prev_config or {})
         self.distance = distance
-        K = model.K
-        # loads in the slot just before the window, from prev_config
-        y0 = np.zeros(K + 1)
-        for inst in self.instances:
-            k = self.prev_config.get(inst.id, 0)
-            if k:
-                y0[k] += inst.local_demand
-        self._y_before = y0
+        # placement and loads in the slot just before the window
+        self._prev_clouds = tuple(self.prev_config.get(inst.id, 0)
+                                  for inst in self.instances)
+        self._y_before = placement_loads(window.t0 - 1, self.instances,
+                                         self._prev_clouds, model.K).y
 
     def state_loads(self, t: int, state: tuple[int, ...]) -> SlotLoads:
-        K = self.model.K
-        y = np.zeros(K + 1)
-        r = np.zeros(K + 1)
-        for inst, k in zip(self.instances, state):
-            if k == 0:
-                continue
-            y[k] += inst.local_demand
-            if self.distance is not None and k != self.distance.backend:
-                cell = self.distance.user_cell_of(inst.id, t)
-                if cell is not None:
-                    r[k] += self.distance.cloud_cell_distance(k, cell)
-        return SlotLoads(y=y, r=r)
+        return placement_loads(t, self.instances, state, self.model.K,
+                               self.distance)
 
     def transition_loads(self, t: int, prev_state: tuple[int, ...] | None,
                          loads: SlotLoads, state: tuple[int, ...]) -> None:
@@ -359,28 +429,13 @@ class WindowCostEvaluator:
 
         prev_state of None means "use prev_config" (t is the window start).
         """
-        z: dict = {}
-        count: dict = {}
-        for j, inst in enumerate(self.instances):
-            l = state[j]
-            if l == 0:
-                continue
-            if prev_state is None:
-                k = self.prev_config.get(inst.id, 0)
-            else:
-                k = prev_state[j]
-            if k == 0 or k == l:
-                continue
-            z[(k, l)] = z.get((k, l), 0.0) + inst.migration_demand
-            count[(k, l)] = count.get((k, l), 0) + 1
-        loads.z = z
-        if self.distance is not None:
-            d = self.distance
-            loads.s = {(k, l): d.cloud_pair_distance(k, l) * n
-                       for (k, l), n in count.items()
-                       if k != d.backend and l != d.backend}
-        else:
-            loads.s = {}
+        moves = self._boundary_loads(t, prev_state, state)
+        loads.z, loads.s, loads.moved = moves.z, moves.s, moves.moved
+
+    def _boundary_loads(self, t, prev_state, state) -> SlotLoads:
+        before = self._prev_clouds if prev_state is None else prev_state
+        return placement_loads(t, self.instances, state, self.model.K,
+                               self.distance, before)
 
     def local(self, t: int, state: tuple[int, ...]) -> float:
         return self.model.local_total(t, self.state_loads(t, state))
@@ -390,12 +445,12 @@ class WindowCostEvaluator:
         """Migration cost W(t) between the states at t-1 and t."""
         if t <= 1:
             return 0.0
-        loads = self.state_loads(t, state)
-        self.transition_loads(t, prev_state, loads, state)
+        loads = self._boundary_loads(t, prev_state, state)
         if prev_state is None:
             y_prev = self._y_before
         else:
-            y_prev = self.state_loads(t - 1, prev_state).y
+            y_prev = placement_loads(t - 1, self.instances, prev_state,
+                                     self.model.K).y
         return self.model.migration_total(t, y_prev, loads)
 
     def path_cost(self, states: list[tuple[int, ...]]) -> float:
@@ -411,43 +466,18 @@ class WindowCostEvaluator:
         return total
 
 
-def aggregate_loads(matrix: ConfigurationMatrix, instances: list[ServiceInstance],
-                    model: CostModel, prev_config: dict[int, int] | None = None,
-                    distance: DistanceContext | None = None) -> list[SlotLoads]:
-    """Per-slot loads (with transitions filled in) for a whole matrix."""
-    ev = WindowCostEvaluator(matrix.window, instances, model, prev_config, distance)
-    out = []
-    prev_state: tuple[int, ...] | None = None
-    for t in matrix.window.slots:
-        state = matrix.slot_state(t)
-        loads = ev.state_loads(t, state)
-        ev.transition_loads(t, prev_state, loads, state)
-        out.append(loads)
-        prev_state = state
-    return out
-
-
-def local_cost(model: CostModel, t: int, loads: SlotLoads) -> float:
-    """U(t): sum of per-cloud local costs at slot t."""
-    return model.local_total(t, loads)
-
-
-def migration_cost(model: CostModel, t: int, y_prev: np.ndarray,
-                   loads: SlotLoads) -> float:
-    """W(t): migration cost for the boundary into slot t (0 at t=1)."""
-    return model.migration_total(t, y_prev, loads)
-
-
-def slot_cost(model: CostModel, t: int, y_prev: np.ndarray,
-              loads: SlotLoads) -> float:
-    return local_cost(model, t, loads) + migration_cost(model, t, y_prev, loads)
-
-
 def window_cost(model: CostModel, matrix: ConfigurationMatrix,
                 instances: list[ServiceInstance],
                 prev_config: dict[int, int] | None = None,
                 distance: DistanceContext | None = None) -> float:
-    """Total cost of a window's placement matrix."""
-    ev = WindowCostEvaluator(matrix.window, instances, model, prev_config, distance)
+    """Total cost of a window's placement matrix.
+
+    Instances are matched to the matrix columns by id, whatever their
+    order in the list.
+    """
+    by_id = {inst.id: inst for inst in instances}
+    ev = WindowCostEvaluator(matrix.window,
+                             [by_id[iid] for iid in matrix.instance_ids],
+                             model, prev_config, distance)
     states = [matrix.slot_state(t) for t in matrix.window.slots]
     return ev.path_cost(states)

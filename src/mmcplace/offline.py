@@ -10,11 +10,11 @@ lexicographic tie-break.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .core import ConfigurationMatrix, ServiceInstance, Window
-from .costs import CostModel, DistanceContext, WindowCostEvaluator
+from .costs import (CostModel, DistanceContext, WindowCostEvaluator,
+                    charge_placements)
 
 DEFAULT_STATE_BUDGET = 200_000
 
@@ -108,13 +108,13 @@ def run_offline(horizon: int, window_size: int,
 
     oracle supplies predicted costs per window (predictor.CostOracle);
     the prior window's final placements seed each window's migration
-    baseline. Returns (per-window solutions, per-slot actual costs).
+    baseline. The actual costs are charged from the per-slot placements
+    by costs.charge_placements. Returns (per-window solutions, per-slot
+    actual costs).
     """
-    from .costs import window_cost  # local import to avoid cycle noise
-
     prev_config: dict[int, int] = {}
     solutions = []
-    actual_by_slot: dict[int, float] = {}
+    placements: dict[int, dict[int, int]] = {}
     t0 = 1
     while t0 <= horizon:
         window = Window(t0, min(window_size, horizon - t0 + 1))
@@ -123,16 +123,11 @@ def run_offline(horizon: int, window_size: int,
         sol = solve_window_offline(window, active, prev_config, model,
                                    distance, state_budget)
         solutions.append(sol)
-        ev = WindowCostEvaluator(window, active, oracle.actual, prev_config,
-                                 distance)
-        prev_state = None
         for q, t in enumerate(window.slots):
-            state = sol.matrix.slot_state(t)
-            actual_by_slot[t] = (ev.local(t, state)
-                                 + ev.transition(t, prev_state, state))
-            prev_state = state
-        last = window.end
-        prev_config = {i.id: sol.matrix.get(i.id, last) for i in active
-                       if sol.matrix.get(i.id, last) != 0}
+            placements[t] = {iid: int(k) for iid, k in zip(
+                sol.matrix.instance_ids, sol.matrix.data[q]) if k}
+        prev_config = placements[window.end]
         t0 += window_size
+    actual_by_slot, _moved = charge_placements(oracle.actual, placements,
+                                               instances, distance)
     return solutions, actual_by_slot

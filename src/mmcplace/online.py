@@ -4,7 +4,9 @@ Each arriving instance is routed by a single-instance shortest-path DP
 over the remainder of the window, with every other column frozen; the
 control loop processes slots in order, re-presents carried-over instances
 as arrivals at each window start, and zeroes columns on departure without
-re-optimizing survivors.
+re-optimizing survivors. It records each slot's placement map and charges
+the run's actual costs from those maps with costs.charge_placements, the
+accounting every policy shares.
 
 Two equivalent DP implementations: a generic one that works for any cost
 model (and carries the lexicographic tie-break used in exactness tests),
@@ -31,7 +33,7 @@ import numpy as np
 
 from .core import ConfigurationMatrix, ServiceInstance, Window
 from .costs import (CostModel, DistanceContext, MmcBackendCostModel,
-                    PerturbedCostModel, WindowCostEvaluator)
+                    PerturbedCostModel, WindowCostEvaluator, charge_placements)
 
 
 @dataclass
@@ -421,6 +423,8 @@ def run_online(horizon: int, window_size: int,
     migration baseline). lifetime_override, when given, maps (instance, t)
     to the lifetime the planner should assume (policy D passes the true
     remaining stay; the default uses the declared lifetime's remainder).
+    Actual costs and migration counts are charged from run.placements by
+    charge_placements once the last window is placed.
     """
     arrivals_at: dict[int, list[ServiceInstance]] = {}
     for inst in sorted(instances, key=lambda i: i.id):
@@ -443,9 +447,7 @@ def run_online(horizon: int, window_size: int,
         ledger = (None if base is None else
                   WindowLedger(matrix, window_instances, model.K,
                                base.backend, prev_config, distance))
-        actual_ev = WindowCostEvaluator(window, window_instances, oracle.actual,
-                                        prev_config, distance)
-        prev_state = None
+        ids = np.array(matrix.instance_ids, dtype=np.int64)
         for t in window.slots:
             todo = []
             if t == t0:
@@ -473,17 +475,9 @@ def run_online(horizon: int, window_size: int,
                     run.saturated_events += 1
                 running[inst.id] = inst
 
-            state = matrix.slot_state(t)
-            run.actual_by_slot[t] = (actual_ev.local(t, state)
-                                     + actual_ev.transition(t, prev_state, state))
-            placed = {i.id: matrix.get(i.id, t) for i in window_instances
-                      if matrix.get(i.id, t) != 0}
-            run.placements[t] = placed
-            before = prev_config if prev_state is None else run.placements.get(t - 1, {})
-            run.migrations_by_slot[t] = sum(
-                1 for iid, k in placed.items()
-                if before.get(iid, 0) not in (0, k))
-            prev_state = state
+            row = matrix.data[t - t0]
+            on = np.flatnonzero(row)
+            run.placements[t] = dict(zip(ids[on].tolist(), row[on].tolist()))
 
             # departures take effect at the end of the slot; a declared
             # lifetime running out departs the instance just the same
@@ -493,8 +487,9 @@ def run_online(horizon: int, window_size: int,
                 matrix = handle_departure(iid, t, matrix, ledger=ledger)
                 del running[iid]
 
-        last = window.end
-        prev_config = {iid: matrix.get(iid, last) for iid in running
-                       if matrix.get(iid, last) != 0}
+        prev_config = {iid: k for iid, k in run.placements[window.end].items()
+                       if iid in running}
         t0 += window.T
+    run.actual_by_slot, run.migrations_by_slot = charge_placements(
+        oracle.actual, run.placements, instances, distance)
     return run

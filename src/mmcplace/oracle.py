@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationMatrix, ServiceInstance, Window, feasible_sequences
-from .costs import (CostModel, DistanceContext, LinearCostModel,
-                    PolynomialCostModel, WindowCostEvaluator)
+from .costs import (CostModel, DistanceContext, WindowCostEvaluator,
+                    placement_loads)
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -309,12 +309,16 @@ def loads_from_matrix(model: CostModel, matrix: ConfigurationMatrix,
                       instances: list[ServiceInstance],
                       prev_config: dict[int, int] | None = None):
     """(y, z) arrays in the layout grad_window_cost expects."""
-    from .costs import aggregate_loads
-    slot_loads = aggregate_loads(matrix, instances, model, prev_config)
-    T = matrix.window.T
-    y = np.zeros((T, model.K + 1))
+    by_id = {inst.id: inst for inst in instances}
+    columns = [by_id[iid] for iid in matrix.instance_ids]
+    prev_config = prev_config or {}
+    before = [prev_config.get(iid, 0) for iid in matrix.instance_ids]
+    y = np.zeros((matrix.window.T, model.K + 1))
     z = []
-    for q in range(T):
-        y[q, :] = slot_loads[q].y
-        z.append(dict(slot_loads[q].z))
+    for q, t in enumerate(matrix.window.slots):
+        state = matrix.slot_state(t)
+        loads = placement_loads(t, columns, state, model.K, before=before)
+        y[q, :] = loads.y
+        z.append(loads.z)
+        before = state
     return y, z

@@ -10,7 +10,6 @@ construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,9 +147,3 @@ class CostOracle:
             return self.actual
         return PerturbedCostModel(self.actual, offs)
 
-
-def predicted_cost_params(oracle: CostOracle, t0: int, t: int) -> np.ndarray:
-    """The perturbed per-slot parameters: per-cloud local-cost offsets."""
-    if t < 1:
-        raise ValueError("slots start at 1")
-    return oracle.offsets(t0, t)

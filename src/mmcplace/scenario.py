@@ -289,27 +289,3 @@ def generate_synthetic(n_arrivals: int, rng: np.random.Generator,
         n_running += 1
     return events
 
-
-def distance_params(config_slot: dict[int, int], prev_slot: dict[int, int],
-                    user_cells: dict[int, int | None],
-                    topology: HexTopology):
-    """Per-slot distance sums (r, s) for a concrete placement.
-
-    config_slot / prev_slot map instance id -> cloud id; user_cells maps
-    instance id -> the cell of its user. r[k] sums instance-user hop
-    counts at MMC k; s[(k, l)] is hop distance times migration count for
-    MMC-to-MMC moves. The backend contributes to neither.
-    """
-    r = np.zeros(topology.K + 1)
-    for iid, k in config_slot.items():
-        if k in (0, topology.backend):
-            continue
-        cell = user_cells.get(iid)
-        if cell is not None:
-            r[k] += topology.hex_distance(k, cell)
-    s: dict = {}
-    for iid, l in config_slot.items():
-        k = prev_slot.get(iid, 0)
-        if k and l and k != l and topology.backend not in (k, l):
-            s[(k, l)] = s.get((k, l), 0.0) + topology.hex_distance(k, l)
-    return r, s

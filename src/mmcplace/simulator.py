@@ -7,7 +7,10 @@ Policies:
   d  online placement with exact future costs and departure times
   e  online placement with predicted costs and the optimized window
 
-All policies are charged the actual (unperturbed) per-slot costs.
+Every policy produces per-slot placement maps {instance id: cloud}, and
+all five are charged the actual (unperturbed) per-slot costs from those
+maps by costs.charge_placements; num_active and num_migrations come from
+the same maps. Results keep the counts, not the maps.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ScenarioConfig
-from .core import ServiceInstance
-from .costs import DistanceContext, MmcBackendCostModel, SlotLoads
+from .costs import DistanceContext, MmcBackendCostModel, charge_placements
 from .online import run_online
 from .oracle import fractional_lower_bound_single_slot
 from .predictor import ZERO_BOUND, CostOracle, PowerLawErrorBound
@@ -119,41 +121,6 @@ def _active_at(instances, t):
             and t <= i.planned_end]
 
 
-def _slot_cost_from_placements(scn: BuiltScenario, t: int,
-                               placed: dict[int, int],
-                               placed_prev: dict[int, int],
-                               by_id: dict[int, ServiceInstance]) -> float:
-    """Actual cost of one slot given concrete instance->cloud maps."""
-    model = scn.model
-    hops = scn.topology.hops
-    K = model.K
-    y = np.zeros(K + 1)
-    r = np.zeros(K + 1)
-    y_prev = np.zeros(K + 1)
-    z: dict = {}
-    s: dict = {}
-    counts: dict = {}
-    for iid, k in placed.items():
-        inst = by_id[iid]
-        y[k] += inst.local_demand
-        if k != scn.topology.backend:
-            cell = scn.distance.user_cell_of(iid, t)
-            if cell is not None:
-                r[k] += hops[k, cell]
-        kp = placed_prev.get(iid, 0)
-        if kp and kp != k:
-            z[(kp, k)] = z.get((kp, k), 0.0) + inst.migration_demand
-            counts[(kp, k)] = counts.get((kp, k), 0) + 1
-    for iid, k in placed_prev.items():
-        y_prev[k] += by_id[iid].local_demand
-    for (kp, k), n in counts.items():
-        if kp != scn.topology.backend and k != scn.topology.backend:
-            s[(kp, k)] = hops[kp, k] * n
-    loads = SlotLoads(y=y, r=r, z=z, s=s)
-    return (model.local_total(t, loads)
-            + model.migration_total(t, y_prev, loads))
-
-
 def _nearest_with_capacity(scn: BuiltScenario, user_cell: int | None,
                            load: np.ndarray, demand: float,
                            flags: list[str]) -> int:
@@ -170,14 +137,23 @@ def _nearest_with_capacity(scn: BuiltScenario, user_cell: int | None,
     return topo.backend
 
 
+def _charged(scn: BuiltScenario, policy: str,
+             placements: dict[int, dict[int, int]],
+             flags: list[str]) -> PolicyResult:
+    """Policy result charged by the shared accounting path."""
+    costs, moved = charge_placements(scn.model, placements, scn.instances,
+                                     scn.distance)
+    return PolicyResult(policy, costs,
+                        {t: len(placed) for t, placed in placements.items()},
+                        moved, 0.0, flags=flags)
+
+
 def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
     """Policies a (stay put) and b (always follow)."""
-    config = scn.config
-    by_id = {i.id: i for i in scn.instances}
     assigned: dict[int, int] = {}        # instance -> cell chosen at arrival (a)
-    placed_prev: dict[int, int] = {}
-    result = PolicyResult(policy, {}, {}, {}, 0.0)
-    for t in range(1, config.horizon + 1):
+    placements: dict[int, dict[int, int]] = {}
+    flags: list[str] = []
+    for t in range(1, scn.config.horizon + 1):
         active = _active_at(scn.instances, t)
         load = np.zeros(scn.model.K + 1)
         placed: dict[int, int] = {}
@@ -192,7 +168,7 @@ def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
             for inst in sorted(fresh, key=lambda i: i.id):
                 cell = _nearest_with_capacity(
                     scn, scn.distance.user_cell_of(inst.id, t), load,
-                    inst.local_demand, result.flags)
+                    inst.local_demand, flags)
                 assigned[inst.id] = cell
                 placed[inst.id] = cell
                 load[cell] += inst.local_demand
@@ -200,32 +176,18 @@ def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
             for inst in sorted(active, key=lambda i: i.id):
                 cell = _nearest_with_capacity(
                     scn, scn.distance.user_cell_of(inst.id, t), load,
-                    inst.local_demand, result.flags)
+                    inst.local_demand, flags)
                 placed[inst.id] = cell
                 load[cell] += inst.local_demand
-        result.slot_costs[t] = _slot_cost_from_placements(scn, t, placed,
-                                                          placed_prev, by_id)
-        result.num_active[t] = len(placed)
-        result.num_migrations[t] = sum(
-            1 for iid, k in placed.items()
-            if placed_prev.get(iid, 0) not in (0, k))
-        placed_prev = placed
-    return result
+        placements[t] = placed
+    return _charged(scn, policy, placements, flags)
 
 
 def _run_backend_policy(scn: BuiltScenario) -> PolicyResult:
-    result = PolicyResult("c", {}, {}, {}, 0.0)
-    by_id = {i.id: i for i in scn.instances}
-    placed_prev: dict[int, int] = {}
-    for t in range(1, scn.config.horizon + 1):
-        placed = {i.id: scn.topology.backend
-                  for i in _active_at(scn.instances, t)}
-        result.slot_costs[t] = _slot_cost_from_placements(scn, t, placed,
-                                                          placed_prev, by_id)
-        result.num_active[t] = len(placed)
-        result.num_migrations[t] = 0
-        placed_prev = placed
-    return result
+    backend = scn.topology.backend
+    placements = {t: {i.id: backend for i in _active_at(scn.instances, t)}
+                  for t in range(1, scn.config.horizon + 1)}
+    return _charged(scn, "c", placements, [])
 
 
 def _run_online_policy(scn: BuiltScenario, policy: str,
@@ -256,9 +218,9 @@ def _run_online_policy(scn: BuiltScenario, policy: str,
                             spread=config.noise_spread)
         run = run_online(config.horizon, T, scn.instances, oracle,
                          scn.distance)
-    result = PolicyResult(policy, dict(run.actual_by_slot),
+    result = PolicyResult(policy, run.actual_by_slot,
                           {t: len(p) for t, p in run.placements.items()},
-                          dict(run.migrations_by_slot), 0.0, window_T=T)
+                          run.migrations_by_slot, 0.0, window_T=T)
     if run.saturated_events:
         result.flags.append(f"saturated-placements={run.saturated_events}")
     return result

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mmcplace.core import ConfigurationMatrix, ServiceInstance, Window
 from mmcplace.costs import (LinearCostModel, MmcBackendCostModel,
                             PerturbedCostModel, PolynomialCostModel,
-                            SlotLoads, WindowCostEvaluator, aggregate_loads,
+                            WindowCostEvaluator, placement_loads,
                             window_cost)
 
 
@@ -48,18 +48,24 @@ def test_aggregate_loads_recount():
     m = ConfigurationMatrix(w, [j.id for j in insts])
     for inst in insts:
         m.set_column(inst.id, rng.integers(1, 3, size=3))
-    loads = aggregate_loads(m, insts, model)
-    for q, t in enumerate(w.slots):
+    before = (0,) * len(insts)
+    for t in w.slots:
+        state = m.slot_state(t)
+        loads = placement_loads(t, insts, state, model.K, before=before)
         for k in (1, 2):
             expect = sum(i.local_demand for i in insts if m.get(i.id, t) == k)
-            assert loads[q].y[k] == pytest.approx(expect)
-        if q > 0:
-            z = {}
+            assert loads.y[k] == pytest.approx(expect)
+        z = {}
+        moved = 0
+        if t > 1:
             for i in insts:
                 a, b = m.get(i.id, t - 1), m.get(i.id, t)
                 if a and b and a != b:
                     z[(a, b)] = z.get((a, b), 0.0) + i.migration_demand
-            assert loads[q].z == pytest.approx(z)
+                    moved += 1
+        assert loads.z == pytest.approx(z)
+        assert loads.moved == moved
+        before = state
 
 
 def test_mmc_capacity_sentinel():

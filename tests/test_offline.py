@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmcplace.core import ServiceInstance, Window
-from mmcplace.costs import LinearCostModel, MmcBackendCostModel
+from mmcplace.costs import LinearCostModel, MmcBackendCostModel, window_cost
 from mmcplace.offline import (StateBudgetExceeded, run_offline,
                               solve_window_offline)
 from mmcplace.oracle import EnumerationBudgetExceeded, brute_force_offline
@@ -89,6 +89,24 @@ def test_run_offline_windows_chain():
     whole = solve_window_offline(Window(1, 6), insts, None, model)
     # chained 3-slot windows can only do as well as one 6-slot solve
     assert total >= whole.cost - 1e-9
+
+
+def test_run_offline_charges_by_instance_id():
+    """The actual charge pairs each matrix column with its own instance,
+    whatever the order of the caller's list."""
+    model = LinearCostModel([0, 1, 4], 0, 0, 1)
+    insts = [ServiceInstance(id=1, arrival_slot=1, local_demand=3.0),
+             ServiceInstance(id=2, arrival_slot=1, local_demand=1.0),
+             ServiceInstance(id=3, arrival_slot=2, local_demand=0.5)]
+    oracle = CostOracle(model, ZERO_BOUND, seed=0)
+    _sols, in_order = run_offline(4, 2, insts, oracle)
+    _sols, reversed_ = run_offline(4, 2, insts[::-1], oracle)
+    assert in_order[1] == 4.0          # instances 1 and 2 on cloud 1
+    assert reversed_ == in_order
+    w = Window(1, 2)
+    sol = solve_window_offline(w, insts, None, model)
+    assert (window_cost(model, sol.matrix, insts[::-1])
+            == window_cost(model, sol.matrix, insts) == sol.cost)
 
 
 def test_budget_guards_raise_before_enumerating(monkeypatch):

@@ -285,6 +285,40 @@ def test_run_online_noise_changes_placement_not_accounting():
             prev = state
 
 
+class _WindowOracle:
+    """Actual costs plus a fixed predicted offset per window start."""
+
+    def __init__(self, actual, offsets_by_t0):
+        self.actual = actual
+        self.offsets_by_t0 = offsets_by_t0
+
+    def predicted_model(self, t0, window):
+        off = self.offsets_by_t0[t0]
+        return PerturbedCostModel(self.actual, {t: off for t in window.slots})
+
+
+def test_run_online_window_start_charges_whole_previous_slot():
+    """y_k(t0-1) in the window-start migration charge counts every
+    instance at k in slot t0-1, also one that departs at its end.
+
+    Instances 1 and 2 share MMC 1 in window [1, 2]; 1 departs at the end
+    of slot 2. Window [3] predicts MMC 1 dear, so 2 moves 1 -> 2 at slot
+    3. Its migration cost reads y_1(2) = 2, not the 1 that the carried
+    instances alone would give."""
+    model = mmc(K=3)                  # MMCs 1 and 2, backend 3
+    dear = {1: np.array([0.0, 0.0, 10.0, 0.0]),
+            3: np.array([0.0, 10.0, 0.0, 0.0])}
+    insts = [ServiceInstance(id=1, arrival_slot=1, actual_departure_slot=2),
+             ServiceInstance(id=2, arrival_slot=1)]
+    run = run_online(3, 2, insts, _WindowOracle(model, dear))
+    assert run.placements[2] == {1: 1, 2: 1}
+    assert run.placements[3] == {2: 2}
+    assert run.migrations_by_slot[3] == 1
+    want = model.u(2, 3, 1.0) + model.w(1, 2, 3, 2.0, 1.0, 1.0)
+    assert run.actual_by_slot[3] == pytest.approx(want, rel=1e-12)
+    assert want > model.u(2, 3, 1.0) + model.w(1, 2, 3, 1.0, 1.0, 1.0)
+
+
 class _Delegating(CostModel):
     """The same costs behind the plain CostModel interface, so
     place_on_arrival takes the generic full-state DP."""

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mmcplace.core import ServiceInstance, Window
 from mmcplace.costs import MmcBackendCostModel, WindowCostEvaluator
 from mmcplace.predictor import (ZERO_BOUND, CostOracle, PowerLawErrorBound,
-                                TabulatedErrorBound, predicted_cost_params)
+                                TabulatedErrorBound)
 
 
 def test_power_law_values():
@@ -65,12 +65,6 @@ def test_zero_bound_returns_actual_model():
     model = _model()
     oracle = CostOracle(model, ZERO_BOUND, seed=1)
     assert oracle.predicted_model(1, Window(1, 5)) is model
-
-
-def test_predicted_cost_params_rejects_bad_slot():
-    oracle = CostOracle(_model(), ZERO_BOUND, seed=1)
-    with pytest.raises(ValueError):
-        predicted_cost_params(oracle, 1, 0)
 
 
 @given(st.integers(0, 2 ** 31))

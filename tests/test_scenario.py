@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmcplace.scenario import (HexTopology, distance_params,
-                               generate_service_demand, generate_synthetic,
-                               ingest_trace, synthetic_mobility)
+from mmcplace.core import ServiceInstance
+from mmcplace.costs import DistanceContext, placement_loads
+from mmcplace.scenario import (HexTopology, generate_service_demand,
+                               generate_synthetic, ingest_trace,
+                               synthetic_mobility)
 
 
 def bfs_hops(topology, src, dst):
@@ -173,13 +175,21 @@ def test_generate_synthetic_replayable():
 
 
 def test_distance_params_hand_case():
+    """Distance sums (r, s) of a concrete placement on the hex grid."""
     topo = HexTopology.build(7)
     near = [d.id for d in topo.cells if topo.hex_distance(1, d.id) == 1]
     k = near[0]
     config = {10: 1, 11: k, 12: topo.backend}
     prev = {10: k, 11: k}
     users = {10: k, 11: k, 12: 1}
-    r, s = distance_params(config, prev, users, topo)
-    assert r[1] == 1.0          # instance 10 at cell 1, user one hop away
-    assert r[k] == 0.0
-    assert s == {(k, 1): 1.0}   # only the real move, backend excluded
+    distance = DistanceContext(
+        user_cell_of=lambda iid, t: users.get(iid),
+        cloud_cell_distance=topo.hex_distance,
+        cloud_pair_distance=topo.hex_distance, backend=topo.backend)
+    insts = [ServiceInstance(id=iid, arrival_slot=1) for iid in config]
+    loads = placement_loads(2, insts, config.values(), topo.K, distance,
+                            [prev.get(iid, 0) for iid in config])
+    assert loads.r[1] == 1.0    # instance 10 at cell 1, user one hop away
+    assert loads.r[k] == 0.0
+    assert loads.r[topo.backend] == 0.0
+    assert loads.s == {(k, 1): 1.0}   # only the real move, backend excluded

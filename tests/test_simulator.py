@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mmcplace.config import ScenarioConfig
-from mmcplace.simulator import (build_scenario, pick_window, run_policy,
-                                synthetic_ratio_experiment, write_results_csv,
-                                write_summary_csv)
+from mmcplace.simulator import (POLICIES, build_scenario, pick_window,
+                                run_policy, synthetic_ratio_experiment,
+                                write_results_csv, write_summary_csv)
 
 
 def small_config(**kw):
@@ -45,13 +45,45 @@ def test_stay_put_policy_never_migrates():
     assert res_b.policy == "b"
 
 
-def test_active_counts_match_instance_spans():
-    scn = build_scenario(small_config(), 5)
-    res = run_policy(scn, "c")
-    for t in range(1, scn.config.horizon + 1):
-        expect = sum(1 for i in scn.instances
-                     if i.arrival_slot <= t <= i.actual_departure_slot)
-        assert res.num_active[t] == expect
+def _charged_maps(monkeypatch):
+    """Record the placement maps every policy hands to the charger."""
+    from mmcplace import costs, online, simulator
+
+    seen = []
+
+    def recording(model, placements, instances, distance=None):
+        seen.append(placements)
+        return costs.charge_placements(model, placements, instances, distance)
+
+    monkeypatch.setattr(simulator, "charge_placements", recording)
+    monkeypatch.setattr(online, "charge_placements", recording)
+    return seen
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_active_counts_match_instance_spans(policy, monkeypatch):
+    """Runtime invariants of every policy, slot by slot, on the maps it is
+    charged for: each active instance placed exactly once and nothing else
+    placed, migrations equal to the placement diffs, every cost finite."""
+    scn = build_scenario(small_config(lifetime=12.0), 5)
+    seen = _charged_maps(monkeypatch)
+    res = run_policy(scn, policy)
+    [placements] = seen
+    horizon = scn.config.horizon
+    assert sorted(placements) == list(range(1, horizon + 1))
+    for t in range(1, horizon + 1):
+        active = {i.id for i in scn.instances
+                  if i.arrival_slot <= t <= i.actual_departure_slot
+                  and t <= i.planned_end}
+        placed = placements[t]
+        assert set(placed) == active, t
+        assert all(1 <= k <= scn.model.K for k in placed.values())
+        assert res.num_active[t] == len(active)
+        before = placements.get(t - 1, {})
+        assert res.num_migrations[t] == sum(
+            1 for iid, k in placed.items() if before.get(iid, 0) not in (0, k))
+        assert math.isfinite(res.slot_costs[t])
+    assert any(i.planned_end < i.actual_departure_slot for i in scn.instances)
 
 
 def test_online_policies_run_and_record_window():
@@ -95,3 +127,54 @@ def test_csv_writers_deterministic(tmp_path):
     lines = s.read_text().splitlines()
     assert lines[0] == "policy,avg_cost,runtime_ms"
     assert len(lines) == 3
+
+
+def _all_policies(cfg, seed=1):
+    scn = build_scenario(cfg, seed)
+    return scn, [run_policy(scn, p) for p in POLICIES]
+
+
+def test_edge_no_users_costs_nothing():
+    scn, results = _all_policies(small_config(n_users=0))
+    assert scn.instances == []
+    for res in results:
+        assert res.slot_costs == {t: 0.0 for t in range(1, 31)}
+        assert set(res.num_active.values()) == {0}
+
+
+def test_edge_trace_without_coverage_costs_nothing(tmp_path):
+    trace = tmp_path / "far.csv"
+    trace.write_text("user_id,timestamp,lat,lon\n"
+                     "1,0,0.0,0.0\n1,60,0.0,0.001\n2,30,10.0,10.0\n")
+    scn, results = _all_policies(small_config(mobility="trace",
+                                              trace_file=str(trace)))
+    assert scn.instances == []
+    for res in results:
+        assert res.slot_costs == {t: 0.0 for t in range(1, 31)}
+
+
+@pytest.mark.parametrize("overrides", [dict(horizon=3, window_T=10),
+                                       dict(n_cells=1)])
+def test_edge_short_horizon_and_single_cell_are_finite(overrides):
+    scn, results = _all_policies(small_config(**overrides))
+    assert scn.instances
+    for res in results:
+        assert sorted(res.slot_costs) == list(range(1, scn.config.horizon + 1))
+        assert all(math.isfinite(c) for c in res.slot_costs.values())
+    assert results[-1].window_T == overrides.get("window_T",
+                                                 pick_window(scn.config))
+
+
+def test_edge_demand_at_capacity_goes_to_backend():
+    """An instance as large as an MMC's capacity fits nowhere but the
+    backend: every policy pays the backend rate, none pays inf."""
+    cfg = small_config(local_demand=5.0, capacity=5.0)
+    scn, results = _all_policies(cfg)
+    for res in results:
+        assert res.avg_cost == pytest.approx(59.5, rel=1e-12)
+        for t, n in res.num_active.items():
+            assert res.slot_costs[t] == pytest.approx(
+                cfg.backend_local_rate * cfg.local_demand * n)
+    flags = {res.policy: set(res.flags) for res in results}
+    assert flags["a"] == flags["b"] == {"overflow-to-backend"}
+    assert not (flags["c"] | flags["d"] | flags["e"])
