@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmcplace.core import ServiceInstance, Window
-from mmcplace.costs import LinearCostModel, MmcBackendCostModel, window_cost
+from mmcplace.costs import (LinearCostModel, MmcBackendCostModel,
+                            PerturbedCostModel, window_cost)
 from mmcplace.offline import (StateBudgetExceeded, run_offline,
                               solve_window_offline)
 from mmcplace.oracle import EnumerationBudgetExceeded, brute_force_offline
@@ -56,6 +57,36 @@ def test_dp_matches_enumeration_linear_migrations():
     bf = brute_force_offline(w, insts, None, model)
     assert dp.cost == pytest.approx(bf.cost)
     assert np.array_equal(dp.matrix.data, bf.matrix.data)
+
+
+@pytest.mark.parametrize("dear_end", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_dp_tie_break_matches_enumeration_on_tied_costs(seed, dear_end):
+    """Equal local rates and uniform migration rates make many placements
+    cost exactly the same; the DP must still pick enumeration's matrix
+    (smallest per-slot state path among the cheapest) and relax every
+    pair of consecutive joint states once. With dear_end, cloud 1 costs
+    more in the last slot, so leaving it one slot earlier or later ties:
+    the tie-break then also decides which predecessor a state keeps."""
+    rng = np.random.default_rng(seed)
+    K, M, T = 3, int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    w = Window(2, T)                     # t0 > 1: window-start moves cost
+    insts = [ServiceInstance(id=j, arrival_slot=2,
+                             local_demand=float(rng.choice([0.5, 1.0])),
+                             migration_demand=float(rng.choice([0.5, 1.0])))
+             for j in range(1, M + 1)]
+    prev = {j: int(rng.integers(1, K + 1)) for j in range(1, M + 1)
+            if rng.random() < 0.7}
+    kappa = float(rng.choice([0.0, 0.5]))
+    model = LinearCostModel(np.array([0.0, 1.0, 1.0, 1.0]), kappa, kappa, 1.0)
+    if dear_end:
+        model = PerturbedCostModel(
+            model, {w.end: np.array([0.0, 8.0, 0.0, 0.0])})
+    dp = solve_window_offline(w, insts, prev, model)
+    bf = brute_force_offline(w, insts, prev, model)
+    assert dp.cost == bf.cost
+    assert dp.matrix == bf.matrix
+    assert dp.relaxations == K ** M + (T - 1) * K ** (2 * M)
 
 
 def test_state_budget_guard():
