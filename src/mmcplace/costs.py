@@ -6,10 +6,13 @@ traffic. Conventions baked in everywhere: u(0) = 0, w(.,.,0) = 0, and
 W = 0 in the very first slot of the whole run (t = 1).
 
 placement_loads is the only code that turns a concrete placement into
-SlotLoads. charge_placements charges a whole run from its per-slot
-placement maps (every policy and control loop goes through it);
-WindowCostEvaluator prices joint states inside one window for the
-solvers. online.WindowLedger keeps a vectorized mirror for the fast DP.
+SlotLoads; its two halves, the slot's occupancy (y, r) and the boundary
+moves (z, s, moved), are also what WindowCostEvaluator calls.
+charge_placements charges a whole run from its per-slot placement maps
+(every policy and control loop goes through it); WindowCostEvaluator
+prices joint states inside one window for the solvers, each state once
+per solver call. online.WindowLedger keeps a vectorized mirror for the
+fast DP.
 """
 
 from __future__ import annotations
@@ -333,6 +336,16 @@ def placement_loads(t: int, instances, clouds, K: int,
     hops times moves, MMC-to-MMC only) and moved (instances that changed
     cloud). Sums run in instance order.
     """
+    y, r = _occupancy(t, instances, clouds, K, distance)
+    loads = SlotLoads(y=y, r=r)
+    if before is not None:
+        loads.z, loads.s, loads.moved = _moves(instances, clouds, before, K,
+                                               distance)
+    return loads
+
+
+def _occupancy(t, instances, clouds, K, distance):
+    """The y and r half of placement_loads."""
     y = np.zeros(K + 1)
     r = np.zeros(K + 1)
     for inst, k in zip(instances, clouds):
@@ -343,9 +356,11 @@ def placement_loads(t: int, instances, clouds, K: int,
             cell = distance.user_cell_of(inst.id, t)
             if cell is not None:
                 r[k] += distance.cell_column(cell, K)[k]
-    loads = SlotLoads(y=y, r=r)
-    if before is None:
-        return loads
+    return y, r
+
+
+def _moves(instances, clouds, before, K, distance):
+    """The boundary half of placement_loads: (z, s, moved)."""
     z: dict = {}
     count: dict = {}
     for inst, l, k in zip(instances, clouds, before):
@@ -353,13 +368,12 @@ def placement_loads(t: int, instances, clouds, K: int,
             continue
         z[(k, l)] = z.get((k, l), 0.0) + inst.migration_demand
         count[(k, l)] = count.get((k, l), 0) + 1
-    loads.z = z
-    loads.moved = sum(count.values())
+    s: dict = {}
     if distance is not None:
         pair = distance.pair_table(K)
-        loads.s = {(k, l): pair[k, l] * n for (k, l), n in count.items()
-                   if k != distance.backend and l != distance.backend}
-    return loads
+        s = {(k, l): pair[k, l] * n for (k, l), n in count.items()
+             if k != distance.backend and l != distance.backend}
+    return z, s, sum(count.values())
 
 
 def charge_placements(model: CostModel,
@@ -402,7 +416,16 @@ class WindowCostEvaluator:
     evaluator owns the transition bookkeeping: migration loads between
     consecutive slots and, at the window's first slot, from the externally
     supplied prior placement prev_config (instance id -> cloud at t0-1).
-    Loads come from placement_loads.
+    Loads come from placement_loads' two halves.
+
+    Each joint state is priced once: a private table maps (t, state) to
+    its y, r and local cost, filled on first use and kept for the life of
+    the evaluator, which is one solver call. Its arrays are read-only;
+    state_loads hands out copies. transition reads both ends' y from the
+    table and aggregates only the boundary (z, s, moved), so a state's
+    loads are not recounted per neighbour. Nothing is kept per (t, prev,
+    state) pair: a DP relaxes each pair once, and a layer of n states has
+    n^2 of them.
     """
 
     def __init__(self, window: Window, instances: list[ServiceInstance],
@@ -418,10 +441,24 @@ class WindowCostEvaluator:
                                   for inst in self.instances)
         self._y_before = placement_loads(window.t0 - 1, self.instances,
                                          self._prev_clouds, model.K).y
+        self._y_before.flags.writeable = False
+        self._priced: dict = {}
+
+    def _price(self, t: int, state: tuple[int, ...]):
+        """(y, r, local cost) of a joint state at slot t, from the table."""
+        entry = self._priced.get((t, state))
+        if entry is None:
+            y, r = _occupancy(t, self.instances, state, self.model.K,
+                              self.distance)
+            y.flags.writeable = False
+            r.flags.writeable = False
+            entry = (y, r, self.model.local_total(t, SlotLoads(y=y, r=r)))
+            self._priced[(t, state)] = entry
+        return entry
 
     def state_loads(self, t: int, state: tuple[int, ...]) -> SlotLoads:
-        return placement_loads(t, self.instances, state, self.model.K,
-                               self.distance)
+        y, r, _local = self._price(t, state)
+        return SlotLoads(y=y.copy(), r=r.copy())
 
     def transition_loads(self, t: int, prev_state: tuple[int, ...] | None,
                          loads: SlotLoads, state: tuple[int, ...]) -> None:
@@ -429,29 +466,27 @@ class WindowCostEvaluator:
 
         prev_state of None means "use prev_config" (t is the window start).
         """
-        moves = self._boundary_loads(t, prev_state, state)
-        loads.z, loads.s, loads.moved = moves.z, moves.s, moves.moved
-
-    def _boundary_loads(self, t, prev_state, state) -> SlotLoads:
         before = self._prev_clouds if prev_state is None else prev_state
-        return placement_loads(t, self.instances, state, self.model.K,
-                               self.distance, before)
+        loads.z, loads.s, loads.moved = _moves(
+            self.instances, state, before, self.model.K, self.distance)
 
     def local(self, t: int, state: tuple[int, ...]) -> float:
-        return self.model.local_total(t, self.state_loads(t, state))
+        return self._price(t, state)[2]
 
     def transition(self, t: int, prev_state: tuple[int, ...] | None,
                    state: tuple[int, ...]) -> float:
         """Migration cost W(t) between the states at t-1 and t."""
         if t <= 1:
             return 0.0
-        loads = self._boundary_loads(t, prev_state, state)
         if prev_state is None:
-            y_prev = self._y_before
+            before, y_prev = self._prev_clouds, self._y_before
         else:
-            y_prev = placement_loads(t - 1, self.instances, prev_state,
-                                     self.model.K).y
-        return self.model.migration_total(t, y_prev, loads)
+            before, y_prev = prev_state, self._price(t - 1, prev_state)[0]
+        y, r, _local = self._price(t, state)
+        z, s, _moved = _moves(self.instances, state, before, self.model.K,
+                              self.distance)
+        return self.model.migration_total(t, y_prev,
+                                          SlotLoads(y=y, r=r, z=z, s=s))
 
     def path_cost(self, states: list[tuple[int, ...]]) -> float:
         """Window cost of a full per-slot state path (length T)."""

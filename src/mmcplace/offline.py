@@ -2,9 +2,12 @@
 
 Each slot contributes a layer of joint states (one cloud choice per
 instance active in that slot, inactive instances pinned to 0); edges carry
-local plus migration cost. The DP keeps, per state, the cheapest (cost,
-path) reached so far, with path comparison as a deterministic
-lexicographic tie-break.
+local plus migration cost. The DP keeps, per state, the cheapest cost
+reached so far and a back-pointer to the state before it; the path is
+rebuilt from the back-pointers at the end. Ties in cost resolve to the
+lexicographically smallest per-slot state path: on an exact tie both
+candidates' paths are rebuilt and compared, so no path is copied per
+relaxation.
 """
 
 from __future__ import annotations
@@ -71,33 +74,49 @@ def solve_window_offline(window: Window, instances: list[ServiceInstance],
 
     ev = WindowCostEvaluator(window, instances, model, prev_config, distance)
     relax = 0
-    # best[state] = (cost, path); path is the tuple of states up to here
-    best: dict = {}
+    best: dict = {}      # state -> cost of the cheapest path reaching it
+    links: list = []     # links[q-1][state] = predecessor of layer q's state
     for q, t in enumerate(window.slots):
         nxt: dict = {}
-        for state in layers[q]:
-            local = ev.local(t, state)
-            if q == 0:
+        if q == 0:
+            for state in layers[0]:
                 relax += 1
-                cand = (local + ev.transition(t, None, state), (state,))
-                if state not in nxt or cand < nxt[state]:
-                    nxt[state] = cand
-            else:
-                cur = None
-                for prev_state, (pcost, ppath) in best.items():
+                nxt[state] = ev.local(t, state) + ev.transition(t, None, state)
+        else:
+            link: dict = {}
+            for state in layers[q]:
+                local = ev.local(t, state)
+                cur = via = None
+                for prev_state, pcost in best.items():
                     relax += 1
-                    cand = (pcost + local + ev.transition(t, prev_state, state),
-                            ppath + (state,))
-                    if cur is None or cand < cur:
-                        cur = cand
+                    cand = pcost + local + ev.transition(t, prev_state, state)
+                    if cur is None or cand < cur or (
+                            cand == cur and _path(links, prev_state)
+                            < _path(links, via)):
+                        cur, via = cand, prev_state
                 nxt[state] = cur
+                link[state] = via
+            links.append(link)
         best = nxt
 
-    cost, path = min(best.values())
+    end = cost = None
+    for state, c in best.items():
+        if end is None or c < cost or (
+                c == cost and _path(links, state) < _path(links, end)):
+            end, cost = state, c
     matrix = ConfigurationMatrix(window, [i.id for i in instances])
-    for q, state in enumerate(path):
+    for q, state in enumerate(_path(links, end)):
         matrix.data[q, :] = state
     return OfflineSolution(matrix=matrix, cost=cost, relaxations=relax)
+
+
+def _path(links, state):
+    """The state path that the back-pointers lead to `state` along."""
+    path = [state]
+    for link in reversed(links):
+        state = link[state]
+        path.append(state)
+    return tuple(reversed(path))
 
 
 def run_offline(horizon: int, window_size: int,

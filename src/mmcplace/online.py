@@ -45,33 +45,41 @@ class PlacementOutcome:
 
 
 def _place_generic(instance, t, t_e, matrix, instances, model, ev, j, K):
-    """Reference DP: per-candidate full-state cost evaluation."""
+    """Reference DP: per-candidate full-state cost evaluation.
 
-    def joint(t_abs: int, k: int) -> tuple[int, ...]:
-        state = list(matrix.slot_state(t_abs))
-        state[j] = k
-        return tuple(state)
+    Each slot's K joint states (the frozen columns with cloud k in column
+    j) are built once, before the DP.
+    """
+
+    def joints(s: int) -> list[tuple[int, ...]]:
+        state = list(matrix.slot_state(s))
+        row = []
+        for k in range(1, K + 1):
+            state[j] = k
+            row.append(tuple(state))
+        return row
 
     window = matrix.window
+    rows = {s: joints(s) for s in range(t, t_e + 1)}
+    # frozen columns' state at t-1 is the migration baseline for a
+    # mid-window arrival; at the window start it comes from prev_config
+    # (None sentinel)
+    prior = None if t == window.t0 else matrix.slot_state(t - 1)
     relax = 0
     best: dict[int, tuple] = {}
     for s in range(t, t_e + 1):
         nxt: dict[int, tuple] = {}
-        for k in range(1, K + 1):
-            state = joint(s, k)
+        for k, state in enumerate(rows[s], start=1):
             local = ev.local(s, state)
             if s == t:
-                # frozen columns' state at t-1 is the migration baseline for
-                # a mid-window arrival; at the window start it comes from
-                # prev_config (None sentinel)
-                prior = None if s == window.t0 else matrix.slot_state(s - 1)
                 relax += 1
                 nxt[k] = (local + ev.transition(s, prior, state), (k,))
             else:
                 cur = None
                 for kp, (pcost, ppath) in best.items():
                     relax += 1
-                    cand = (pcost + local + ev.transition(s, joint(s - 1, kp), state),
+                    cand = (pcost + local
+                            + ev.transition(s, rows[s - 1][kp - 1], state),
                             ppath + (k,))
                     if cur is None or cand < cur:
                         cur = cand
@@ -81,7 +89,8 @@ def _place_generic(instance, t, t_e, matrix, instances, model, ev, j, K):
         # frozen migrations over the next boundary still feel the load we
         # leave behind at t_e
         tail_state = matrix.slot_state(t_e + 1)
-        best = {k: (c + ev.transition(t_e + 1, joint(t_e, k), tail_state), p)
+        best = {k: (c + ev.transition(t_e + 1, rows[t_e][k - 1], tail_state),
+                    p)
                 for k, (c, p) in best.items()}
     _cost, path = min(best.values())
     saturated = not math.isfinite(min(v[0] for v in best.values()))

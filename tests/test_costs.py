@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmcplace.core import ConfigurationMatrix, ServiceInstance, Window
-from mmcplace.costs import (LinearCostModel, MmcBackendCostModel,
-                            PerturbedCostModel, PolynomialCostModel,
-                            WindowCostEvaluator, placement_loads,
-                            window_cost)
+from mmcplace.costs import (DistanceContext, LinearCostModel,
+                            MmcBackendCostModel, PerturbedCostModel,
+                            PolynomialCostModel, WindowCostEvaluator,
+                            placement_loads, window_cost)
 
 
 def linear2(gamma=(0, 3.0, 1.0), k1=0.5, k2=0.5, k3=1.0):
@@ -158,3 +158,41 @@ def test_window_cost_monotone_in_loads():
     m = ConfigurationMatrix(w, [1])
     m.set_column(1, [1, 1])
     assert window_cost(model, m, [big]) >= window_cost(model, m, [small])
+
+
+def test_evaluator_hands_out_copies_of_priced_states():
+    """Filling and overwriting the SlotLoads of state_loads leaves the
+    evaluator's own prices as a fresh evaluator computes them, bit for
+    bit, whether the state was priced before the call or by it."""
+    model = MmcBackendCostModel(K=4, capacity=5.0, backend_local_rate=3.0,
+                                backend_migration_rate=3.0,
+                                distance_local_weight=0.2,
+                                distance_migration_weight=0.1)
+    distance = DistanceContext(
+        user_cell_of=lambda iid, t: 1 + (iid + t) % 3,
+        cloud_cell_distance=lambda k, c: abs(k - c),
+        cloud_pair_distance=lambda k, l: abs(k - l),
+        backend=4)
+    w = Window(2, 2)
+    insts = [ServiceInstance(id=j, arrival_slot=1, local_demand=0.5 * j,
+                             migration_demand=0.3 * j) for j in (1, 2, 3)]
+    prev = {1: 2, 2: 2, 3: 4}
+    first, second = (1, 2, 1), (2, 3, 1)
+
+    def args():
+        return w, insts, model, prev, distance
+
+    ev = WindowCostEvaluator(*args())
+    ev.local(3, second)                         # priced before the call
+    for t, before, state in ((2, None, first), (3, first, second)):
+        loads = ev.state_loads(t, state)
+        ev.transition_loads(t, before, loads, state)
+        loads.y[:] = 99.0
+        loads.r[:] = 99.0
+    fresh = WindowCostEvaluator(*args())
+    for t, before, state in ((2, None, first), (3, first, second)):
+        assert ev.local(t, state) == fresh.local(t, state)
+        assert ev.transition(t, before, state) == fresh.transition(
+            t, before, state)
+        assert np.array_equal(ev.state_loads(t, state).y,
+                              placement_loads(t, insts, state, 4).y)

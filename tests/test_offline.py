@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from mmcplace.core import ServiceInstance, Window
 from mmcplace.costs import (LinearCostModel, MmcBackendCostModel,
-                            PerturbedCostModel, window_cost)
+                            PerturbedCostModel, PolynomialCostModel,
+                            window_cost)
 from mmcplace.offline import (StateBudgetExceeded, run_offline,
                               solve_window_offline)
 from mmcplace.oracle import EnumerationBudgetExceeded, brute_force_offline
@@ -94,6 +95,35 @@ def test_state_budget_guard():
     insts = [ServiceInstance(id=j, arrival_slot=1) for j in range(1, 8)]
     with pytest.raises(StateBudgetExceeded):
         solve_window_offline(w, insts, None, mmc(K=10), state_budget=1000)
+
+
+def test_wide_layer_memory_stays_per_state():
+    """243 joint states per slot (K = 3, five instances, two slots): the
+    solver keeps an entry per joint state, not per pair of consecutive
+    states, so its tracemalloc peak stays under 2 MB (a per-pair memo
+    would hold 243^2 entries, over 8 MB)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    K, M = 3, 5
+    ucoeffs = np.zeros((K + 1, 3))
+    ucoeffs[1:, 1] = rng.uniform(0.2, 2.0, K)
+    ucoeffs[1:, 2] = rng.uniform(0.0, 1.0, K)
+    model = PolynomialCostModel(ucoeffs, [(0, 0, 1, 0.6), (0, 0, 2, 0.2)])
+    w = Window(4, 2)
+    insts = [ServiceInstance(id=j, arrival_slot=4,
+                             local_demand=float(rng.uniform(0.3, 1.0)),
+                             migration_demand=float(rng.uniform(0.3, 1.0)))
+             for j in range(1, M + 1)]
+    prev = {1: 2, 3: 1, 4: 3}
+    tracemalloc.start()
+    try:
+        sol = solve_window_offline(w, insts, prev, model)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.relaxations == K ** M + (K ** M) ** 2
+    assert peak < 2 * 2 ** 20
 
 
 def test_relaxation_count_single_instance():

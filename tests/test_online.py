@@ -319,6 +319,34 @@ def test_run_online_window_start_charges_whole_previous_slot():
     assert want > model.u(2, 3, 1.0) + model.w(1, 2, 3, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="known defect, see the FOUND line on WindowLedger.y[0] in "
+           "CHANGES.md: the planner's pre-window load comes from "
+           "prev_config, which drops instances that departed at the end "
+           "of slot t0-1")
+def test_planner_pre_window_load_counts_whole_previous_slot(monkeypatch):
+    """The planner should see the load that the charge uses: in the
+    scenario above, window [3]'s ledger row 0 should hold y_1(2) = 2."""
+    from mmcplace import online
+
+    ledgers = {}
+    place = online.place_on_arrival
+
+    def spy(instance, t, matrix, *args, **kwargs):
+        ledgers.setdefault(matrix.window.t0, kwargs["ledger"])
+        return place(instance, t, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(online, "place_on_arrival", spy)
+    model = mmc(K=3)
+    dear = {1: np.array([0.0, 0.0, 10.0, 0.0]),
+            3: np.array([0.0, 10.0, 0.0, 0.0])}
+    insts = [ServiceInstance(id=1, arrival_slot=1, actual_departure_slot=2),
+             ServiceInstance(id=2, arrival_slot=1)]
+    run_online(3, 2, insts, _WindowOracle(model, dear))
+    assert ledgers[3].y[0, 1] == 2.0
+
+
 class _Delegating(CostModel):
     """The same costs behind the plain CostModel interface, so
     place_on_arrival takes the generic full-state DP."""
