@@ -179,17 +179,14 @@ def test_evaluator_hands_out_copies_of_priced_states():
     prev = {1: 2, 2: 2, 3: 4}
     first, second = (1, 2, 1), (2, 3, 1)
 
-    def args():
-        return w, insts, model, prev, distance
-
-    ev = WindowCostEvaluator(*args())
+    ev = WindowCostEvaluator(w, insts, model, prev, distance)
     ev.local(3, second)                         # priced before the call
     for t, before, state in ((2, None, first), (3, first, second)):
         loads = ev.state_loads(t, state)
         ev.transition_loads(t, before, loads, state)
         loads.y[:] = 99.0
         loads.r[:] = 99.0
-    fresh = WindowCostEvaluator(*args())
+    fresh = WindowCostEvaluator(w, insts, model, prev, distance)
     for t, before, state in ((2, None, first), (3, first, second)):
         assert ev.local(t, state) == fresh.local(t, state)
         assert ev.transition(t, before, state) == fresh.transition(

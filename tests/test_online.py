@@ -297,20 +297,25 @@ class _WindowOracle:
         return PerturbedCostModel(self.actual, {t: off for t in window.slots})
 
 
-def test_run_online_window_start_charges_whole_previous_slot():
-    """y_k(t0-1) in the window-start migration charge counts every
-    instance at k in slot t0-1, also one that departs at its end.
-
-    Instances 1 and 2 share MMC 1 in window [1, 2]; 1 departs at the end
+def _departure_at_window_end():
+    """Instances 1 and 2 share MMC 1 in window [1, 2]; 1 departs at the end
     of slot 2. Window [3] predicts MMC 1 dear, so 2 moves 1 -> 2 at slot
-    3. Its migration cost reads y_1(2) = 2, not the 1 that the carried
-    instances alone would give."""
+    3. Returns (actual model, oracle, instances)."""
     model = mmc(K=3)                  # MMCs 1 and 2, backend 3
     dear = {1: np.array([0.0, 0.0, 10.0, 0.0]),
             3: np.array([0.0, 10.0, 0.0, 0.0])}
     insts = [ServiceInstance(id=1, arrival_slot=1, actual_departure_slot=2),
              ServiceInstance(id=2, arrival_slot=1)]
-    run = run_online(3, 2, insts, _WindowOracle(model, dear))
+    return model, _WindowOracle(model, dear), insts
+
+
+def test_run_online_window_start_charges_whole_previous_slot():
+    """y_k(t0-1) in the window-start migration charge counts every
+    instance at k in slot t0-1, also one that departs at its end: the
+    move 1 -> 2 at slot 3 reads y_1(2) = 2, not the 1 that the carried
+    instances alone would give."""
+    model, oracle, insts = _departure_at_window_end()
+    run = run_online(3, 2, insts, oracle)
     assert run.placements[2] == {1: 1, 2: 1}
     assert run.placements[3] == {2: 2}
     assert run.migrations_by_slot[3] == 1
@@ -326,8 +331,8 @@ def test_run_online_window_start_charges_whole_previous_slot():
            "prev_config, which drops instances that departed at the end "
            "of slot t0-1")
 def test_planner_pre_window_load_counts_whole_previous_slot(monkeypatch):
-    """The planner should see the load that the charge uses: in the
-    scenario above, window [3]'s ledger row 0 should hold y_1(2) = 2."""
+    """The planner should see the load that the charge uses: window [3]'s
+    ledger row 0 should hold y_1(2) = 2."""
     from mmcplace import online
 
     ledgers = {}
@@ -338,12 +343,8 @@ def test_planner_pre_window_load_counts_whole_previous_slot(monkeypatch):
         return place(instance, t, matrix, *args, **kwargs)
 
     monkeypatch.setattr(online, "place_on_arrival", spy)
-    model = mmc(K=3)
-    dear = {1: np.array([0.0, 0.0, 10.0, 0.0]),
-            3: np.array([0.0, 10.0, 0.0, 0.0])}
-    insts = [ServiceInstance(id=1, arrival_slot=1, actual_departure_slot=2),
-             ServiceInstance(id=2, arrival_slot=1)]
-    run_online(3, 2, insts, _WindowOracle(model, dear))
+    _model, oracle, insts = _departure_at_window_end()
+    run_online(3, 2, insts, oracle)
     assert ledgers[3].y[0, 1] == 2.0
 
 
