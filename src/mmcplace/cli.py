@@ -52,12 +52,7 @@ def _cmd_simulate(args) -> int:
     scn = build_scenario(cfg, seed)
     log.info("scenario: %d cells, %d instances, horizon %d",
              cfg.n_cells, len(scn.instances), cfg.horizon)
-    if args.jobs > 1 and len(policies) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda p: run_policy(scn, p), policies))
-    else:
-        results = [run_policy(scn, pol) for pol in policies]
+    results = [run_policy(scn, pol) for pol in policies]
     for res in results:
         pol = res.policy
         extra = f" T={res.window_T}" if res.window_T else ""
@@ -86,7 +81,7 @@ def _cmd_sweep_window(args) -> int:
     T_values = _parse_range(args.T_range)
     beta_values = [float(x) for x in args.beta_list.split(",") if x]
     seeds = list(range(1, args.seeds + 1))
-    rows = sweep_window(cfg, T_values, beta_values, seeds, jobs=args.jobs)
+    rows = sweep_window(cfg, T_values, beta_values, seeds)
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "sweep.csv")
     write_sweep_csv(out, rows)
@@ -114,7 +109,6 @@ def _cmd_oracle_check(args) -> int:
     for _ in range(args.samples):
         states = [tuple(int(rng.integers(1, scn.model.K + 1))
                         for _ in insts) for _ in window.slots]
-        prev = None
         for q, t in enumerate(window.slots):
             a = actual_ev.local(t, states[q])
             d = pred_ev.local(t, states[q])
@@ -123,7 +117,6 @@ def _cmd_oracle_check(args) -> int:
             worst = max(worst, gap - eps)
             if gap > eps + 1e-9:
                 violations += 1
-            prev = states[q]
     if violations:
         print(f"FAIL: {violations} samples exceeded the error bound "
               f"(worst excess {worst:.3e})")
@@ -188,9 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override horizon length")
     sim.add_argument("--window", type=int, default=0,
                      help="fixed look-ahead window (0 = optimizer's choice)")
-    sim.add_argument("--jobs", type=int, default=1,
-                     help="policy runs in parallel threads (same outputs, "
-                          "inflated runtime_ms)")
+    # policies always run one after another; --jobs 1 is still accepted
+    # only because perfbench's simulate command line passes it
+    sim.add_argument("--jobs", type=int, default=1, choices=[1],
+                     help=argparse.SUPPRESS)
     sim.add_argument("--out-dir", default="out")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -202,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--beta-list", dest="beta_list", default="0.1,0.4")
     sw.add_argument("--seeds", type=int, default=8,
                     help="run seeds 1..N")
-    sw.add_argument("--jobs", type=int, default=1,
-                    help="window-length runs per seed in parallel threads")
     sw.add_argument("--out-dir", default="out")
     sw.set_defaults(func=_cmd_sweep_window)
 

@@ -8,13 +8,15 @@ re-optimizing survivors. It records each slot's placement map and charges
 the run's actual costs from those maps with costs.charge_placements, the
 accounting every policy shares.
 
-Two equivalent DP implementations: a generic one that works for any cost
-model (and carries the lexicographic tie-break used in exactness tests),
-and a vectorized one for the capacity/backend family, whose migration
-cost is linear in the migration loads so per-candidate deltas reduce to
-row/column corrections.
+One DP recursion, _min_path, owns the min-plus step over the K clouds
+of each slot, the relaxation count, the saturation flag, backtracking
+and the tie-break. Two step providers price its steps and run no
+recursion of their own: _generic_steps evaluates full joint states for
+any cost model, and _fast_steps prices the capacity/backend family in
+vectorized form, where the migration cost is linear in the migration
+loads so per-candidate deltas reduce to row/column corrections.
 
-The vectorized DP reads every frozen load from a WindowLedger: per-slot
+_fast_steps reads every frozen load from a WindowLedger: per-slot
 local loads and user-distance sums, per-boundary MMC-to-MMC migration
 out- and in-sums, each user's cell looked up once per window, and the
 distance tables of the DistanceContext. run_online keeps one ledger per
@@ -26,6 +28,7 @@ state tuple is built and no cost function is called per cloud.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -35,6 +38,8 @@ from .core import ConfigurationMatrix, ServiceInstance, Window
 from .costs import (CostModel, DistanceContext, MmcBackendCostModel,
                     PerturbedCostModel, WindowCostEvaluator, charge_placements)
 
+log = logging.getLogger(__name__)
+
 
 @dataclass
 class PlacementOutcome:
@@ -42,59 +47,6 @@ class PlacementOutcome:
     predicted_cost: float      # full window cost after the placement
     relaxations: int
     saturated: bool            # True when every route carried infinite cost
-
-
-def _place_generic(instance, t, t_e, matrix, instances, model, ev, j, K):
-    """Reference DP: per-candidate full-state cost evaluation.
-
-    Each slot's K joint states (the frozen columns with cloud k in column
-    j) are built once, before the DP.
-    """
-
-    def joints(s: int) -> list[tuple[int, ...]]:
-        state = list(matrix.slot_state(s))
-        row = []
-        for k in range(1, K + 1):
-            state[j] = k
-            row.append(tuple(state))
-        return row
-
-    window = matrix.window
-    rows = {s: joints(s) for s in range(t, t_e + 1)}
-    # frozen columns' state at t-1 is the migration baseline for a
-    # mid-window arrival; at the window start it comes from prev_config
-    # (None sentinel)
-    prior = None if t == window.t0 else matrix.slot_state(t - 1)
-    relax = 0
-    best: dict[int, tuple] = {}
-    for s in range(t, t_e + 1):
-        nxt: dict[int, tuple] = {}
-        for k, state in enumerate(rows[s], start=1):
-            local = ev.local(s, state)
-            if s == t:
-                relax += 1
-                nxt[k] = (local + ev.transition(s, prior, state), (k,))
-            else:
-                cur = None
-                for kp, (pcost, ppath) in best.items():
-                    relax += 1
-                    cand = (pcost + local
-                            + ev.transition(s, rows[s - 1][kp - 1], state),
-                            ppath + (k,))
-                    if cur is None or cand < cur:
-                        cur = cand
-                nxt[k] = cur
-        best = nxt
-    if t_e + 1 <= window.end:
-        # frozen migrations over the next boundary still feel the load we
-        # leave behind at t_e
-        tail_state = matrix.slot_state(t_e + 1)
-        best = {k: (c + ev.transition(t_e + 1, rows[t_e][k - 1], tail_state),
-                    p)
-                for k, (c, p) in best.items()}
-    _cost, path = min(best.values())
-    saturated = not math.isfinite(min(v[0] for v in best.values()))
-    return path, relax, saturated
 
 
 def _fast_base(model):
@@ -201,9 +153,87 @@ class WindowLedger:
             row * K1 + keys % K1, z, n * K1).reshape(n, K1)
 
 
-# The helpers below run inside _place_fast's np.errstate: where a load
-# reaches capacity, 1/0 and inf - inf are expected and masked or kept, as
-# the scalar cost functions produce them.
+def _min_path(first, local, hop, tail):
+    """The per-arrival DP: one instance's cheapest cloud per slot.
+
+    first[k]: cost of cloud k+1 in the arrival slot t, entry migration
+    included. local[q] (q >= 1): local cost vector of slot t+q; local[0]
+    is already in first, and len(local) is the span. hop(q)[k, l]: cost
+    of moving k+1 -> l+1 over the boundary into slot t+q, a (K, K)
+    array. tail, when not None, is added per final cloud.
+
+    Ties go to the smallest final cloud, then to the smallest predecessor
+    at each boundary going back: the minimum of (cost, reversed path).
+    Returns (path of cloud ids, relaxations, saturated), with
+    relaxations = K + K^2 (span - 1) and saturated True when every route
+    costs inf.
+    """
+    nu = first
+    K = nu.shape[0]
+    columns = np.arange(K)
+    back: list[np.ndarray] = []
+    for q in range(1, len(local)):
+        # cand[k, l]: reach k by slot t+q-1, then hop k -> l into slot t+q
+        cand = hop(q) + nu[:, None]
+        choice = np.argmin(cand, axis=0)
+        nu = cand[choice, columns] + local[q]
+        back.append(choice)
+    if tail is not None:
+        nu = nu + tail
+
+    end = int(np.argmin(nu))
+    path = [end]
+    for choice in reversed(back):
+        path.append(int(choice[path[-1]]))
+    path.reverse()
+    saturated = not math.isfinite(float(nu[end]))
+    relax = K + K * K * (len(local) - 1)
+    return tuple(k + 1 for k in path), relax, saturated
+
+
+def _generic_steps(t, t_e, matrix, ev, j, K):
+    """_min_path's inputs for any cost model, from full joint states.
+
+    Each slot's K joint states (the frozen columns with cloud k in column
+    j) are built once; every step is priced by the evaluator.
+    """
+    window = matrix.window
+
+    def joints(s: int) -> list[tuple[int, ...]]:
+        state = list(matrix.slot_state(s))
+        row = []
+        for k in range(1, K + 1):
+            state[j] = k
+            row.append(tuple(state))
+        return row
+
+    rows = [joints(s) for s in range(t, t_e + 1)]
+    local = [np.array([ev.local(t + q, state) for state in row])
+             for q, row in enumerate(rows)]
+    # frozen columns' state at t-1 is the migration baseline for a
+    # mid-window arrival; at the window start it comes from prev_config
+    # (None sentinel)
+    prior = None if t == window.t0 else matrix.slot_state(t - 1)
+    first = local[0] + np.array([ev.transition(t, prior, state)
+                                 for state in rows[0]])
+
+    def hop(q):
+        return np.array([[ev.transition(t + q, frm, to) for to in rows[q]]
+                         for frm in rows[q - 1]])
+
+    tail = None
+    if t_e + 1 <= window.end:
+        # frozen migrations over the next boundary still feel the load we
+        # leave behind at t_e
+        after = matrix.slot_state(t_e + 1)
+        tail = np.array([ev.transition(t_e + 1, state, after)
+                         for state in rows[-1]])
+    return first, local, hop, tail
+
+
+# The helpers below run inside place_on_arrival's np.errstate: where a
+# load reaches capacity, 1/0 and inf - inf are expected and masked or
+# kept, as the scalar cost functions produce them.
 
 def _congestion(y, capacity):
     """R(y) = 1/(1 - y/Y) per cloud, inf at or over capacity; column 0 is 0."""
@@ -245,8 +275,8 @@ def _shift(diff, weight):
     return np.where(weight > 0, diff * weight, 0.0)
 
 
-def _place_fast(instance, t, t_e, ledger, model, base):
-    """Vectorized DP, exact for the capacity/backend cost family.
+def _fast_steps(instance, t, t_e, ledger, model, base):
+    """_min_path's inputs for the capacity/backend family, from the ledger.
 
     Works on cost deltas relative to the frozen columns: adding load a to
     cloud l shifts u there; a k->l hop adds its own migration cost plus,
@@ -254,11 +284,6 @@ def _place_fast(instance, t, t_e, ledger, model, base):
     every frozen MMC-to-MMC migration leaving k or entering l. All frozen
     loads come from the ledger. Arrays of length K hold clouds 1..K.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _min_path(instance, t, t_e, ledger, model, base)
-
-
-def _min_path(instance, t, t_e, ledger, model, base):
     a = instance.local_demand
     b = instance.migration_demand
     K = ledger.K
@@ -267,12 +292,13 @@ def _min_path(instance, t, t_e, ledger, model, base):
     j = ledger.col[instance.id]
     i, i_e = t - window.t0 + 1, t_e - window.t0 + 1   # ledger rows of t, t_e
 
-    # ledger rows i-1..i_e: congestion with our load added, and its change
+    # ledger rows i-1..i_e: congestion without and with our load added,
+    # and its change
     y = ledger.y[i - 1:i_e + 1]
+    R_now = _congestion(y, base.capacity)
     R_plus = _congestion(y + a, base.capacity)
-    diff = np.where(np.isfinite(R_plus),
-                    R_plus - _congestion(y, base.capacity), np.inf)[:, 1:]
-    R_plus = R_plus[:, 1:]
+    diff = np.where(np.isfinite(R_plus), R_plus - R_now, np.inf)[:, 1:]
+    R_now, R_plus = R_now[:, 1:], R_plus[:, 1:]
     hD = base.h * ledger.pairD[1:, 1:]
     hop_backend = base.h_backend * b
     ld = _local_delta(model, base, range(t, t_e + 1), y[1:],
@@ -281,54 +307,38 @@ def _min_path(instance, t, t_e, ledger, model, base):
     zin = ledger.zin[:, 1:]
     zout = ledger.zout[:, 1:]
 
-    nu = ld[0].copy()
-    if t > 1:
-        if zin[i].any():
-            nu += _shift(diff[1], zin[i])
-        k_prev = ledger.prev[j] if t == window.t0 else 0
-        if k_prev:
-            # carried instance: its load already sits in the pre-window
-            # profile at k_prev, so no +a on that side
-            if k_prev - 1 == b0:
-                hop = np.full(K, hop_backend)
-            else:
-                Rp = base.R(float(y[0, k_prev]))
-                hop = b * (Rp + R_plus[1]) + base.h * ledger.pairD[k_prev, 1:]
-                hop[b0] = hop_backend
-            hop[k_prev - 1] = 0.0
-            nu += hop
-    relax = K
-    back: list[np.ndarray] = []
-    columns = np.arange(K)
-    for q in range(1, t_e - t + 1):
-        # cand[k, l]: reach k by slot t+q-1, then hop k->l over the boundary
-        # into slot t+q (ledger row i+q)
-        cand = R_plus[q, :, None] + R_plus[q + 1, None, :]
+    def boundary(R_from, R_to):
+        cand = R_from[:, None] + R_to[None, :]
         cand *= b
         cand += hD
         cand[b0, :] = hop_backend
         cand[:, b0] = hop_backend
         cand.flat[::K + 1] = 0.0
+        return cand
+
+    def hop(q):
+        # boundary into slot t+q (ledger row i+q)
+        cand = boundary(R_plus[q], R_plus[q + 1])
         if zout[i + q].any():
             cand += (_shift(diff[q], zout[i + q])[:, None]
                      + _shift(diff[q + 1], zin[i + q])[None, :])
-        cand += nu[:, None]
-        choice = np.argmin(cand, axis=0)
-        nu = cand[choice, columns] + ld[q]
-        back.append(choice)
-        relax += K * K
+        return cand
+
+    first = ld[0].copy()
+    if t > 1:
+        if zin[i].any():
+            first += _shift(diff[1], zin[i])
+        k_prev = ledger.prev[j] if t == window.t0 else 0
+        if k_prev:
+            # carried instance: its load already sits in the pre-window
+            # profile at k_prev, so no +a on that side
+            first += boundary(R_now[0], R_plus[1])[k_prev - 1]
     # leaving a congested cloud after the column ends still shifts frozen
     # migrations over the next boundary
+    tail = None
     if t_e + 1 <= window.end and zout[i_e + 1].any():
-        nu = nu + _shift(diff[-1], zout[i_e + 1])
-
-    end = int(np.argmin(nu))
-    path = [end]
-    for choice in reversed(back):
-        path.append(int(choice[path[-1]]))
-    path.reverse()
-    saturated = not math.isfinite(float(nu[end]))
-    return tuple(k + 1 for k in path), relax, saturated
+        tail = _shift(diff[-1], zout[i_e + 1])
+    return first, ld, hop, tail
 
 
 def place_on_arrival(instance: ServiceInstance, t: int,
@@ -344,7 +354,9 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     t_e = min(t + lifetime - 1, window end). The DP state per slot is the
     instance's cloud id; transition costs are evaluated on the full joint
     state (frozen columns included), so congestion effects are exact.
-    Ties resolve to the smallest cloud-id path.
+    Instances are matched to the matrix columns by id. Ties go to the
+    smallest final cloud, then the smallest predecessor at each boundary
+    going back (see _min_path).
 
     ledger, when given, must describe `matrix` (run_online keeps one per
     window); it is refreshed for the returned matrix. Without one, the
@@ -353,7 +365,6 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     window = matrix.window
     if not (window.t0 <= t <= window.end):
         raise ValueError("arrival slot outside window")
-    instances = sorted(instances, key=lambda i: i.id)
     if instance.id not in matrix._col:
         raise ValueError("matrix has no column for the arriving instance")
     t_e = int(min(t + instance.max_lifetime - 1, window.end))
@@ -362,18 +373,19 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     base = _fast_base(model)
     ev = None
     if base is None or want_cost:
-        ev = WindowCostEvaluator(window, instances, model, prev_config,
-                                 distance)
-    if base is not None:
-        fast_ledger = ledger if ledger is not None else WindowLedger(
-            matrix, instances, K, base.backend, prev_config, distance)
-        path, relax, saturated = _place_fast(instance, t, t_e, fast_ledger,
-                                             model, base)
-    else:
-        j = next(idx for idx, i in enumerate(instances)
-                 if i.id == instance.id)
-        path, relax, saturated = _place_generic(
-            instance, t, t_e, matrix, instances, model, ev, j, K)
+        by_id = {i.id: i for i in instances}
+        ev = WindowCostEvaluator(window,
+                                 [by_id[iid] for iid in matrix.instance_ids],
+                                 model, prev_config, distance)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if base is None:
+            steps = _generic_steps(t, t_e, matrix, ev,
+                                   matrix._col[instance.id], K)
+        else:
+            fast_ledger = ledger if ledger is not None else WindowLedger(
+                matrix, instances, K, base.backend, prev_config, distance)
+            steps = _fast_steps(instance, t, t_e, fast_ledger, model, base)
+        path, relax, saturated = _min_path(*steps)
 
     out = matrix.copy()
     out.data[t - window.t0:t_e - window.t0 + 1, out._col[instance.id]] = path
@@ -395,8 +407,7 @@ def handle_departure(instance_id: int, t: int,
     """
     out = matrix.copy()
     if instance_id not in out._col:
-        import logging
-        logging.getLogger(__name__).warning(
+        log.warning(
             "departure for unknown instance %d ignored", instance_id)
         return out
     q = out.window.index_of(t)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationMatrix, ServiceInstance, Window, feasible_sequences
-from .costs import (CostModel, DistanceContext, WindowCostEvaluator,
-                    placement_loads)
+from .costs import (CostModel, DistanceContext, SlotLoads,
+                    WindowCostEvaluator, placement_loads)
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -210,20 +210,19 @@ def grad_window_cost(model: CostModel, window: Window, y, z, y_before=None):
 
 def window_cost_from_loads(model: CostModel, window: Window, y, z,
                            y_before=None) -> float:
-    """Window cost evaluated directly on load arrays (same layout as above)."""
-    total = 0.0
+    """Window cost evaluated directly on load arrays (same layout as above),
+    priced per slot by the model's local_total and migration_total with no
+    distance terms."""
+    zero = np.zeros(model.K + 1)
     if y_before is None:
-        y_before = np.zeros(model.K + 1)
+        y_before = zero
+    total = 0.0
     for q in range(window.T):
         t = window.t0 + q
-        for k in range(1, model.K + 1):
-            if y[q, k] > 0:
-                total += model.u(k, t, float(y[q, k]))
-        if t > 1:
-            for (k, l), zv in z[q].items():
-                if zv > 0:
-                    y_from = float(y[q - 1, k]) if q > 0 else float(y_before[k])
-                    total += model.w(k, l, t, y_from, float(y[q, l]), float(zv))
+        loads = SlotLoads(y=y[q], r=zero, z=z[q])
+        total += model.local_total(t, loads)
+        total += model.migration_total(t, y[q - 1] if q > 0 else y_before,
+                                       loads)
     return total
 
 

@@ -243,11 +243,9 @@ def run_policy(scn: BuiltScenario, policy: str,
     return result
 
 
-def sweep_window(config: ScenarioConfig, T_values, beta_values, seeds,
-                 jobs: int = 1):
+def sweep_window(config: ScenarioConfig, T_values, beta_values, seeds):
     """Day-average policy-E cost per (T, beta, seed), with the optimizer's
-    pick marked. Returns a list of row dicts in deterministic order
-    regardless of jobs."""
+    pick marked. Returns a list of row dicts in deterministic order."""
     rows = []
     T_m = max(T_values)
     for beta in beta_values:
@@ -259,16 +257,8 @@ def sweep_window(config: ScenarioConfig, T_values, beta_values, seeds,
             t_star = T_m
         for seed in seeds:
             scn = build_scenario(config, seed)
-            if jobs > 1:
-                from concurrent.futures import ThreadPoolExecutor
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(
-                        lambda T: run_policy(scn, "e", window_T=T, beta=beta),
-                        T_values))
-            else:
-                results = [run_policy(scn, "e", window_T=T, beta=beta)
-                           for T in T_values]
-            for T, result in zip(T_values, results):
+            for T in T_values:
+                result = run_policy(scn, "e", window_T=T, beta=beta)
                 rows.append({"T": T, "beta": beta, "seed": seed,
                              "avg_cost": result.avg_cost,
                              "is_Tstar": int(T == t_star)})

@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from mmcplace.cli import main
 from mmcplace.config import ScenarioConfig, serialize_config
 
@@ -24,17 +26,19 @@ def test_simulate_writes_csvs(tmp_path, capsys):
     assert "policy c" in text
 
 
-def test_simulate_all_policies_parallel(tmp_path):
+def test_simulate_rejects_jobs_above_one(tmp_path, capsys):
+    """Policies always run in sequence: --jobs accepts only 1, which
+    existing command lines pass."""
     cfg = small_ini(tmp_path)
-    rc = main(["simulate", "--config", cfg, "--seed", "1", "--jobs", "4",
-               "--out-dir", str(tmp_path / "o1")])
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--seed", "1", "--jobs", "2",
+              "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    rc = main(["simulate", "--config", cfg, "--policy", "c", "--seed", "1",
+               "--jobs", "1", "--out-dir", str(tmp_path / "o")])
     assert rc == 0
-    rc = main(["simulate", "--config", cfg, "--seed", "1", "--jobs", "1",
-               "--out-dir", str(tmp_path / "o2")])
-    assert rc == 0
-    r1 = (tmp_path / "o1" / "results.csv").read_bytes()
-    r2 = (tmp_path / "o2" / "results.csv").read_bytes()
-    assert r1 == r2      # parallelism never changes the outputs
 
 
 def test_sweep_window_csv(tmp_path):

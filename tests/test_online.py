@@ -10,7 +10,8 @@ from mmcplace.core import ConfigurationMatrix, ServiceInstance, Window
 from mmcplace.costs import (CostModel, DistanceContext, LinearCostModel,
                             MmcBackendCostModel, PerturbedCostModel,
                             WindowCostEvaluator)
-from mmcplace.online import handle_departure, place_on_arrival, run_online
+from mmcplace.online import (_min_path, handle_departure, place_on_arrival,
+                             run_online)
 from mmcplace.predictor import ZERO_BOUND, CostOracle, PowerLawErrorBound
 
 
@@ -105,12 +106,20 @@ def test_single_column_dp_is_optimal(seed, use_distance, use_perturb):
         assert out.saturated
 
 
+def _fast_path(instance, t, t_e, ledger, model, base):
+    """_min_path on the capacity/backend provider, under the errstate that
+    place_on_arrival gives it."""
+    from mmcplace.online import _fast_steps
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _min_path(*_fast_steps(instance, t, t_e, ledger, model, base))
+
+
 @given(st.integers(0, 2 ** 31))
 @settings(max_examples=60, deadline=None)
 def test_fast_path_matches_generic(seed):
     """Vectorized DP and the generic per-state DP land the same cost."""
-    from mmcplace.online import (WindowLedger, _fast_base, _place_fast,
-                                 _place_generic)
+    from mmcplace.online import WindowLedger, _fast_base, _generic_steps
 
     rng = np.random.default_rng(seed)
     model, w, insts, prev, m, d = random_setup(
@@ -125,9 +134,8 @@ def test_fast_path_matches_generic(seed):
     base = _fast_base(model)
     assert base is not None
     ledger = WindowLedger(m, insts_sorted, model.K, base.backend, prev, d)
-    fast = _place_fast(inst, t, t_e, ledger, model, base)
-    gen = _place_generic(inst, t, t_e, m, insts_sorted, model, ev, j,
-                         model.K)
+    fast = _fast_path(inst, t, t_e, ledger, model, base)
+    gen = _min_path(*_generic_steps(t, t_e, m, ev, j, model.K))
 
     def path_cost(path):
         m2 = m.copy()
@@ -146,8 +154,7 @@ def test_fast_path_matches_generic(seed):
 def test_fast_path_matches_generic_near_capacity(seed):
     """Frozen columns that hop between MMCs next to capacity, where the
     congestion corrections for frozen migrations decide the route."""
-    from mmcplace.online import (WindowLedger, _fast_base, _place_fast,
-                                 _place_generic)
+    from mmcplace.online import WindowLedger, _fast_base, _generic_steps
 
     rng = np.random.default_rng(seed)
     K, capacity = 4, 3.0
@@ -189,9 +196,9 @@ def test_fast_path_matches_generic_near_capacity(seed):
     ev = WindowCostEvaluator(w, insts, model, prev, d)
     t = inst.arrival_slot
     t_e = int(min(t + life - 1, w.end))
-    fast = _place_fast(inst, t, t_e, WindowLedger(m, insts, K, base.backend,
-                                                  prev, d), model, base)
-    gen = _place_generic(inst, t, t_e, m, insts, model, ev, 5, K)
+    fast = _fast_path(inst, t, t_e, WindowLedger(m, insts, K, base.backend,
+                                                 prev, d), model, base)
+    gen = _min_path(*_generic_steps(t, t_e, m, ev, 5, K))
 
     def path_cost(path):
         m2 = m.copy()
@@ -494,9 +501,9 @@ def _checked_fast_run(monkeypatch, horizon, T, insts, oracle, distance):
 def test_whole_run_fast_matches_generic(seed, monkeypatch):
     """Whole runs on the fast and on the generic DP land the same cost.
 
-    Distances are tie-free: where two routes cost the same, the two DPs
-    may pick different ones (argmin order against lexicographic order on
-    sums rounded differently), and the runs then go separate ways."""
+    Distances are tie-free: where two routes cost the same, the two step
+    providers may round their sums differently, so the one tie rule may
+    pick different routes, and the runs then go separate ways."""
     horizon, T, insts, oracle = _whole_run_case(seed)
     distance = tie_free_distance(oracle.actual.K)
     fast = _checked_fast_run(monkeypatch, horizon, T, insts, oracle, distance)
@@ -542,3 +549,103 @@ def test_ledger_sums_migrations_per_pair_first():
         assert np.array_equal(getattr(ledger, name), np.array(rows)), name
     assert ledger.zout[1, 1] == (mig[0] + mig[2]) + mig[1]
     assert ledger.zin[3, 1] == (mig[0] + mig[2]) + mig[1]
+
+
+@pytest.mark.parametrize("columns", [[1, 2], [2, 1]])
+def test_generic_dp_matches_instances_to_columns_by_id(columns):
+    """The frozen instance 1 fills cloud 1 (u = y + y^2), so instance 2 is
+    cheaper on cloud 2 (u = 3y), whatever the order of the matrix
+    columns: window cost 6 + 6 + 1.5 + 1.5 = 15, not 2 x 8.75 = 17.5."""
+    from mmcplace.costs import PolynomialCostModel, window_cost
+
+    model = PolynomialCostModel([[0, 0, 0], [0, 1, 1], [0, 3, 0]],
+                                [(0, 0, 1, 1.0)])
+    w = Window(1, 2)
+    insts = [ServiceInstance(id=1, arrival_slot=1, local_demand=2.0),
+             ServiceInstance(id=2, arrival_slot=1, local_demand=0.5)]
+    m = ConfigurationMatrix(w, columns)
+    m.set_column(1, [1, 1])
+    out = place_on_arrival(insts[1], 1, m, insts, model)
+    assert out.matrix.column(2).tolist() == [2, 2]
+    assert out.predicted_cost == 15.0
+    assert window_cost(model, out.matrix, insts) == 15.0
+
+
+def _tie_case(gamma, kappa3, offsets, prev_cloud, frozen=None):
+    """One instance carried into Window(2, 3) from prev_cloud, on integer
+    linear costs plus integer local offsets, so that equal-cost routes
+    tie exactly; frozen, when given, is a second instance's column."""
+    K = len(gamma) - 1
+    model = PerturbedCostModel(
+        LinearCostModel(np.array(gamma, dtype=float), 0.0, 0.0,
+                        np.array(kappa3, dtype=float)),
+        {t: np.array(off, dtype=float) for t, off in offsets.items()})
+    w = Window(2, 3)
+    inst = ServiceInstance(id=1, arrival_slot=1)
+    insts = [inst]
+    m = ConfigurationMatrix(w, [1] if frozen is None else [1, 2])
+    if frozen is not None:
+        insts.append(ServiceInstance(id=2, arrival_slot=1, local_demand=2.0,
+                                     migration_demand=2.0))
+        m.set_column(2, frozen)
+    return model, w, inst, insts, m, {1: prev_cloud}
+
+
+def _cheapest_paths(inst, m, insts, model, prev):
+    """Enumeration: the lowest window cost and every route reaching it."""
+    import itertools
+
+    w = m.window
+    ev = WindowCostEvaluator(w, insts, model, prev)
+    costs = {}
+    for path in itertools.product(range(1, model.K + 1), repeat=w.T):
+        m2 = m.copy()
+        m2.set_column(inst.id, path)
+        costs[path] = ev.path_cost([m2.slot_state(s) for s in w.slots])
+    cost = min(costs.values())
+    return cost, [path for path, c in costs.items() if c == cost]
+
+
+def _reversed_min(paths):
+    """The tie rule: smallest final cloud, then smallest predecessor."""
+    return min(paths, key=lambda path: path[::-1])
+
+
+def test_tie_break_is_min_cost_then_reversed_path():
+    """Six routes cost 7.0, among them (2, 2, 2), the smallest read
+    forwards, and (3, 1, 1), the only one ending at cloud 1. The smallest
+    final cloud wins, so the DP keeps (3, 1, 1)."""
+    model, w, inst, insts, m, prev = _tie_case(
+        [0, 2, 1, 2], [[1] * 4] * 4,
+        {2: [0, 2, 1, 0], 3: [0, 0, 2, 1]}, prev_cloud=3)
+    cost, paths = _cheapest_paths(inst, m, insts, model, prev)
+    assert cost == 7.0 and len(paths) == 6
+    assert (min(paths), _reversed_min(paths)) == ((2, 2, 2), (3, 1, 1))
+    out = place_on_arrival(inst, 2, m, insts, model, prev)
+    assert tuple(out.matrix.column(1).tolist()) == (3, 1, 1)
+    assert out.predicted_cost == cost
+
+
+def test_tie_break_matches_enumeration_on_integer_costs():
+    """Random integer costs, with and without a frozen second instance:
+    the placed route is always the enumeration's minimum of (cost,
+    reversed path). Some cases tie where the smallest path read forwards
+    is another route."""
+    rng = np.random.default_rng(11)
+    discriminating = 0
+    for _ in range(300):
+        K = 3
+        frozen = None
+        if rng.random() < 0.5:
+            frozen = [int(k) for k in rng.integers(0, K + 1, 3)]
+        model, w, inst, insts, m, prev = _tie_case(
+            [0] + rng.integers(1, 3, K).tolist(),
+            rng.integers(1, 2, (K + 1, K + 1)).tolist(),
+            {t: [0] + rng.integers(0, 4, K).tolist() for t in (2, 3, 4)},
+            prev_cloud=int(rng.integers(1, K + 1)), frozen=frozen)
+        cost, paths = _cheapest_paths(inst, m, insts, model, prev)
+        discriminating += min(paths) != _reversed_min(paths)
+        out = place_on_arrival(inst, 2, m, insts, model, prev)
+        assert tuple(out.matrix.column(1).tolist()) == _reversed_min(paths)
+        assert out.predicted_cost == cost
+    assert discriminating > 0
