@@ -13,6 +13,11 @@ charge_placements charges a whole run from its per-slot placement maps
 prices joint states inside one window for the solvers, each state once
 per solver call. online.WindowLedger keeps a vectorized mirror for the
 fast DP.
+
+The slot t0-1 before a window is an ordinary joint state for the
+planners (WindowCostEvaluator.prior, ledger row 0): the control loops
+give every instance placed in t0-1 a window column, so y(t0-1) counts
+the whole slot t0-1 map, as charge_placements does.
 """
 
 from __future__ import annotations
@@ -412,10 +417,11 @@ def charge_placements(model: CostModel,
 class WindowCostEvaluator:
     """Evaluates predicted/actual window costs from joint placement states.
 
-    A state is a tuple of cloud ids aligned with the instance list. The
-    evaluator owns the transition bookkeeping: migration loads between
-    consecutive slots and, at the window's first slot, from the externally
-    supplied prior placement prev_config (instance id -> cloud at t0-1).
+    A state is a tuple of cloud ids aligned with the instance list. prior
+    is the joint state at t0-1: each instance's cloud in the externally
+    supplied prev_config (instance id -> cloud at t0-1; 0 when absent). It
+    is priced like every other state, so the window-start migration is
+    transition(t0, prior, state) and y(t0-1) is state_loads(t0-1, prior).y.
     Loads come from placement_loads' two halves.
 
     Each joint state is priced once: a private table maps (t, state) to
@@ -434,14 +440,10 @@ class WindowCostEvaluator:
         self.window = window
         self.instances = list(instances)
         self.model = model
-        self.prev_config = dict(prev_config or {})
         self.distance = distance
-        # placement and loads in the slot just before the window
-        self._prev_clouds = tuple(self.prev_config.get(inst.id, 0)
-                                  for inst in self.instances)
-        self._y_before = placement_loads(window.t0 - 1, self.instances,
-                                         self._prev_clouds, model.K).y
-        self._y_before.flags.writeable = False
+        prev_config = prev_config or {}
+        self.prior = tuple(prev_config.get(inst.id, 0)
+                           for inst in self.instances)
         self._priced: dict = {}
 
     def _price(self, t: int, state: tuple[int, ...]):
@@ -460,44 +462,37 @@ class WindowCostEvaluator:
         y, r, _local = self._price(t, state)
         return SlotLoads(y=y.copy(), r=r.copy())
 
-    def transition_loads(self, t: int, prev_state: tuple[int, ...] | None,
+    def transition_loads(self, t: int, prev_state: tuple[int, ...],
                          loads: SlotLoads, state: tuple[int, ...]) -> None:
-        """Fill loads.z / loads.s for the boundary into slot t.
-
-        prev_state of None means "use prev_config" (t is the window start).
-        """
-        before = self._prev_clouds if prev_state is None else prev_state
+        """Fill loads.z / loads.s for the boundary into slot t from
+        prev_state, the joint state at t-1 (prior at the window start)."""
         loads.z, loads.s, loads.moved = _moves(
-            self.instances, state, before, self.model.K, self.distance)
+            self.instances, state, prev_state, self.model.K, self.distance)
 
     def local(self, t: int, state: tuple[int, ...]) -> float:
         return self._price(t, state)[2]
 
-    def transition(self, t: int, prev_state: tuple[int, ...] | None,
+    def transition(self, t: int, prev_state: tuple[int, ...],
                    state: tuple[int, ...]) -> float:
         """Migration cost W(t) between the states at t-1 and t."""
         if t <= 1:
             return 0.0
-        if prev_state is None:
-            before, y_prev = self._prev_clouds, self._y_before
-        else:
-            before, y_prev = prev_state, self._price(t - 1, prev_state)[0]
         y, r, _local = self._price(t, state)
-        z, s, _moved = _moves(self.instances, state, before, self.model.K,
+        z, s, _moved = _moves(self.instances, state, prev_state, self.model.K,
                               self.distance)
-        return self.model.migration_total(t, y_prev,
+        return self.model.migration_total(t, self._price(t - 1, prev_state)[0],
                                           SlotLoads(y=y, r=r, z=z, s=s))
 
     def path_cost(self, states: list[tuple[int, ...]]) -> float:
-        """Window cost of a full per-slot state path (length T)."""
+        """Window cost of a full per-slot state path (length T), from prior."""
         if len(states) != self.window.T:
             raise ValueError("need one joint state per window slot")
         total = 0.0
-        prev: tuple[int, ...] | None = None
-        for q, t in enumerate(self.window.slots):
-            total += self.local(t, states[q])
-            total += self.transition(t, prev, states[q])
-            prev = states[q]
+        prev = self.prior
+        for t, state in zip(self.window.slots, states):
+            total += self.local(t, state)
+            total += self.transition(t, prev, state)
+            prev = state
         return total
 
 

@@ -4,7 +4,8 @@ Each slot contributes a layer of joint states (one cloud choice per
 instance active in that slot, inactive instances pinned to 0); edges carry
 local plus migration cost. The DP keeps, per state, the cheapest cost
 reached so far and a back-pointer to the state before it; the path is
-rebuilt from the back-pointers at the end. Ties in cost resolve to the
+rebuilt from the back-pointers at the end. The search starts from the
+evaluator's prior, the joint state at t0-1. Ties in cost resolve to the
 lexicographically smallest per-slot state path: on an exact tie both
 candidates' paths are rebuilt and compared, so no path is copied per
 relaxation.
@@ -74,29 +75,24 @@ def solve_window_offline(window: Window, instances: list[ServiceInstance],
 
     ev = WindowCostEvaluator(window, instances, model, prev_config, distance)
     relax = 0
-    best: dict = {}      # state -> cost of the cheapest path reaching it
-    links: list = []     # links[q-1][state] = predecessor of layer q's state
-    for q, t in enumerate(window.slots):
+    best: dict = {ev.prior: 0.0}   # state -> cost of the cheapest path to it
+    links: list = []     # links[q][state] = predecessor of layer q's state
+    for t, layer in zip(window.slots, layers):
         nxt: dict = {}
-        if q == 0:
-            for state in layers[0]:
+        link: dict = {}
+        for state in layer:
+            local = ev.local(t, state)
+            cur = via = None
+            for prev_state, pcost in best.items():
                 relax += 1
-                nxt[state] = ev.local(t, state) + ev.transition(t, None, state)
-        else:
-            link: dict = {}
-            for state in layers[q]:
-                local = ev.local(t, state)
-                cur = via = None
-                for prev_state, pcost in best.items():
-                    relax += 1
-                    cand = pcost + local + ev.transition(t, prev_state, state)
-                    if cur is None or cand < cur or (
-                            cand == cur and _path(links, prev_state)
-                            < _path(links, via)):
-                        cur, via = cand, prev_state
-                nxt[state] = cur
-                link[state] = via
-            links.append(link)
+                cand = pcost + local + ev.transition(t, prev_state, state)
+                if cur is None or cand < cur or (
+                        cand == cur and _path(links, prev_state)
+                        < _path(links, via)):
+                    cur, via = cand, prev_state
+            nxt[state] = cur
+            link[state] = via
+        links.append(link)
         best = nxt
 
     end = cost = None
@@ -105,7 +101,7 @@ def solve_window_offline(window: Window, instances: list[ServiceInstance],
                 c == cost and _path(links, state) < _path(links, end)):
             end, cost = state, c
     matrix = ConfigurationMatrix(window, [i.id for i in instances])
-    for q, state in enumerate(_path(links, end)):
+    for q, state in enumerate(_path(links, end)[1:]):
         matrix.data[q, :] = state
     return OfflineSolution(matrix=matrix, cost=cost, relaxations=relax)
 
@@ -137,7 +133,10 @@ def run_offline(horizon: int, window_size: int,
     t0 = 1
     while t0 <= horizon:
         window = Window(t0, min(window_size, horizon - t0 + 1))
-        active = [i for i in instances if i.active_span(window) is not None]
+        # an instance placed in t0-1 keeps a (then all-zero) column, so
+        # y(t0-1) counts the whole slot, as the charge does
+        active = [i for i in instances if i.active_span(window) is not None
+                  or i.id in prev_config]
         model = oracle.predicted_model(t0, window)
         sol = solve_window_offline(window, active, prev_config, model,
                                    distance, state_budget)

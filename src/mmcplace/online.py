@@ -6,7 +6,11 @@ control loop processes slots in order, re-presents carried-over instances
 as arrivals at each window start, and zeroes columns on departure without
 re-optimizing survivors. It records each slot's placement map and charges
 the run's actual costs from those maps with costs.charge_placements, the
-accounting every policy shares.
+accounting every policy shares. The planner reads the same slot t0-1 as
+the charge: a window's prev_config is the whole placement map of slot
+t0-1, and every instance in it gets a column (all zero for one that
+departed at the end of t0-1), so the joint state at t0-1 is an ordinary
+state (WindowCostEvaluator.prior, WindowLedger row 0).
 
 One DP recursion, _min_path, owns the min-plus step over the K clouds
 of each slot, the relaxation count, the saturation flag, backtracking
@@ -63,15 +67,16 @@ class WindowLedger:
     """Per-window load aggregates of a placement matrix, for the fast DP.
 
     Ledger row i stands for window slot t0 + i - 1; row 0 is the slot just
-    before the window. y[i] and r[i] equal WindowCostEvaluator.state_loads
-    of that slot's joint state, and y[0] the pre-window load from
-    prev_config. zout[i] / zin[i] hold, per MMC, the migration load that
-    leaves / enters it in MMC-to-MMC moves over the boundary into slot i,
-    summed per (k, l) pair first and then per cloud in first-seen pair
-    order, as transition_loads groups them. Every user cell is looked up
-    once, when the ledger is built; refresh() recomputes whole rows from
-    the matrix in instance order, so the sums match a fresh aggregation
-    bit for bit.
+    before the window. y[i] and r[i] (i >= 1) equal
+    WindowCostEvaluator.state_loads of that slot's joint state, and y[0]
+    that of the evaluator's prior: the whole slot t0-1 map, prev_config,
+    over the matrix columns (r[0] stays zero; no cost reads it). zout[i]
+    / zin[i] hold, per MMC, the migration load that leaves / enters it in
+    MMC-to-MMC moves over the boundary into slot i, summed per (k, l) pair
+    first and then per cloud in first-seen pair order, as transition_loads
+    groups them. Every user cell is looked up once, when the ledger is
+    built; refresh() recomputes whole rows from the matrix in instance
+    order, so the sums match a fresh aggregation bit for bit.
     """
 
     def __init__(self, matrix: ConfigurationMatrix,
@@ -210,11 +215,10 @@ def _generic_steps(t, t_e, matrix, ev, j, K):
     rows = [joints(s) for s in range(t, t_e + 1)]
     local = [np.array([ev.local(t + q, state) for state in row])
              for q, row in enumerate(rows)]
-    # frozen columns' state at t-1 is the migration baseline for a
-    # mid-window arrival; at the window start it comes from prev_config
-    # (None sentinel)
-    prior = None if t == window.t0 else matrix.slot_state(t - 1)
-    first = local[0] + np.array([ev.transition(t, prior, state)
+    # the joint state at t-1 is the migration baseline: the evaluator's
+    # prior at the window start, the frozen columns' state mid-window
+    before = ev.prior if t == window.t0 else matrix.slot_state(t - 1)
+    first = local[0] + np.array([ev.transition(t, before, state)
                                  for state in rows[0]])
 
     def hop(q):
@@ -440,15 +444,18 @@ def run_online(horizon: int, window_size: int,
     instances carry their true arrival/departure slots; the loop only
     reveals them at those slots. Carried-over instances re-enter as
     arrivals at each window start (keeping their prior placement as the
-    migration baseline). lifetime_override, when given, maps (instance, t)
-    to the lifetime the planner should assume (policy D passes the true
-    remaining stay; the default uses the declared lifetime's remainder).
+    migration baseline); each window's prev_config is the whole placement
+    map of the slot before it, the map charge_placements reads.
+    lifetime_override, when given, maps (instance, t) to the lifetime the
+    planner should assume (policy D passes the true remaining stay; the
+    default uses the declared lifetime's remainder).
     Actual costs and migration counts are charged from run.placements by
     charge_placements once the last window is placed.
     """
     arrivals_at: dict[int, list[ServiceInstance]] = {}
     for inst in sorted(instances, key=lambda i: i.id):
         arrivals_at.setdefault(inst.arrival_slot, []).append(inst)
+    by_id = {inst.id: inst for inst in instances}
 
     run = OnlineRun({}, {}, {}, [])
     prev_config: dict[int, int] = {}
@@ -457,11 +464,12 @@ def run_online(horizon: int, window_size: int,
     while t0 <= horizon:
         window = Window(t0, min(window_size, horizon - t0 + 1))
         model = oracle.predicted_model(t0, window)
-        # everything that may appear in this window gets a column up front
+        # everything placed in t0-1 (the running instances among them) or
+        # arriving in this window gets a column up front
         pending = [i for ts in range(t0, window.end + 1)
                    for i in arrivals_at.get(ts, [])]
-        window_instances = sorted(list(running.values()) + pending,
-                                  key=lambda i: i.id)
+        window_instances = sorted([by_id[iid] for iid in prev_config]
+                                  + pending, key=lambda i: i.id)
         matrix = ConfigurationMatrix(window, [i.id for i in window_instances])
         base = _fast_base(model)
         ledger = (None if base is None else
@@ -507,8 +515,7 @@ def run_online(horizon: int, window_size: int,
                 matrix = handle_departure(iid, t, matrix, ledger=ledger)
                 del running[iid]
 
-        prev_config = {iid: k for iid, k in run.placements[window.end].items()
-                       if iid in running}
+        prev_config = run.placements[window.end]
         t0 += window.T
     run.actual_by_slot, run.migrations_by_slot = charge_placements(
         oracle.actual, run.placements, instances, distance)

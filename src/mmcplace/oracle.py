@@ -73,48 +73,29 @@ def brute_force_offline(window: Window, instances: list[ServiceInstance],
 
 
 def fractional_lower_bound_single_slot(total_demand: float, model: CostModel,
-                                       t: int = 1, tol: float = 1e-9,
+                                       t: int = 1,
                                        max_iter: int = 100) -> float:
     """Min of sum_k u_k(y_k) over fractional splits with sum y_k = demand.
 
     Water-filling on a shared marginal mu: each cloud absorbs load until
     its marginal cost du/dy reaches mu; bisection drives the total
-    allocation to the demand. Requires a convex model; capacity walls
-    (infinite cost) act as hard caps.
+    allocation to the demand. Requires a convex model with an analytic
+    marginal du; a cloud whose cost is infinite at the demand is capped
+    just below the model's capacity wall.
     """
     if not getattr(model, "convex_nondecreasing", False):
         raise ValueError("fractional bound needs a convex cost model")
+    if not hasattr(model, "du"):
+        raise ValueError("fractional bound needs an analytic marginal du")
     if total_demand <= 0:
         return 0.0
     K = model.K
 
-    if hasattr(model, "du"):
-        def marginal(k: int, y: float) -> float:
-            return model.du(k, t, y)
-    else:
-        def marginal(k: int, y: float) -> float:
-            h = 1e-7 * max(1.0, abs(y))
-            a = model.u(k, t, y + h)
-            b = model.u(k, t, max(0.0, y - h))
-            if not math.isfinite(a):
-                return math.inf
-            return (a - b) / (h + min(y, h))
-
     def cap(k: int) -> float:
         # largest load with finite cost, minus a hair
-        lo, hi = 0.0, total_demand
-        if math.isfinite(model.u(k, t, hi)):
-            return hi
-        wall = getattr(model, "capacity", None)
-        if wall is not None and k != getattr(model, "backend", None):
-            return min(hi, wall * (1.0 - 1e-12))
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if math.isfinite(model.u(k, t, mid)):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        if math.isfinite(model.u(k, t, total_demand)):
+            return total_demand
+        return model.capacity * (1.0 - 1e-12)
 
     caps = [cap(k) for k in range(1, K + 1)]
 
@@ -123,16 +104,16 @@ def fractional_lower_bound_single_slot(total_demand: float, model: CostModel,
             return min(model.inv_marginal(k, t, mu, caps[k - 1]), caps[k - 1])
     else:
         def alloc_one(k: int, mu: float) -> float:
-            # largest y in [0, cap] with marginal(y) <= mu
+            # largest y in [0, cap] with du(y) <= mu
             ck = caps[k - 1]
-            if marginal(k, 0.0) > mu:
+            if model.du(k, t, 0.0) > mu:
                 return 0.0
-            if marginal(k, ck) <= mu:
+            if model.du(k, t, ck) <= mu:
                 return ck
             lo, hi = 0.0, ck
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if marginal(k, mid) <= mu:
+                if model.du(k, t, mid) <= mu:
                     lo = mid
                 else:
                     hi = mid

@@ -214,48 +214,35 @@ def generate_service_demand(user_cell: dict, n_users: int, horizon: int,
     ends or the user goes inactive. Durations are exponential, rounded up
     to whole slots. Deterministic given the rng state.
     """
-    instances: list[ServiceInstance] = []
-    next_id = 1
+    spans: list[tuple[int, int, int]] = []     # (arrival, user, last slot)
     for uid in range(1, n_users + 1):
         on = rng.random() < mean_on / (mean_on + mean_off)
         remaining = max(1, math.ceil(rng.exponential(mean_on if on else mean_off)))
-        current: dict | None = None
+        arrival = None
         for s in range(1, horizon + 1):
             active = (uid, s) in user_cell
             if on and active:
-                if current is None:
-                    current = {"arrival": s}
-                current["last"] = s
-            elif current is not None:
-                instances.append(ServiceInstance(
-                    id=next_id, arrival_slot=current["arrival"],
-                    local_demand=local_demand,
-                    migration_demand=migration_demand,
-                    max_lifetime=max_lifetime,
-                    actual_departure_slot=current["last"], user_id=uid))
-                next_id += 1
-                current = None
+                if arrival is None:
+                    arrival = s
+                last = s
+            elif arrival is not None:
+                spans.append((arrival, uid, last))
+                arrival = None
             remaining -= 1
             if remaining == 0:
                 on = not on
                 remaining = max(1, math.ceil(
                     rng.exponential(mean_on if on else mean_off)))
-        if current is not None:
-            instances.append(ServiceInstance(
-                id=next_id, arrival_slot=current["arrival"],
-                local_demand=local_demand, migration_demand=migration_demand,
-                max_lifetime=max_lifetime,
-                actual_departure_slot=current["last"], user_id=uid))
-            next_id += 1
-    # re-number in arrival order so ids are a monotone arrival counter
-    instances.sort(key=lambda i: (i.arrival_slot, i.user_id))
-    instances = [ServiceInstance(id=j, arrival_slot=i.arrival_slot,
-                                 local_demand=i.local_demand,
-                                 migration_demand=i.migration_demand,
-                                 max_lifetime=i.max_lifetime,
-                                 actual_departure_slot=i.actual_departure_slot,
-                                 user_id=i.user_id)
-                 for j, i in enumerate(instances, start=1)]
+        if arrival is not None:
+            spans.append((arrival, uid, last))
+    # ids in arrival order, so they are a monotone arrival counter
+    spans.sort()
+    instances = [ServiceInstance(id=j, arrival_slot=arrival,
+                                 local_demand=local_demand,
+                                 migration_demand=migration_demand,
+                                 max_lifetime=max_lifetime,
+                                 actual_departure_slot=last, user_id=uid)
+                 for j, (arrival, uid, last) in enumerate(spans, start=1)]
     return EventStream(instances=instances, user_cell=dict(user_cell))
 
 

@@ -157,28 +157,19 @@ def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
         active = _active_at(scn.instances, t)
         load = np.zeros(scn.model.K + 1)
         placed: dict[int, int] = {}
+        for inst in active:                  # a's kept cells (empty for b)
+            if inst.id in assigned:
+                placed[inst.id] = assigned[inst.id]
+                load[assigned[inst.id]] += inst.local_demand
+        for inst in sorted(active, key=lambda i: i.id):
+            if inst.id not in placed:
+                cell = _nearest_with_capacity(
+                    scn, scn.distance.user_cell_of(inst.id, t), load,
+                    inst.local_demand, flags)
+                placed[inst.id] = cell
+                load[cell] += inst.local_demand
         if policy == "a":
-            fresh = []
-            for inst in active:
-                if inst.id in assigned:
-                    placed[inst.id] = assigned[inst.id]
-                    load[assigned[inst.id]] += inst.local_demand
-                else:
-                    fresh.append(inst)
-            for inst in sorted(fresh, key=lambda i: i.id):
-                cell = _nearest_with_capacity(
-                    scn, scn.distance.user_cell_of(inst.id, t), load,
-                    inst.local_demand, flags)
-                assigned[inst.id] = cell
-                placed[inst.id] = cell
-                load[cell] += inst.local_demand
-        else:
-            for inst in sorted(active, key=lambda i: i.id):
-                cell = _nearest_with_capacity(
-                    scn, scn.distance.user_cell_of(inst.id, t), load,
-                    inst.local_demand, flags)
-                placed[inst.id] = cell
-                load[cell] += inst.local_demand
+            assigned.update(placed)
         placements[t] = placed
     return _charged(scn, policy, placements, flags)
 

@@ -31,9 +31,9 @@ def test_zero_conventions():
     # migration in the very first slot of the run costs nothing
     inst = ServiceInstance(id=1, arrival_slot=1)
     ev = WindowCostEvaluator(w, [inst], model, {1: 2})
-    assert ev.transition(1, None, (1,)) == 0.0
+    assert ev.transition(1, ev.prior, (1,)) == 0.0
     ev2 = WindowCostEvaluator(Window(2, 1), [inst], model, {1: 2})
-    assert ev2.transition(2, None, (1,)) > 0.0
+    assert ev2.transition(2, ev2.prior, (1,)) > 0.0
 
 
 def test_aggregate_loads_recount():
@@ -181,13 +181,13 @@ def test_evaluator_hands_out_copies_of_priced_states():
 
     ev = WindowCostEvaluator(w, insts, model, prev, distance)
     ev.local(3, second)                         # priced before the call
-    for t, before, state in ((2, None, first), (3, first, second)):
+    for t, before, state in ((2, ev.prior, first), (3, first, second)):
         loads = ev.state_loads(t, state)
         ev.transition_loads(t, before, loads, state)
         loads.y[:] = 99.0
         loads.r[:] = 99.0
     fresh = WindowCostEvaluator(w, insts, model, prev, distance)
-    for t, before, state in ((2, None, first), (3, first, second)):
+    for t, before, state in ((2, fresh.prior, first), (3, first, second)):
         assert ev.local(t, state) == fresh.local(t, state)
         assert ev.transition(t, before, state) == fresh.transition(
             t, before, state)

@@ -170,6 +170,20 @@ def test_run_offline_charges_by_instance_id():
             == window_cost(model, sol.matrix, insts) == sol.cost)
 
 
+def test_run_offline_plans_what_it_charges():
+    """With exact predictions, a window's planned cost is its charge.
+    Instances 1 and 2 share MMC 1 in window [1, 2] and 1 departs at the
+    end of slot 2; in window [3] MMC 1 is dear, so 2 moves 1 -> 2, and
+    both the plan and the charge read y_1(2) = 2 for that move."""
+    dear = {t: np.array([0.0, 0.0, 10.0, 0.0]) for t in (1, 2)}
+    dear[3] = np.array([0.0, 10.0, 0.0, 0.0])
+    actual = PerturbedCostModel(mmc(K=3), dear)
+    insts = [ServiceInstance(id=1, arrival_slot=1, actual_departure_slot=2),
+             ServiceInstance(id=2, arrival_slot=1)]
+    sols, charged = run_offline(3, 2, insts, CostOracle(actual, ZERO_BOUND))
+    assert sols[1].cost == pytest.approx(charged[3], rel=1e-12)
+
+
 def test_budget_guards_raise_before_enumerating(monkeypatch):
     """One instance over 30 slots at K = 10: 10^30 candidate sequences for
     the brute force, and with six more instances in slot 1, 10^7 joint

@@ -284,7 +284,7 @@ def test_run_online_noise_changes_placement_not_accounting():
         model, PowerLawErrorBound(0.4, 1.1), seed=5))
     ev = WindowCostEvaluator(Window(1, 6), insts, model)
     for run in (clean, noisy):
-        prev = None
+        prev = ev.prior
         for t in range(1, 7):
             state = tuple(run.placements[t].get(i.id, 0) for i in insts)
             expect = ev.local(t, state) + ev.transition(t, prev, state)
@@ -331,15 +331,9 @@ def test_run_online_window_start_charges_whole_previous_slot():
     assert want > model.u(2, 3, 1.0) + model.w(1, 2, 3, 1.0, 1.0, 1.0)
 
 
-@pytest.mark.xfail(
-    raises=AssertionError, strict=True,
-    reason="known defect, see the FOUND line on WindowLedger.y[0] in "
-           "CHANGES.md: the planner's pre-window load comes from "
-           "prev_config, which drops instances that departed at the end "
-           "of slot t0-1")
 def test_planner_pre_window_load_counts_whole_previous_slot(monkeypatch):
-    """The planner should see the load that the charge uses: window [3]'s
-    ledger row 0 should hold y_1(2) = 2."""
+    """The planner sees the load that the charge uses: window [3]'s
+    ledger row 0 holds y_1(2) = 2."""
     from mmcplace import online
 
     ledgers = {}
@@ -353,6 +347,34 @@ def test_planner_pre_window_load_counts_whole_previous_slot(monkeypatch):
     _model, oracle, insts = _departure_at_window_end()
     run_online(3, 2, insts, oracle)
     assert ledgers[3].y[0, 1] == 2.0
+
+
+def test_generic_planner_pre_window_load_counts_whole_previous_slot(
+        monkeypatch):
+    """The generic DP prices the window start from the same load: the
+    evaluator of window [3]'s arrivals holds y_1(2) = 2 at its prior."""
+    from mmcplace import online
+
+    captured = {}
+    place = online.place_on_arrival
+
+    def spy(instance, t, matrix, instances, model, prev_config, distance,
+            *args, **kwargs):
+        assert kwargs["ledger"] is None          # the generic path
+        captured.setdefault(matrix.window.t0, (matrix, instances, model,
+                                               prev_config, distance))
+        return place(instance, t, matrix, instances, model, prev_config,
+                     distance, *args, **kwargs)
+
+    monkeypatch.setattr(online, "place_on_arrival", spy)
+    _model, oracle, insts = _departure_at_window_end()
+    run_online(3, 2, insts, _GenericOracle(oracle))
+    matrix, instances, model, prev_config, distance = captured[3]
+    by_id = {i.id: i for i in instances}
+    ev = WindowCostEvaluator(matrix.window,
+                             [by_id[iid] for iid in matrix.instance_ids],
+                             model, prev_config, distance)
+    assert ev.state_loads(2, ev.prior).y[1] == 2.0
 
 
 class _Delegating(CostModel):
@@ -427,8 +449,9 @@ def _fresh_rows(matrix, instances, model, prev_config, distance):
     ev = WindowCostEvaluator(w, sorted(instances, key=lambda i: i.id),
                              model, prev_config, distance)
     zero = np.zeros(model.K + 1)
-    y, r, zout, zin = [ev._y_before], [zero], [zero], [zero]
-    prev_state = None
+    y = [ev.state_loads(w.t0 - 1, ev.prior).y]
+    r, zout, zin = [zero], [zero], [zero]
+    prev_state = ev.prior
     for t in w.slots:
         state = matrix.slot_state(t)
         loads = ev.state_loads(t, state)

@@ -77,11 +77,18 @@ def test_fractional_bound_linear_model():
 
 
 def test_fractional_bound_rejects_nonconvex():
+    """Also a convex model without an analytic marginal du."""
     class Odd:
         K = 1
         convex_nondecreasing = False
     with pytest.raises(ValueError):
         fractional_lower_bound_single_slot(1.0, Odd())
+
+    class NoMarginal:
+        K = 1
+        convex_nondecreasing = True
+    with pytest.raises(ValueError):
+        fractional_lower_bound_single_slot(1.0, NoMarginal())
 
 
 def test_fractional_bound_never_exceeds_integral():
