@@ -109,7 +109,10 @@ class ConfigurationMatrix:
         self.data = np.zeros((window.T, len(self.instance_ids)), dtype=np.int64)
 
     def copy(self) -> "ConfigurationMatrix":
-        out = ConfigurationMatrix(self.window, self.instance_ids)
+        out = object.__new__(ConfigurationMatrix)
+        out.window = self.window
+        out.instance_ids = list(self.instance_ids)
+        out._col = dict(self._col)
         out.data = self.data.copy()
         return out
 

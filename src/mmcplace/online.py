@@ -22,12 +22,17 @@ loads so per-candidate deltas reduce to row/column corrections.
 
 _fast_steps reads every frozen load from a WindowLedger: per-slot
 local loads and user-distance sums, per-boundary MMC-to-MMC migration
-out- and in-sums, each user's cell looked up once per window, and the
-distance tables of the DistanceContext. run_online keeps one ledger per
-window and refreshes only the rows a placement or a departure touches,
-recomputing each from the matrix in instance order, so a row always
-equals a fresh WindowCostEvaluator aggregation bit for bit. No joint
-state tuple is built and no cost function is called per cloud.
+out- and in-sums, each user's cell looked up once per window (from the
+instance's arrival on), and the distance tables of the DistanceContext.
+run_online keeps one ledger per window; the ledger owns the window's
+matrix, which place_on_arrival and handle_departure update in place,
+refreshing only the rows they touch. Each row is recomputed from the
+matrix in instance order, so it always equals a fresh
+WindowCostEvaluator aggregation bit for bit. No joint state tuple is
+built and no cost function is called per cloud; an arrival's (K, K)
+boundary matrices are built in blocks of consecutive slots, up to
+HOP_BLOCK_BYTES each, with the frozen-migration corrections added to
+the boundaries that need them.
 """
 
 from __future__ import annotations
@@ -43,6 +48,12 @@ from .costs import (CostModel, DistanceContext, MmcBackendCostModel,
                     PerturbedCostModel, WindowCostEvaluator, charge_placements)
 
 log = logging.getLogger(__name__)
+
+# Size of one block of boundary matrices in _fast_steps: the boundaries of
+# max(1, HOP_BLOCK_BYTES // (8 K^2)) consecutive slots are built as one
+# array, a whole desk span at K = 20 and 3 slots at K = 92. A 1 MiB block
+# raised fullscale-sim's peak memory 42.0 -> 44.9 MB and its wall time.
+HOP_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -74,9 +85,15 @@ class WindowLedger:
     / zin[i] hold, per MMC, the migration load that leaves / enters it in
     MMC-to-MMC moves over the boundary into slot i, summed per (k, l) pair
     first and then per cloud in first-seen pair order, as transition_loads
-    groups them. Every user cell is looked up once, when the ledger is
-    built; refresh() recomputes whole rows from the matrix in instance
-    order, so the sums match a fresh aggregation bit for bit.
+    groups them. Each column's user cells are looked up once, when the
+    ledger is built, for the slots from max(arrival slot, t0) to the
+    window end; no placement reaches an earlier slot. refresh()
+    recomputes whole rows from the matrix in instance order, so the sums
+    match a fresh aggregation bit for bit.
+
+    run_online hands the window's matrix to its ledger: place_on_arrival
+    and handle_departure update that matrix in place and refresh the
+    ledger rows it touches.
     """
 
     def __init__(self, matrix: ConfigurationMatrix,
@@ -96,18 +113,20 @@ class WindowLedger:
         self.prev = np.array([prev_config.get(iid, 0)
                               for iid in matrix.instance_ids], dtype=np.int64)
         # user cell of each (slot, instance) as a row of `hops`, rows in
-        # order of first sight; row 0 is the all-zero row of an unknown cell
-        shape = (window.T, len(cols))
+        # order of first sight; row 0 is the all-zero row of an unknown cell,
+        # also every slot before an instance's arrival
+        self.cell_row = np.zeros((window.T, len(cols)), dtype=np.int32)
         if distance is None:
-            self.cell_row = np.zeros(shape, dtype=np.int32)
             self.hops = np.zeros((1, K + 1))
             self.pairD = np.zeros((K + 1, K + 1))
         else:
-            row_of = {None: 0}
-            self.cell_row = np.fromiter(
-                (row_of.setdefault(distance.user_cell_of(iid, t), len(row_of))
-                 for t in window.slots for iid in matrix.instance_ids),
-                dtype=np.int32, count=shape[0] * shape[1]).reshape(shape)
+            start = np.array([i.arrival_slot for i in cols]) - window.t0
+            slot, col = np.nonzero(np.arange(window.T)[:, None] >= start)
+            ids, row_of = matrix.instance_ids, {None: 0}
+            self.cell_row[slot, col] = [
+                row_of.setdefault(distance.user_cell_of(ids[c], window.t0 + q),
+                                  len(row_of))
+                for q, c in zip(slot.tolist(), col.tolist())]
             self.hops = np.vstack([np.zeros(K + 1)]
                                   + [distance.cell_column(c, K)
                                      for c in list(row_of)[1:]])
@@ -165,7 +184,8 @@ def _min_path(first, local, hop, tail):
     included. local[q] (q >= 1): local cost vector of slot t+q; local[0]
     is already in first, and len(local) is the span. hop(q)[k, l]: cost
     of moving k+1 -> l+1 over the boundary into slot t+q, a (K, K)
-    array. tail, when not None, is added per final cloud.
+    array that _min_path may overwrite; it asks for q = 1, 2, ... in
+    order. tail, when not None, is added per final cloud.
 
     Ties go to the smallest final cloud, then to the smallest predecessor
     at each boundary going back: the minimum of (cost, reversed path).
@@ -179,9 +199,11 @@ def _min_path(first, local, hop, tail):
     back: list[np.ndarray] = []
     for q in range(1, len(local)):
         # cand[k, l]: reach k by slot t+q-1, then hop k -> l into slot t+q
-        cand = hop(q) + nu[:, None]
-        choice = np.argmin(cand, axis=0)
-        nu = cand[choice, columns] + local[q]
+        cand = hop(q)
+        cand += nu[:, None]
+        choice = cand.argmin(axis=0)
+        nu = cand[choice, columns]
+        nu += local[q]
         back.append(choice)
     if tail is not None:
         nu = nu + tail
@@ -250,22 +272,30 @@ def _congestion(y, capacity):
 
 
 def _mmc_u(base, y, r):
-    """MmcBackendCostModel.u over a (slots, K+1) load block, same operations."""
+    """MmcBackendCostModel.u over a (..., K+1) load block, same operations."""
     u = np.where(y >= base.capacity, np.inf,
                  y * (1.0 / (1.0 - y / base.capacity)) + base.g * r)
-    u[:, base.backend] = base.g_backend * y[:, base.backend]
+    u[..., base.backend] = base.g_backend * y[..., base.backend]
     return u
 
 
-def _local_delta(model, base, slots, y, r, d, a):
-    """Local-cost change per slot and cloud from adding load a there.
+def _and_plus(x, dx):
+    """np.stack((x, x + dx)), built in place."""
+    out = np.empty((2,) + x.shape)
+    out[0] = x
+    np.add(x, dx, out=out[1])
+    return out
 
-    y, r: frozen loads of the slots; d: the instance's hops to its user.
+
+def _local_delta(model, base, slots, y2, r, d):
+    """Local-cost change per slot and cloud from adding our load there.
+
+    y2: the slots' frozen loads and the same with our load added, stacked;
+    r: frozen user-distance sums; d: the instance's hops to its user.
     PerturbedCostModel offsets apply only where the cloud hosts load.
     """
-    y_plus = y + a
-    u_plus = _mmc_u(base, y_plus, r + d)
-    u_now = _mmc_u(base, y, r)
+    y, y_plus = y2
+    u_now, u_plus = _mmc_u(base, y2, _and_plus(r, d))
     if model is not base:
         zero = np.zeros(base.K + 1)
         off = np.array([model.offsets.get(s, zero) for s in slots])
@@ -287,6 +317,10 @@ def _fast_steps(instance, t, t_e, ledger, model, base):
     since w is linear in the migration load, a congestion correction for
     every frozen MMC-to-MMC migration leaving k or entering l. All frozen
     loads come from the ledger. Arrays of length K hold clouds 1..K.
+
+    hop(q) hands out one (K, K) matrix of a block of consecutive
+    boundaries built as one array of HOP_BLOCK_BYTES at most; a carried
+    instance's entry row is built alone by the same rules.
     """
     a = instance.local_demand
     b = instance.migration_demand
@@ -295,52 +329,69 @@ def _fast_steps(instance, t, t_e, ledger, model, base):
     window = ledger.window
     j = ledger.col[instance.id]
     i, i_e = t - window.t0 + 1, t_e - window.t0 + 1   # ledger rows of t, t_e
+    span = i_e - i + 1
 
     # ledger rows i-1..i_e: congestion without and with our load added,
     # and its change
-    y = ledger.y[i - 1:i_e + 1]
-    R_now = _congestion(y, base.capacity)
-    R_plus = _congestion(y + a, base.capacity)
+    y2 = _and_plus(ledger.y[i - 1:i_e + 1], a)
+    R_now, R_plus = _congestion(y2, base.capacity)
     diff = np.where(np.isfinite(R_plus), R_plus - R_now, np.inf)[:, 1:]
     R_now, R_plus = R_now[:, 1:], R_plus[:, 1:]
     hD = base.h * ledger.pairD[1:, 1:]
     hop_backend = base.h_backend * b
-    ld = _local_delta(model, base, range(t, t_e + 1), y[1:],
+    ld = _local_delta(model, base, range(t, t_e + 1), y2[:, 1:],
                       ledger.r[i:i_e + 1],
-                      ledger.hops[ledger.cell_row[i - 1:i_e, j]], a)[:, 1:]
+                      ledger.hops[ledger.cell_row[i - 1:i_e, j]])[:, 1:]
     zin = ledger.zin[:, 1:]
     zout = ledger.zout[:, 1:]
+    # frozen MMC-to-MMC moves over the boundaries into ledger rows
+    # i..i_e+1, which feel our load on their clouds (a boundary's zout and
+    # zin are nonzero together: both sum the same nonnegative moves)
+    moves = zout[i:i_e + 2].any(axis=1)
 
-    def boundary(R_from, R_to):
-        cand = R_from[:, None] + R_to[None, :]
+    def boundary(R_from, R_to, lo=0, hi=K):
+        """Hop costs over len(R_from) boundaries from clouds lo+1..hi to
+        every cloud, an (n, hi - lo, K) array; R_from, R_to are (n, K)."""
+        cand = R_from[:, lo:hi, None] + R_to[:, None, :]
         cand *= b
-        cand += hD
-        cand[b0, :] = hop_backend
-        cand[:, b0] = hop_backend
-        cand.flat[::K + 1] = 0.0
+        cand += hD[lo:hi]
+        if lo <= b0 < hi:
+            cand[:, b0 - lo] = hop_backend
+        cand[:, :, b0] = hop_backend
+        cand.reshape(len(cand), -1)[:, lo::K + 1] = 0.0     # k -> k is free
         return cand
+
+    moved = moves[1:span].nonzero()[0] + 1     # steps q with frozen moves
+    if moved.size:
+        out_shift = _shift(diff[moved], zout[i + moved])[:, :, None]
+        in_shift = _shift(diff[moved + 1], zin[i + moved])[:, None, :]
+    n = max(1, HOP_BLOCK_BYTES // (8 * K * K))
+    block, q0 = (), 0
 
     def hop(q):
         # boundary into slot t+q (ledger row i+q)
-        cand = boundary(R_plus[q], R_plus[q + 1])
-        if zout[i + q].any():
-            cand += (_shift(diff[q], zout[i + q])[:, None]
-                     + _shift(diff[q + 1], zin[i + q])[None, :])
-        return cand
+        nonlocal block, q0
+        if not q0 <= q < q0 + len(block):
+            q0, q1 = q, min(q + n, span)
+            block = boundary(R_plus[q0:q1], R_plus[q0 + 1:q1 + 1])
+            lo, hi = moved.searchsorted((q0, q1))
+            if lo < hi:
+                block[moved[lo:hi] - q0] += out_shift[lo:hi] + in_shift[lo:hi]
+        return block[q - q0]
 
     first = ld[0].copy()
     if t > 1:
-        if zin[i].any():
+        if moves[0]:
             first += _shift(diff[1], zin[i])
         k_prev = ledger.prev[j] if t == window.t0 else 0
         if k_prev:
             # carried instance: its load already sits in the pre-window
             # profile at k_prev, so no +a on that side
-            first += boundary(R_now[0], R_plus[1])[k_prev - 1]
+            first += boundary(R_now[:1], R_plus[1:2], k_prev - 1, k_prev)[0, 0]
     # leaving a congested cloud after the column ends still shifts frozen
     # migrations over the next boundary
     tail = None
-    if t_e + 1 <= window.end and zout[i_e + 1].any():
+    if t_e + 1 <= window.end and moves[span]:
         tail = _shift(diff[-1], zout[i_e + 1])
     return first, ld, hop, tail
 
@@ -363,8 +414,11 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     going back (see _min_path).
 
     ledger, when given, must describe `matrix` (run_online keeps one per
-    window); it is refreshed for the returned matrix. Without one, the
-    capacity/backend path builds a throwaway ledger from the matrix.
+    window), and the matrix then belongs to it: the column is written
+    into `matrix` itself, the ledger is refreshed, and outcome.matrix is
+    `matrix`. Without a ledger the caller's matrix is left as it was and
+    outcome.matrix is a copy; the capacity/backend path then builds a
+    throwaway ledger from the matrix.
     """
     window = matrix.window
     if not (window.t0 <= t <= window.end):
@@ -391,7 +445,7 @@ def place_on_arrival(instance: ServiceInstance, t: int,
             steps = _fast_steps(instance, t, t_e, fast_ledger, model, base)
         path, relax, saturated = _min_path(*steps)
 
-    out = matrix.copy()
+    out = matrix if ledger is not None else matrix.copy()
     out.data[t - window.t0:t_e - window.t0 + 1, out._col[instance.id]] = path
     if ledger is not None:
         ledger.refresh(out, t, t_e)
@@ -407,9 +461,11 @@ def handle_departure(instance_id: int, t: int,
                      ledger: WindowLedger | None = None) -> ConfigurationMatrix:
     """Zero an instance's column strictly after slot t (departure at end of t).
 
-    ledger, when given, is refreshed for the slots that change.
+    ledger, when given, owns `matrix`: the column is cleared in place, the
+    ledger is refreshed for the slots that change and `matrix` itself is
+    returned. Without one, a cleared copy is returned.
     """
-    out = matrix.copy()
+    out = matrix if ledger is not None else matrix.copy()
     if instance_id not in out._col:
         log.warning(
             "departure for unknown instance %d ignored", instance_id)

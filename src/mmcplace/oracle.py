@@ -236,12 +236,17 @@ def gap_constants(model: CostModel, window: Window,
     of the cost gradient at the load maxima shifted by that sequence's
     demand against the gradient at the current loads, each dotted with the
     sequence's demand increment. psi is grad . (y, z) / cost at the
-    current loads; None when the cost is zero.
+    current loads; None when the cost is zero. The window-start moves out
+    of prev_config are priced with the load of slot t0-1 that it places.
     """
     prev_config = dict(prev_config or {})
     K = model.K
-    dy_cur, dz_cur = grad_window_cost(model, window, y, z)
-    cost = window_cost_from_loads(model, window, y, z)
+    placed = [i for i in sorted(instances, key=lambda i: i.id)
+              if i.id in prev_config]
+    y_before = placement_loads(window.t0 - 1, placed,
+                               [prev_config[i.id] for i in placed], K).y
+    dy_cur, dz_cur = grad_window_cost(model, window, y, z, y_before)
+    cost = window_cost_from_loads(model, window, y, z, y_before)
     if cost > 0:
         num = float((dy_cur * y).sum())
         for q in range(window.T):
@@ -265,7 +270,8 @@ def gap_constants(model: CostModel, window: Window,
             for q in range(window.T):
                 for key, bv in b[q].items():
                     z_hi[q][key] = z_hi[q].get(key, 0.0) + bv
-            dy_hi, dz_hi = grad_window_cost(model, window, y_hi, z_hi)
+            dy_hi, dz_hi = grad_window_cost(model, window, y_hi, z_hi,
+                                            y_before)
             num = float((dy_hi * a).sum())
             den = float((dy_cur * a).sum())
             for q in range(window.T):
@@ -275,7 +281,8 @@ def gap_constants(model: CostModel, window: Window,
                     if key in dz_cur[q]:
                         den += dz_cur[q][key] * bv
                     else:
-                        y_from = float(y[q - 1, key[0]]) if q > 0 else 0.0
+                        y_from = float(y[q - 1, key[0]] if q > 0
+                                       else y_before[key[0]])
                         d_from, d_to, d_z = model.dw(
                             key[0], key[1], window.t0 + q,
                             y_from, float(y[q, key[1]]), 0.0)

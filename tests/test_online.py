@@ -211,6 +211,151 @@ def test_fast_path_matches_generic_near_capacity(seed):
     assert fast[2] is gen[2] is False
 
 
+def _per_step_reference(instance, t, t_e, ledger, model, base):
+    """_fast_steps' inputs built one slot at a time: each boundary its own
+    (K, K) matrix with its own frozen-migration correction, the carried
+    entry row read off a whole matrix, loads without and with ours priced
+    apart. Returns (first, local, hops, tail), hops[q - 1] for hop(q)."""
+    from mmcplace.online import _congestion, _mmc_u, _shift
+
+    a, b = instance.local_demand, instance.migration_demand
+    K, b0, window = ledger.K, base.backend - 1, ledger.window
+    j = ledger.col[instance.id]
+    i, i_e = t - window.t0 + 1, t_e - window.t0 + 1
+    y = ledger.y[i - 1:i_e + 1]
+    R_now = _congestion(y, base.capacity)
+    R_plus = _congestion(y + a, base.capacity)
+    diff = np.where(np.isfinite(R_plus), R_plus - R_now, np.inf)[:, 1:]
+    R_now, R_plus = R_now[:, 1:], R_plus[:, 1:]
+    hD = base.h * ledger.pairD[1:, 1:]
+    hop_backend = base.h_backend * b
+
+    y1, r1 = y[1:], ledger.r[i:i_e + 1]
+    d = ledger.hops[ledger.cell_row[i - 1:i_e, j]]
+    u_plus = _mmc_u(base, y1 + a, r1 + d)
+    u_now = _mmc_u(base, y1, r1)
+    if model is not base:
+        off = np.array([model.offsets.get(s, np.zeros(K + 1))
+                        for s in range(t, t_e + 1)])
+        u_plus = np.where(y1 + a > 0, u_plus + off, u_plus)
+        u_now = u_now + off
+    local = np.where(y1 > 0, u_plus - u_now, u_plus)[:, 1:]
+    zin, zout = ledger.zin[:, 1:], ledger.zout[:, 1:]
+
+    def boundary(R_from, R_to):
+        cand = R_from[:, None] + R_to[None, :]
+        cand *= b
+        cand += hD
+        cand[b0, :] = hop_backend
+        cand[:, b0] = hop_backend
+        cand.flat[::K + 1] = 0.0
+        return cand
+
+    hops = []
+    for q in range(1, i_e - i + 1):
+        cand = boundary(R_plus[q], R_plus[q + 1])
+        if zout[i + q].any():
+            cand += (_shift(diff[q], zout[i + q])[:, None]
+                     + _shift(diff[q + 1], zin[i + q])[None, :])
+        hops.append(cand)
+    first = local[0].copy()
+    if t > 1:
+        if zin[i].any():
+            first += _shift(diff[1], zin[i])
+        k_prev = ledger.prev[j] if t == window.t0 else 0
+        if k_prev:
+            first += boundary(R_now[0], R_plus[1])[k_prev - 1]
+    tail = None
+    if t_e + 1 <= window.end and zout[i_e + 1].any():
+        tail = _shift(diff[-1], zout[i_e + 1])
+    return first, local, hops, tail
+
+
+def _kernel_case(moves, perturb, k_prev, t, life):
+    """Window [2, 9] on K = 5 (backend 5), capacity 3, three frozen
+    instances and instance 4 arriving at t, carried from k_prev when
+    k_prev > 0. With moves, frozen MMC-to-MMC moves cross the boundaries
+    into slots 4, 6 and 7; instance 3 moves to the backend at slot 6 either
+    way. MMC 3 holds 2.5, so our load 1 saturates it."""
+    from mmcplace.online import WindowLedger, _fast_base
+
+    K = 5
+    model = MmcBackendCostModel(K=K, capacity=3.0, backend_local_rate=3.0,
+                                backend_migration_rate=3.0,
+                                distance_local_weight=0.2,
+                                distance_migration_weight=0.1)
+    w = Window(2, 8)
+    if perturb:
+        rng = np.random.default_rng(5)
+        model = PerturbedCostModel(model, {
+            s: rng.uniform(-0.5, 0.5, K + 1) * (np.arange(K + 1) > 0)
+            for s in w.slots})
+    insts = [ServiceInstance(id=1, arrival_slot=1, local_demand=1.2,
+                             migration_demand=0.7),
+             ServiceInstance(id=2, arrival_slot=1, local_demand=2.5,
+                             migration_demand=1.1),
+             ServiceInstance(id=3, arrival_slot=1, local_demand=0.4,
+                             migration_demand=0.9),
+             ServiceInstance(id=4, arrival_slot=1 if k_prev else t,
+                             local_demand=1.0, migration_demand=1.5,
+                             max_lifetime=life)]
+    m = ConfigurationMatrix(w, [1, 2, 3, 4])
+    if moves:
+        m.set_column(1, [1, 1, 2, 2, 2, 1, 1, 1])
+        m.set_column(2, [3, 3, 3, 3, 4, 4, 4, 4])
+    else:
+        m.set_column(1, [1] * 8)
+        m.set_column(2, [3] * 8)
+    m.set_column(3, [2, 2, 2, 2, 5, 5, 5, 5])
+    prev = {1: 1, 2: 3, 3: 2}
+    if k_prev:
+        prev[4] = k_prev
+    base = _fast_base(model)
+    ledger = WindowLedger(m, insts, K, base.backend, prev, grid_distance(K))
+    t_e = int(min(t + life - 1, w.end))
+    return insts[-1], t, t_e, ledger, model, base
+
+
+@pytest.mark.parametrize("block_slots", [1, 3, None])
+@pytest.mark.parametrize("moves", [True, False])
+@pytest.mark.parametrize("perturb", [True, False])
+@pytest.mark.parametrize("k_prev, t, life", [(1, 2, math.inf), (5, 2, 5),
+                                             (0, 3, math.inf), (0, 4, 2)])
+def test_block_built_steps_match_per_step_reference(
+        block_slots, moves, perturb, k_prev, t, life, monkeypatch):
+    """_fast_steps builds its boundaries in blocks and a carried entry row
+    alone; every hop(q), first, local and tail equals the per-step
+    reference bit for bit, for blocks of one slot, of three (spans of 8,
+    7 and 2 slots, none a multiple of 3) and of the default size, carried
+    from an MMC (1) or from the backend (5), with and without frozen
+    MMC-to-MMC moves. _min_path takes the same route on both."""
+    from mmcplace import online
+
+    if block_slots is not None:
+        monkeypatch.setattr(online, "HOP_BLOCK_BYTES", 8 * 5 * 5 * block_slots)
+    args = _kernel_case(moves, perturb, k_prev, t, life)
+    ledger = args[3]
+    assert ledger.zout.any() == moves
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first, local, hop, tail = online._fast_steps(*args)
+        want_first, want_local, want_hops, want_tail = _per_step_reference(
+            *args)
+        assert np.isinf(want_local).any()           # MMC 3 saturates
+        assert first.tobytes() == want_first.tobytes()
+        assert local.tobytes() == want_local.tobytes()
+        assert len(want_hops) == args[2] - t
+        for q, want in enumerate(want_hops, start=1):
+            got = hop(q)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert (tail is None) == (want_tail is None)
+        if tail is not None:
+            assert tail.tobytes() == want_tail.tobytes()
+        fast = _min_path(*online._fast_steps(*args))
+        ref = _min_path(want_first, want_local,
+                        lambda q: want_hops[q - 1].copy(), want_tail)
+    assert fast == ref
+
+
 def test_relaxation_count_formula():
     """relax = K + K^2 (L-1) for an L-slot column."""
     model = mmc(K=5)
@@ -488,15 +633,17 @@ def _checked_fast_run(monkeypatch, horizon, T, insts, oracle, distance):
 
     def checked_place(instance, t, matrix, instances, model, prev_config,
                       distance, want_cost=True, *, ledger=None):
+        # under a ledger, place fills the column into `matrix` itself
+        before = matrix.copy()
         out = place(instance, t, matrix, instances, model, prev_config,
                     distance, want_cost, ledger=ledger)
         if ledger is not None:
             context["args"] = (instances, model, prev_config, distance)
             assert_fresh(ledger, out.matrix)
             checked["place"] += 1
-            ours = place(instance, t, matrix, instances, model, prev_config,
+            ours = place(instance, t, before, instances, model, prev_config,
                          distance).predicted_cost
-            ref = place(instance, t, matrix, instances, _Delegating(model),
+            ref = place(instance, t, before, instances, _Delegating(model),
                         prev_config, distance).predicted_cost
             if math.isfinite(ref):
                 assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
@@ -543,6 +690,47 @@ def test_whole_run_with_ties_matches_per_arrival(seed, monkeypatch):
     horizon, T, insts, oracle = _whole_run_case(seed)
     _checked_fast_run(monkeypatch, horizon, T, insts, oracle,
                       grid_distance(oracle.actual.K))
+
+
+def test_ledger_owns_the_matrix_it_is_given():
+    """With a ledger, place_on_arrival and handle_departure write into the
+    window's matrix and hand it back; without one, they return a changed
+    copy and leave the caller's matrix as it was."""
+    from mmcplace.online import WindowLedger
+
+    model, w, insts, prev, m, d = random_setup(
+        np.random.default_rng(3), distance=True, dist_weights=(0.2, 0.1))
+    inst = insts[-1]
+    t = inst.arrival_slot
+    before = m.copy()
+    copied = place_on_arrival(inst, t, m, insts, model, prev, d)
+    assert copied.matrix is not m and m == before
+    assert copied.matrix != before
+    ledger = WindowLedger(m, insts, model.K, model.backend, prev, d)
+    placed = place_on_arrival(inst, t, m, insts, model, prev, d,
+                              ledger=ledger)
+    assert placed.matrix is m and m == copied.matrix
+    departed = handle_departure(inst.id, t, m)
+    assert departed is not m and m == copied.matrix
+    assert handle_departure(inst.id, t, m, ledger=ledger) is m
+    assert m == departed
+
+
+def test_fast_run_copies_no_matrix(monkeypatch):
+    """run_online on the capacity/backend DP keeps each window's matrix in
+    its ledger and updates it in place: no ConfigurationMatrix.copy per
+    arrival or departure."""
+    copy, copies = ConfigurationMatrix.copy, []
+
+    def counted(self):
+        copies.append(self.window)
+        return copy(self)
+
+    monkeypatch.setattr(ConfigurationMatrix, "copy", counted)
+    horizon, T, insts, oracle = _whole_run_case(1)
+    run = run_online(horizon, T, insts, oracle, grid_distance(oracle.actual.K))
+    assert len(run.relaxations_per_arrival) > len(insts)   # re-arrivals too
+    assert copies == []
 
 
 def test_ledger_sums_migrations_per_pair_first():

@@ -189,3 +189,26 @@ def test_gap_constants_polynomial_order_bound():
     phi, psi = gap_constants(model, w, insts, y, z, y_max, z)
     assert psi is not None and psi <= model.order() + 1e-9
     assert phi >= 1.0
+
+
+def test_gap_constants_price_the_window_start_from_prev_config():
+    """Instances 1 and 2 sit at cloud 1 in slot 1 and leave it for cloud 2
+    in window [2, 3], one per slot. The move into slot 2 reads y_1(1) = 2:
+    the window costs 12, not the 11 of a pre-window load of zero. psi's
+    cost is that 12 (grad . (y, z) = 11 on these linear costs)."""
+    from mmcplace.core import ConfigurationMatrix
+    from mmcplace.costs import window_cost
+
+    model = LinearCostModel([0, 1, 2], 0.5, 0.5, 1)
+    w = Window(2, 2)
+    insts = [ServiceInstance(id=j, arrival_slot=1) for j in (1, 2)]
+    prev = {1: 1, 2: 1}
+    m = ConfigurationMatrix(w, [1, 2])
+    m.data[:] = [[2, 1], [2, 2]]
+    y, z = loads_from_matrix(model, m, insts, prev)
+    assert window_cost_from_loads(model, w, y, z) == 11.0
+    y_before = np.array([0.0, 2.0, 0.0])
+    assert window_cost_from_loads(model, w, y, z, y_before) == 12.0
+    assert window_cost(model, m, insts, prev) == 12.0
+    _phi, psi = gap_constants(model, w, insts, y, z, y, z, prev_config=prev)
+    assert psi == pytest.approx(11.0 / 12.0, rel=1e-12)
