@@ -120,13 +120,14 @@ class WindowLedger:
             self.hops = np.zeros((1, K + 1))
             self.pairD = np.zeros((K + 1, K + 1))
         else:
-            start = np.array([i.arrival_slot for i in cols]) - window.t0
-            slot, col = np.nonzero(np.arange(window.T)[:, None] >= start)
-            ids, row_of = matrix.instance_ids, {None: 0}
-            self.cell_row[slot, col] = [
-                row_of.setdefault(distance.user_cell_of(ids[c], window.t0 + q),
-                                  len(row_of))
-                for q, c in zip(slot.tolist(), col.tolist())]
+            row_of = {None: 0}
+            for j, inst in enumerate(cols):
+                start = max(inst.arrival_slot, window.t0)
+                self.cell_row[start - window.t0:, j] = np.fromiter(
+                    (row_of.setdefault(distance.user_cell_of(inst.id, t),
+                                       len(row_of))
+                     for t in range(start, window.end + 1)),
+                    dtype=np.int32, count=window.end + 1 - start)
             self.hops = np.vstack([np.zeros(K + 1)]
                                   + [distance.cell_column(c, K)
                                      for c in list(row_of)[1:]])
