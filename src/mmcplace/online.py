@@ -52,7 +52,7 @@ log = logging.getLogger(__name__)
 # Size of one block of boundary matrices in _fast_steps: the boundaries of
 # max(1, HOP_BLOCK_BYTES // (8 K^2)) consecutive slots are built as one
 # array, a whole desk span at K = 20 and 3 slots at K = 92. A 1 MiB block
-# raised fullscale-sim's peak memory 42.0 -> 44.9 MB and its wall time.
+# raised fullscale-sim's peak memory 42.6 -> 45.2 MB.
 HOP_BLOCK_BYTES = 256 * 1024
 
 
