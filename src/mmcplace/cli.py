@@ -5,6 +5,7 @@ Subcommands:
   sweep-window   grid of policy-e runs over window lengths and error rates
   oracle-check   spot-check predicted-vs-actual cost error against the bound
   convert-trace  normalize raw per-vehicle GPS logs into the trace CSV format
+  ratio-curve    single-slot greedy cost against the fractional lower bound
 
 Exit codes: 0 ok, 1 oracle-check failure, 2 configuration error,
 3 trace I/O error.
@@ -19,12 +20,13 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import ConfigError, ScenarioConfig, parse_config, validate_config
 from .core import ServiceInstance, Window
 from .costs import WindowCostEvaluator
 from .predictor import CostOracle, PowerLawErrorBound
 from .simulator import (POLICIES, build_scenario, run_policy, sweep_window,
-                        write_results_csv, write_summary_csv, write_sweep_csv)
+                        synthetic_ratio_experiment, write_results_csv,
+                        write_summary_csv, write_sweep_csv)
 
 log = logging.getLogger("mmcplace")
 
@@ -47,6 +49,7 @@ def _cmd_simulate(args) -> int:
         cfg.horizon = args.slots
     if args.window:
         cfg.window_T = args.window
+    validate_config(cfg)
     seed = args.seed if args.seed is not None else cfg.master_seed
     policies = list(POLICIES) if args.policy == "all" else [args.policy]
     scn = build_scenario(cfg, seed)
@@ -67,19 +70,28 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_range(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",") if x]
+def _parse_list(spec: str, kind, name: str, least) -> list:
+    """'lo:hi' (integers) or a comma list; nonempty, every value >= least."""
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [kind(x) for x in spec.split(",") if x]
+    except ValueError:
+        values = []
+    if not values or min(values) < least:
+        raise ConfigError(f"{name}: need numbers >= {least}, got {spec!r}")
+    return values
 
 
 def _cmd_sweep_window(args) -> int:
     cfg = _load_config(args.config)
     if args.slots:
         cfg.horizon = args.slots
-    T_values = _parse_range(args.T_range)
-    beta_values = [float(x) for x in args.beta_list.split(",") if x]
+    validate_config(cfg)
+    T_values = _parse_list(args.T_range, int, "--T-range", 1)
+    beta_values = _parse_list(args.beta_list, float, "--beta-list", 0.0)
     seeds = list(range(1, args.seeds + 1))
     rows = sweep_window(cfg, T_values, beta_values, seeds)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -91,6 +103,8 @@ def _cmd_sweep_window(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = _load_config(args.config)
+    if args.window < 0:
+        raise ConfigError("--window: must be >= 0 (0 = 8 slots)")
     seed = args.seed if args.seed is not None else cfg.master_seed
     scn = build_scenario(cfg, seed)
     bound = PowerLawErrorBound(cfg.beta, cfg.alpha)
@@ -166,6 +180,22 @@ def _cmd_convert_trace(args) -> int:
     return 0
 
 
+def _cmd_ratio_curve(args) -> int:
+    if min(args.arrivals, args.seeds, args.sample_every) < 1:
+        raise ConfigError("--arrivals, --seeds and --sample-every must be >= 1")
+    samples, ints, fracs, ratio = synthetic_ratio_experiment(
+        args.arrivals, range(1, args.seeds + 1),
+        sample_every=args.sample_every)
+    os.makedirs(args.out_dir, exist_ok=True)
+    out = os.path.join(args.out_dir, "ratio.csv")
+    with open(out, "w") as fh:
+        fh.write("arrivals,mean_integral_cost,mean_fractional_cost,ratio\n")
+        for m in samples:
+            fh.write(f"{m},{ints[m]:.10g},{fracs[m]:.10g},{ratio[m]:.10g}\n")
+    print(f"wrote {out}: final ratio {ratio[samples[-1]]:.6f}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mmcplace",
                                 description="micro-cloud service placement "
@@ -212,6 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("inputs", nargs="+", help="per-vehicle log files")
     ct.add_argument("--out", required=True)
     ct.set_defaults(func=_cmd_convert_trace)
+
+    rc = sub.add_parser("ratio-curve",
+                        help="greedy vs fractional lower bound, one slot")
+    rc.add_argument("--arrivals", type=int, default=4000)
+    rc.add_argument("--seeds", type=int, default=20, help="run seeds 1..N")
+    rc.add_argument("--sample-every", type=int, default=10)
+    rc.add_argument("--out-dir", default="out")
+    rc.set_defaults(func=_cmd_ratio_curve)
     return p
 
 

@@ -145,3 +145,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("field 'capacity': must be positive")
     if cfg.T_max < 1:
         raise ConfigError("field 'T_max': must be >= 1")
+    if cfg.window_T < 0:
+        raise ConfigError("field 'window_T': must be >= 0 (0 = optimizer)")
+    for name in ("local_demand", "migration_demand"):
+        if getattr(cfg, name) < 0:
+            raise ConfigError(f"field '{name}': must be >= 0")
+    if cfg.lifetime < 1:
+        raise ConfigError("field 'lifetime': must be >= 1")

@@ -22,8 +22,10 @@ the whole slot t0-1 map, as charge_placements does.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,44 +60,31 @@ class DistanceContext:
     from MMC k to a cell; cloud_pair_distance(k, l) -> hops between MMCs.
     The backend cloud never contributes distance terms.
 
-    pair_table and cell_column are dense views of the two distance hooks,
-    built from them on first use and cached on the context.
+    The backend is the last cloud (K = backend), the cells 1..backend-1.
+    pair_hops and cell_hops tabulate the two hooks over those ids, each
+    entry computed once, on first use of its table.
     """
 
     user_cell_of: Callable[[int, int], int | None]
     cloud_cell_distance: Callable[[int, int], float]
     cloud_pair_distance: Callable[[int, int], float]
     backend: int
-    _views: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
-    def pair_table(self, K: int) -> np.ndarray:
-        """(K+1, K+1) MMC-pair hops; zero on the diagonal and on the
-        backend's (and index 0's) rows and columns."""
-        key = ("pair", K)
-        table = self._views.get(key)
-        if table is None:
-            table = np.zeros((K + 1, K + 1))
-            mmcs = [k for k in range(1, K + 1) if k != self.backend]
-            for k in mmcs:
-                for l in mmcs:
-                    if l != k:
-                        table[k, l] = self.cloud_pair_distance(k, l)
-            self._views[key] = table
+    @cached_property
+    def pair_hops(self) -> np.ndarray:
+        """[k, l]: MMC-pair hops; 0 on the diagonal and at 0 and backend."""
+        table = np.zeros((self.backend + 1, self.backend + 1))
+        for k, l in itertools.permutations(range(1, self.backend), 2):
+            table[k, l] = self.cloud_pair_distance(k, l)
         return table
 
-    def cell_column(self, cell: int, K: int) -> np.ndarray:
-        """(K+1,) hops from each MMC to cell; zero at index 0 and at the
-        backend."""
-        key = ("cell", cell, K)
-        col = self._views.get(key)
-        if col is None:
-            col = np.zeros(K + 1)
-            for k in range(1, K + 1):
-                if k != self.backend:
-                    col[k] = self.cloud_cell_distance(k, cell)
-            self._views[key] = col
-        return col
+    @cached_property
+    def cell_hops(self) -> np.ndarray:
+        """[c, k]: hops from MMC k to cell c; 0 at cell 0 and the backend."""
+        table = np.zeros((self.backend + 1, self.backend + 1))
+        for c, k in itertools.product(range(1, self.backend), repeat=2):
+            table[c, k] = self.cloud_cell_distance(k, c)
+        return table
 
 
 class CostModel:
@@ -256,11 +245,10 @@ class MmcBackendCostModel(CostModel):
     convex_nondecreasing = True
 
     def __init__(self, K, capacity, backend_local_rate, backend_migration_rate,
-                 distance_local_weight=0.0, distance_migration_weight=0.0,
-                 backend=None):
+                 distance_local_weight=0.0, distance_migration_weight=0.0):
         self.K = K
         self.capacity = float(capacity)
-        self.backend = K if backend is None else backend
+        self.backend = K
         self.g_backend = float(backend_local_rate)
         self.h_backend = float(backend_migration_rate)
         self.g = float(distance_local_weight)
@@ -286,13 +274,6 @@ class MmcBackendCostModel(CostModel):
         if y_from >= self.capacity or y_to >= self.capacity:
             return math.inf
         return z * (self.R(y_from) + self.R(y_to)) + self.h * s
-
-    def du(self, k, t, y):
-        """Marginal local cost, distance terms aside: d/dy[y*R(y)] = R(y)^2."""
-        if k == self.backend:
-            return self.g_backend
-        r = self.R(y)
-        return r * r if math.isfinite(r) else math.inf
 
     def inv_marginal(self, k, t, mu, cap):
         """Largest load with marginal <= mu (used by the fractional bound)."""
@@ -358,9 +339,8 @@ def _occupancy(t, instances, clouds, K, distance):
             continue
         y[k] += inst.local_demand
         if distance is not None and k != distance.backend:
-            cell = distance.user_cell_of(inst.id, t)
-            if cell is not None:
-                r[k] += distance.cell_column(cell, K)[k]
+            cell = distance.user_cell_of(inst.id, t) or 0
+            r[k] += distance.cell_hops[cell, k]
     return y, r
 
 
@@ -375,7 +355,7 @@ def _moves(instances, clouds, before, K, distance):
         count[(k, l)] = count.get((k, l), 0) + 1
     s: dict = {}
     if distance is not None:
-        pair = distance.pair_table(K)
+        pair = distance.pair_hops
         s = {(k, l): pair[k, l] * n for (k, l), n in count.items()
              if k != distance.backend and l != distance.backend}
     return z, s, sum(count.values())

@@ -22,8 +22,8 @@ loads so per-candidate deltas reduce to row/column corrections.
 
 _fast_steps reads every frozen load from a WindowLedger: per-slot
 local loads and user-distance sums, per-boundary MMC-to-MMC migration
-out- and in-sums, each user's cell looked up once per window (from the
-instance's arrival on), and the distance tables of the DistanceContext.
+out- and in-sums, each user's cell id looked up once per window (from
+the instance's arrival on), and the DistanceContext's hop tables.
 run_online keeps one ledger per window; the ledger owns the window's
 matrix, which place_on_arrival and handle_departure update in place,
 refreshing only the rows they touch. Each row is recomputed from the
@@ -85,9 +85,9 @@ class WindowLedger:
     / zin[i] hold, per MMC, the migration load that leaves / enters it in
     MMC-to-MMC moves over the boundary into slot i, summed per (k, l) pair
     first and then per cloud in first-seen pair order, as transition_loads
-    groups them. Each column's user cells are looked up once, when the
-    ledger is built, for the slots from max(arrival slot, t0) to the
-    window end; no placement reaches an earlier slot. refresh()
+    groups them. cell_row holds each column's user cell ids, 0 when
+    unknown, looked up once for the slots from max(arrival slot, t0) to
+    the window end; no placement reaches an earlier slot. refresh()
     recomputes whole rows from the matrix in instance order, so the sums
     match a fresh aggregation bit for bit.
 
@@ -112,26 +112,21 @@ class WindowLedger:
         prev_config = prev_config or {}
         self.prev = np.array([prev_config.get(iid, 0)
                               for iid in matrix.instance_ids], dtype=np.int64)
-        # user cell of each (slot, instance) as a row of `hops`, rows in
-        # order of first sight; row 0 is the all-zero row of an unknown cell,
-        # also every slot before an instance's arrival
+        # user cell id of each (slot, instance), a row of `hops`; 0, the
+        # all-zero row, for an unknown cell and every slot before arrival
         self.cell_row = np.zeros((window.T, len(cols)), dtype=np.int32)
         if distance is None:
             self.hops = np.zeros((1, K + 1))
             self.pairD = np.zeros((K + 1, K + 1))
         else:
-            row_of = {None: 0}
             for j, inst in enumerate(cols):
                 start = max(inst.arrival_slot, window.t0)
                 self.cell_row[start - window.t0:, j] = np.fromiter(
-                    (row_of.setdefault(distance.user_cell_of(inst.id, t),
-                                       len(row_of))
+                    (distance.user_cell_of(inst.id, t) or 0
                      for t in range(start, window.end + 1)),
                     dtype=np.int32, count=window.end + 1 - start)
-            self.hops = np.vstack([np.zeros(K + 1)]
-                                  + [distance.cell_column(c, K)
-                                     for c in list(row_of)[1:]])
-            self.pairD = distance.pair_table(K)
+            self.hops = distance.cell_hops
+            self.pairD = distance.pair_hops
         rows = window.T + 1
         self.y = np.zeros((rows, K + 1))
         self.r = np.zeros((rows, K + 1))

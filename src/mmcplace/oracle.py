@@ -72,24 +72,24 @@ def brute_force_offline(window: Window, instances: list[ServiceInstance],
     return BruteForceSolution(matrix, cost, count)
 
 
-def fractional_lower_bound_single_slot(total_demand: float, model: CostModel,
-                                       t: int = 1,
-                                       max_iter: int = 100) -> float:
+def fractional_lower_bound_single_slot(total_demand: float,
+                                       model: CostModel) -> float:
     """Min of sum_k u_k(y_k) over fractional splits with sum y_k = demand.
 
     Water-filling on a shared marginal mu: each cloud absorbs load until
-    its marginal cost du/dy reaches mu; bisection drives the total
-    allocation to the demand. Requires a convex model with an analytic
-    marginal du; a cloud whose cost is infinite at the demand is capped
-    just below the model's capacity wall.
+    its slot-1 marginal cost reaches mu, as the model's inv_marginal says;
+    bisection drives the total allocation to the demand. Requires a convex
+    model with inv_marginal; a cloud whose cost is infinite at the demand
+    is capped just below the model's capacity wall.
     """
     if not getattr(model, "convex_nondecreasing", False):
         raise ValueError("fractional bound needs a convex cost model")
-    if not hasattr(model, "du"):
-        raise ValueError("fractional bound needs an analytic marginal du")
+    if not hasattr(model, "inv_marginal"):
+        raise ValueError("fractional bound needs an inv_marginal")
     if total_demand <= 0:
         return 0.0
     K = model.K
+    t = 1
 
     def cap(k: int) -> float:
         # largest load with finite cost, minus a hair
@@ -99,25 +99,8 @@ def fractional_lower_bound_single_slot(total_demand: float, model: CostModel,
 
     caps = [cap(k) for k in range(1, K + 1)]
 
-    if hasattr(model, "inv_marginal"):
-        def alloc_one(k: int, mu: float) -> float:
-            return min(model.inv_marginal(k, t, mu, caps[k - 1]), caps[k - 1])
-    else:
-        def alloc_one(k: int, mu: float) -> float:
-            # largest y in [0, cap] with du(y) <= mu
-            ck = caps[k - 1]
-            if model.du(k, t, 0.0) > mu:
-                return 0.0
-            if model.du(k, t, ck) <= mu:
-                return ck
-            lo, hi = 0.0, ck
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if model.du(k, t, mid) <= mu:
-                    lo = mid
-                else:
-                    hi = mid
-            return lo
+    def alloc_one(k: int, mu: float) -> float:
+        return min(model.inv_marginal(k, t, mu, caps[k - 1]), caps[k - 1])
 
     def alloc(mu: float) -> float:
         return sum(alloc_one(k, mu) for k in range(1, K + 1))
@@ -128,7 +111,7 @@ def fractional_lower_bound_single_slot(total_demand: float, model: CostModel,
         if alloc(hi_mu) >= total_demand:
             break
         hi_mu *= 2.0
-    for _ in range(max_iter):
+    for _ in range(100):
         mid = 0.5 * (lo_mu + hi_mu)
         if alloc(mid) >= total_demand:
             hi_mu = mid
@@ -227,9 +210,7 @@ def _sequence_load_delta(inst: ServiceInstance, seq, window: Window,
 def gap_constants(model: CostModel, window: Window,
                   instances: list[ServiceInstance],
                   y, z, y_max, z_max,
-                  prev_config: dict[int, int] | None = None,
-                  sample_rng: np.random.Generator | None = None,
-                  max_sequences: int = 2000):
+                  prev_config: dict[int, int] | None = None):
     """Constants (phi, psi) for the online-vs-offline gap bound.
 
     phi is the worst ratio, over instances and their feasible sequences,
@@ -258,12 +239,8 @@ def gap_constants(model: CostModel, window: Window,
 
     phi = 1.0
     for inst in sorted(instances, key=lambda i: i.id):
-        seqs = feasible_sequences(inst, window, K)
-        if sample_rng is not None and len(seqs) > max_sequences:
-            idx = sample_rng.choice(len(seqs), size=max_sequences, replace=False)
-            seqs = [seqs[i] for i in sorted(idx)]
         prev_cloud = prev_config.get(inst.id, 0)
-        for seq in seqs:
+        for seq in feasible_sequences(inst, window, K):
             a, b = _sequence_load_delta(inst, seq, window, prev_cloud, K)
             y_hi = y_max + a
             z_hi = [dict(z_max[q]) for q in range(window.T)]

@@ -91,3 +91,63 @@ def test_convert_trace_missing_file(tmp_path, capsys):
                "--out", str(tmp_path / "o.csv")])
     assert rc == 3
     assert "I/O error" in capsys.readouterr().err
+
+
+def test_ratio_curve_rows_equal_the_experiment(tmp_path, capsys):
+    from mmcplace.simulator import synthetic_ratio_experiment
+
+    out = tmp_path / "rc"
+    rc = main(["ratio-curve", "--arrivals", "60", "--seeds", "2",
+               "--sample-every", "20", "--out-dir", str(out)])
+    assert rc == 0
+    samples, ints, fracs, ratio = synthetic_ratio_experiment(
+        60, range(1, 3), sample_every=20)
+    lines = (out / "ratio.csv").read_text().splitlines()
+    assert lines[0] == "arrivals,mean_integral_cost,mean_fractional_cost,ratio"
+    assert lines[1:] == [f"{m},{ints[m]:.10g},{fracs[m]:.10g},{ratio[m]:.10g}"
+                         for m in samples]
+    assert "final ratio" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["simulate", "--slots", "-3"], None),
+    (["simulate", "--window", "-2"], None),
+    (["simulate"], "[window]\nwindow_T = -4\n"),
+    (["simulate"], "[demand]\nlocal_demand = -1\n"),
+    (["simulate"], "[demand]\nlifetime = 0\n"),
+    (["sweep-window", "--T-range", "5:1"], None),
+    (["sweep-window", "--T-range", "0:2"], None),
+    (["sweep-window", "--T-range", ","], None),
+    (["sweep-window", "--beta-list", "x"], None),
+    (["sweep-window", "--beta-list=-0.1"], None),
+    (["oracle-check", "--window", "-1"], None),
+    (["ratio-curve", "--seeds", "0"], None),
+])
+def test_invalid_input_exits_2_before_writing(tmp_path, capsys, argv, ini):
+    """Bad values from the command line or the config file are
+    configuration errors: exit code 2 and no output directory."""
+    config = small_ini(tmp_path)
+    if ini is not None:
+        config = str(tmp_path / "bad.ini")
+        with open(config, "w") as fh:
+            fh.write(ini)
+    out = tmp_path / "out"
+    if argv[0] != "ratio-curve":
+        argv = argv + ["--config", config]
+    if argv[0] != "oracle-check":
+        argv = argv + ["--out-dir", str(out)]
+    assert main(argv) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_docstring_lists_every_subcommand():
+    import argparse
+
+    import mmcplace.cli as cli
+
+    doc = cli.__doc__.split("Subcommands:\n", 1)[1].split("\n\n", 1)[0]
+    listed = [line.split()[0] for line in doc.splitlines()]
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert listed == list(sub.choices)

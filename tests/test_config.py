@@ -48,7 +48,10 @@ def test_validation_rules():
     for bad in (ScenarioConfig(alpha=1.0), ScenarioConfig(gamma=0.5),
                 ScenarioConfig(mobility="trace"),
                 ScenarioConfig(capacity=0.0),
-                ScenarioConfig(noise_shape="square")):
+                ScenarioConfig(noise_shape="square"),
+                ScenarioConfig(window_T=-4), ScenarioConfig(local_demand=-1.0),
+                ScenarioConfig(migration_demand=-1.0),
+                ScenarioConfig(lifetime=0)):
         with pytest.raises(ConfigError):
             validate_config(bad)
     validate_config(ScenarioConfig())

@@ -860,3 +860,66 @@ def test_tie_break_matches_enumeration_on_integer_costs():
         assert tuple(out.matrix.column(1).tolist()) == _reversed_min(paths)
         assert out.predicted_cost == cost
     assert discriminating > 0
+
+
+@pytest.mark.parametrize("hex_grid", [True, False])
+def test_distance_tables_equal_the_hooks(hex_grid):
+    """pair_hops[k, l] and cell_hops[c, k] equal the hooks entry by entry
+    over the MMCs and cells 1..backend-1 and are zero elsewhere, on the
+    hex grid and on a context whose cell and pair hooks differ."""
+    from mmcplace.scenario import HexTopology
+
+    if hex_grid:
+        topo = HexTopology.build(7)
+        d = DistanceContext(user_cell_of=lambda iid, t: None,
+                            cloud_cell_distance=topo.hex_distance,
+                            cloud_pair_distance=topo.hex_distance,
+                            backend=topo.backend)
+    else:
+        d = tie_free_distance(6)
+    B = d.backend
+    assert d.pair_hops.shape == d.cell_hops.shape == (B + 1, B + 1)
+    for a in range(B + 1):
+        for b in range(B + 1):
+            inner = 0 < a < B and 0 < b < B
+            want_pair = d.cloud_pair_distance(a, b) if inner and a != b else 0
+            want_cell = d.cloud_cell_distance(b, a) if inner else 0
+            assert d.pair_hops[a, b] == want_pair
+            assert d.cell_hops[a, b] == want_cell
+
+
+def test_distance_hooks_run_once_per_table_entry():
+    """However many placement_loads calls and ledger builds read them,
+    each entry of the two hop tables calls its hook once."""
+    from collections import Counter
+
+    from mmcplace.costs import placement_loads
+    from mmcplace.online import WindowLedger
+
+    K = 5
+    calls = Counter()
+
+    def cell_distance(k, c):
+        calls["cell", k, c] += 1
+        return abs(k - c)
+
+    def pair_distance(k, l):
+        calls["pair", k, l] += 1
+        return abs(k - l)
+
+    d = DistanceContext(user_cell_of=lambda iid, t: 1 + (iid + t) % (K - 1),
+                        cloud_cell_distance=cell_distance,
+                        cloud_pair_distance=pair_distance, backend=K)
+    insts = [ServiceInstance(id=j, arrival_slot=1) for j in (1, 2, 3)]
+    m = ConfigurationMatrix(Window(1, 4), [1, 2, 3])
+    for t in range(1, 5):
+        for j in (1, 2, 3):
+            m.set(j, t, 1 + (t + j) % K)
+    for _ in range(3):
+        for t in range(2, 5):
+            loads = placement_loads(t, insts, m.slot_state(t), K, d,
+                                    m.slot_state(t - 1))
+            assert loads.s
+        WindowLedger(m, insts, K, K, {}, d)
+    assert set(calls.values()) == {1}
+    assert len(calls) == (K - 1) * (K - 2) + (K - 1) ** 2

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmcplace.core import ServiceInstance, Window
-from mmcplace.costs import LinearCostModel, MmcBackendCostModel
+from mmcplace.costs import (LinearCostModel, MmcBackendCostModel,
+                            PolynomialCostModel)
 from mmcplace.oracle import (EnumerationBudgetExceeded, brute_force_offline,
                              fractional_lower_bound_single_slot, gap_constants,
                              grad_window_cost, loads_from_matrix,
@@ -77,7 +78,8 @@ def test_fractional_bound_linear_model():
 
 
 def test_fractional_bound_rejects_nonconvex():
-    """Also a convex model without an analytic marginal du."""
+    """Also a convex model without an inverse marginal inv_marginal, such
+    as the polynomial family, which has only du."""
     class Odd:
         K = 1
         convex_nondecreasing = False
@@ -89,6 +91,10 @@ def test_fractional_bound_rejects_nonconvex():
         convex_nondecreasing = True
     with pytest.raises(ValueError):
         fractional_lower_bound_single_slot(1.0, NoMarginal())
+
+    poly = PolynomialCostModel(np.array([[0, 0], [0, 1.0]]), [(0, 0, 1, 1.0)])
+    with pytest.raises(ValueError):
+        fractional_lower_bound_single_slot(1.0, poly)
 
 
 def test_fractional_bound_never_exceeds_integral():
