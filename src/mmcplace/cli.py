@@ -49,8 +49,10 @@ def _cmd_simulate(args) -> int:
         cfg.horizon = args.slots
     if args.window:
         cfg.window_T = args.window
+    if args.seed is not None:
+        cfg.master_seed = args.seed
     validate_config(cfg)
-    seed = args.seed if args.seed is not None else cfg.master_seed
+    seed = cfg.master_seed
     policies = list(POLICIES) if args.policy == "all" else [args.policy]
     scn = build_scenario(cfg, seed)
     log.info("scenario: %d cells, %d instances, horizon %d",
@@ -92,6 +94,8 @@ def _cmd_sweep_window(args) -> int:
     validate_config(cfg)
     T_values = _parse_list(args.T_range, int, "--T-range", 1)
     beta_values = _parse_list(args.beta_list, float, "--beta-list", 0.0)
+    if args.seeds < 1:
+        raise ConfigError("--seeds: must be >= 1")
     seeds = list(range(1, args.seeds + 1))
     rows = sweep_window(cfg, T_values, beta_values, seeds)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -105,7 +109,12 @@ def _cmd_oracle_check(args) -> int:
     cfg = _load_config(args.config)
     if args.window < 0:
         raise ConfigError("--window: must be >= 0 (0 = 8 slots)")
-    seed = args.seed if args.seed is not None else cfg.master_seed
+    if args.samples < 1:
+        raise ConfigError("--samples: must be >= 1")
+    if args.seed is not None:
+        cfg.master_seed = args.seed
+    validate_config(cfg)
+    seed = cfg.master_seed
     scn = build_scenario(cfg, seed)
     bound = PowerLawErrorBound(cfg.beta, cfg.alpha)
     oracle = CostOracle(scn.model, bound, seed=seed,

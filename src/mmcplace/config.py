@@ -152,3 +152,5 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"field '{name}': must be >= 0")
     if cfg.lifetime < 1:
         raise ConfigError("field 'lifetime': must be >= 1")
+    if cfg.master_seed < 0:
+        raise ConfigError("field 'master_seed': must be >= 0")

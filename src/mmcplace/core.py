@@ -50,9 +50,10 @@ class ServiceInstance:
     migration_demand on the (from, to) pair whenever it moves. ids increase
     with arrival order and are never recycled within a run.
 
-    actual_departure_slot is the last slot the instance is actually present
-    (None = unknown / still running); max_lifetime caps the stay declared at
-    arrival, so the planned end slot is arrival + max_lifetime - 1.
+    max_lifetime is the stay declared at arrival, so planned_end = arrival
+    + max_lifetime - 1 is what a planner may know. actual_departure_slot is
+    the slot the instance would leave after (None = unknown); it leaves
+    after last_slot = min(planned_end, actual_departure_slot).
     """
 
     id: int
@@ -79,17 +80,21 @@ class ServiceInstance:
         """Last slot the instance could run, per its declared lifetime."""
         return self.arrival_slot + self.max_lifetime - 1
 
+    @property
+    def last_slot(self) -> float:
+        """Last slot the instance is actually present."""
+        if self.actual_departure_slot is None:
+            return self.planned_end
+        return min(self.planned_end, self.actual_departure_slot)
+
     def active_span(self, window: Window) -> tuple[int, int] | None:
         """Slot range [start, end] the instance may occupy within window.
 
-        The end slot is min(arrival + lifetime - 1, window end); an actual
-        departure (if known) truncates further. Returns None when the span
-        is empty.
+        The end slot is min(last_slot, window end). Returns None when the
+        span is empty.
         """
         start = max(self.arrival_slot, window.t0)
-        end = min(self.planned_end, window.end)
-        if self.actual_departure_slot is not None:
-            end = min(end, self.actual_departure_slot)
+        end = min(self.last_slot, window.end)
         if start > end:
             return None
         return start, int(end)

@@ -87,7 +87,8 @@ class WindowLedger:
     first and then per cloud in first-seen pair order, as transition_loads
     groups them. cell_row holds each column's user cell ids, 0 when
     unknown, looked up once for the slots from max(arrival slot, t0) to
-    the window end; no placement reaches an earlier slot. refresh()
+    min(planned_end, window end), a column's only placeable slots; a
+    column whose planned end is before t0 is not looked up. refresh()
     recomputes whole rows from the matrix in instance order, so the sums
     match a fresh aggregation bit for bit.
 
@@ -121,10 +122,13 @@ class WindowLedger:
         else:
             for j, inst in enumerate(cols):
                 start = max(inst.arrival_slot, window.t0)
-                self.cell_row[start - window.t0:, j] = np.fromiter(
-                    (distance.user_cell_of(inst.id, t) or 0
-                     for t in range(start, window.end + 1)),
-                    dtype=np.int32, count=window.end + 1 - start)
+                end = int(min(inst.planned_end, window.end))
+                if start > end:
+                    continue
+                self.cell_row[start - window.t0:end - window.t0 + 1, j] = (
+                    np.fromiter((distance.user_cell_of(inst.id, t) or 0
+                                 for t in range(start, end + 1)),
+                                dtype=np.int32, count=end + 1 - start))
             self.hops = distance.cell_hops
             self.pairD = distance.pair_hops
         rows = window.T + 1
@@ -402,7 +406,10 @@ def place_on_arrival(instance: ServiceInstance, t: int,
                      ledger: WindowLedger | None = None) -> PlacementOutcome:
     """Fill one instance's column over [t, t_e] optimally, others frozen.
 
-    t_e = min(t + lifetime - 1, window end). The DP state per slot is the
+    t_e = min(instance.planned_end, window end): the declared lifetime
+    counts from the instance's own arrival, also when a carried instance
+    is placed again at a window start. Raises ValueError when t is outside
+    the window or after planned_end. The DP state per slot is the
     instance's cloud id; transition costs are evaluated on the full joint
     state (frozen columns included), so congestion effects are exact.
     Instances are matched to the matrix columns by id. Ties go to the
@@ -419,9 +426,11 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     window = matrix.window
     if not (window.t0 <= t <= window.end):
         raise ValueError("arrival slot outside window")
+    if t > instance.planned_end:
+        raise ValueError("arrival slot after the instance's planned end")
     if instance.id not in matrix._col:
         raise ValueError("matrix has no column for the arriving instance")
-    t_e = int(min(t + instance.max_lifetime - 1, window.end))
+    t_e = int(min(instance.planned_end, window.end))
     K = model.K
 
     base = _fast_base(model)
@@ -489,18 +498,16 @@ class OnlineRun:
 
 def run_online(horizon: int, window_size: int,
                instances: list[ServiceInstance], oracle,
-               distance: DistanceContext | None = None,
-               lifetime_override=None) -> OnlineRun:
+               distance: DistanceContext | None = None) -> OnlineRun:
     """Full-horizon online control loop.
 
     instances carry their true arrival/departure slots; the loop only
-    reveals them at those slots. Carried-over instances re-enter as
+    reveals them at those slots. Each arrival is planned up to its
+    planned_end; it departs at the end of its last_slot. Carried-over
+    instances, those placed in t0-1 with last_slot >= t0, re-enter as
     arrivals at each window start (keeping their prior placement as the
     migration baseline); each window's prev_config is the whole placement
     map of the slot before it, the map charge_placements reads.
-    lifetime_override, when given, maps (instance, t) to the lifetime the
-    planner should assume (policy D passes the true remaining stay; the
-    default uses the declared lifetime's remainder).
     Actual costs and migration counts are charged from run.placements by
     charge_placements once the last window is placed.
     """
@@ -511,7 +518,6 @@ def run_online(horizon: int, window_size: int,
 
     run = OnlineRun({}, {}, {}, [])
     prev_config: dict[int, int] = {}
-    running: dict[int, ServiceInstance] = {}
     t0 = 1
     while t0 <= horizon:
         window = Window(t0, min(window_size, horizon - t0 + 1))
@@ -529,43 +535,27 @@ def run_online(horizon: int, window_size: int,
                                base.backend, prev_config, distance))
         ids = np.array(matrix.instance_ids, dtype=np.int64)
         for t in window.slots:
-            todo = []
-            if t == t0:
-                todo.extend(running.values())       # carried-over re-arrivals
-            todo.extend(arrivals_at.get(t, []))
+            todo = list(arrivals_at.get(t, []))
+            if t == t0:                             # carried-over re-arrivals
+                todo.extend(by_id[iid] for iid in prev_config
+                            if by_id[iid].last_slot >= t0)
             for inst in sorted(todo, key=lambda i: i.id):
-                if lifetime_override is not None:
-                    life = lifetime_override(inst, t)
-                elif math.isfinite(inst.max_lifetime):
-                    life = max(1, int(inst.planned_end) - t + 1)
-                else:
-                    life = math.inf
-                planner_view = ServiceInstance(
-                    id=inst.id, arrival_slot=t,
-                    local_demand=inst.local_demand,
-                    migration_demand=inst.migration_demand,
-                    max_lifetime=life, user_id=inst.user_id)
-                outcome = place_on_arrival(planner_view, t, matrix,
-                                           window_instances, model,
-                                           prev_config, distance,
+                outcome = place_on_arrival(inst, t, matrix, window_instances,
+                                           model, prev_config, distance,
                                            want_cost=False, ledger=ledger)
                 matrix = outcome.matrix
                 run.relaxations_per_arrival.append(outcome.relaxations)
                 if outcome.saturated:
                     run.saturated_events += 1
-                running[inst.id] = inst
 
             row = matrix.data[t - t0]
             on = np.flatnonzero(row)
             run.placements[t] = dict(zip(ids[on].tolist(), row[on].tolist()))
 
-            # departures take effect at the end of the slot; a declared
-            # lifetime running out departs the instance just the same
-            for iid in [iid for iid, inst in running.items()
-                        if inst.actual_departure_slot == t
-                        or inst.planned_end == t]:
-                matrix = handle_departure(iid, t, matrix, ledger=ledger)
-                del running[iid]
+            # departures take effect at the end of the slot
+            for iid in run.placements[t]:
+                if by_id[iid].last_slot == t:
+                    matrix = handle_departure(iid, t, matrix, ledger=ledger)
 
         prev_config = run.placements[window.end]
         t0 += window.T

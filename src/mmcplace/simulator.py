@@ -4,7 +4,8 @@ Policies:
   a  place at the user's nearest cell on arrival, never migrate
   b  follow the user to the nearest cell every slot
   c  everything on the backend cloud
-  d  online placement with exact future costs and departure times
+  d  online placement with exact future costs and stays: each instance
+     declares its true stay as its lifetime, so planned_end = last_slot
   e  online placement with predicted costs and the optimized window
 
 Every policy produces per-slot placement maps {instance id: cloud}, and
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,11 +115,14 @@ def pick_window(config: ScenarioConfig, beta: float | None = None) -> int:
     return optimal_window_binary_search(obj, config.T_max)
 
 
-def _active_at(instances, t):
-    return [i for i in instances
-            if i.arrival_slot <= t
-            and (i.actual_departure_slot is None or t <= i.actual_departure_slot)
-            and t <= i.planned_end]
+def _active_by_slot(instances, horizon) -> list[list]:
+    """Instances present in each slot 0..horizon, in instance order."""
+    active = [[] for _ in range(horizon + 1)]
+    for inst in instances:
+        last = int(min(inst.last_slot, horizon))
+        for t in range(inst.arrival_slot, last + 1):
+            active[t].append(inst)
+    return active
 
 
 def _nearest_with_capacity(scn: BuiltScenario, user_cell: int | None,
@@ -153,8 +157,9 @@ def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
     assigned: dict[int, int] = {}        # instance -> cell chosen at arrival (a)
     placements: dict[int, dict[int, int]] = {}
     flags: list[str] = []
+    active_at = _active_by_slot(scn.instances, scn.config.horizon)
     for t in range(1, scn.config.horizon + 1):
-        active = _active_at(scn.instances, t)
+        active = active_at[t]
         load = np.zeros(scn.model.K + 1)
         placed: dict[int, int] = {}
         for inst in active:                  # a's kept cells (empty for b)
@@ -176,7 +181,8 @@ def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
 
 def _run_backend_policy(scn: BuiltScenario) -> PolicyResult:
     backend = scn.topology.backend
-    placements = {t: {i.id: backend for i in _active_at(scn.instances, t)}
+    active_at = _active_by_slot(scn.instances, scn.config.horizon)
+    placements = {t: {i.id: backend for i in active_at[t]}
                   for t in range(1, scn.config.horizon + 1)}
     return _charged(scn, "c", placements, [])
 
@@ -188,17 +194,9 @@ def _run_online_policy(scn: BuiltScenario, policy: str,
     if policy == "d":
         oracle = CostOracle(scn.model, ZERO_BOUND, seed=scn.seed)
         T = config.horizon
-
-        def true_remaining(inst, t):
-            dep = inst.actual_departure_slot
-            if dep is None:
-                dep = inst.planned_end
-            if not math.isfinite(dep):
-                dep = config.horizon
-            return max(1, int(min(dep, config.horizon)) - t + 1)
-
-        run = run_online(config.horizon, T, scn.instances, oracle,
-                         scn.distance, lifetime_override=true_remaining)
+        exact = [replace(i, max_lifetime=i.last_slot - i.arrival_slot + 1)
+                 for i in scn.instances]
+        run = run_online(config.horizon, T, exact, oracle, scn.distance)
     else:
         beta = config.beta if beta is None else beta
         T = window_T if window_T else pick_window(config, beta)

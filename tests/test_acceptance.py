@@ -323,18 +323,24 @@ def test_criterion_7_synthetic_ratio_convergence():
 
 
 def test_criterion_8_policy_ordering():
-    cfg = ScenarioConfig()          # 19 cells, 10 users, 200 slots, beta 0.4
-    scn = build_scenario(cfg, cfg.master_seed)
-    avg = {p: run_policy(scn, p).avg_cost for p in "abcde"}
-    ok = (avg["e"] <= avg["a"] and avg["e"] <= avg["b"]
-          and avg["e"] <= avg["c"] and avg["d"] <= avg["e"])
-    _report(8, ok, "day-average costs "
-            + ", ".join(f"{p}={avg[p]:.2f}" for p in "abcde")
-            + " (need e <= a, b, c and d <= e)")
-    assert avg["e"] <= avg["a"]
-    assert avg["e"] <= avg["b"]
-    assert avg["e"] <= avg["c"]
-    assert avg["d"] <= avg["e"]
+    """Desk defaults (19 cells, 10 users, 200 slots, beta 0.4) at the
+    master seed, and with a declared lifetime of 12 slots at seeds 1-3,
+    where policy d must plan no further than an instance's stay."""
+    desk = ScenarioConfig()
+    cases = [(desk, desk.master_seed)] + [
+        (ScenarioConfig(lifetime=12.0), seed) for seed in (1, 2, 3)]
+    for cfg, seed in cases:
+        scn = build_scenario(cfg, seed)
+        avg = {p: run_policy(scn, p).avg_cost for p in "abcde"}
+        ok = (avg["e"] <= avg["a"] and avg["e"] <= avg["b"]
+              and avg["e"] <= avg["c"] and avg["d"] <= avg["e"])
+        _report(8, ok, f"lifetime {cfg.lifetime}, seed {seed}: day-average "
+                "costs " + ", ".join(f"{p}={avg[p]:.2f}" for p in "abcde")
+                + " (need e <= a, b, c and d <= e)")
+        assert avg["e"] <= avg["a"]
+        assert avg["e"] <= avg["b"]
+        assert avg["e"] <= avg["c"]
+        assert avg["d"] <= avg["e"]
 
 
 def _sweep_argmin(beta):

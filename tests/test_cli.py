@@ -122,6 +122,11 @@ def test_ratio_curve_rows_equal_the_experiment(tmp_path, capsys):
     (["sweep-window", "--beta-list=-0.1"], None),
     (["oracle-check", "--window", "-1"], None),
     (["ratio-curve", "--seeds", "0"], None),
+    (["simulate", "--seed", "-1"], None),
+    (["simulate"], "[seeds]\nmaster_seed = -1\n"),
+    (["oracle-check", "--seed", "-1"], None),
+    (["oracle-check", "--samples", "0"], None),
+    (["sweep-window", "--seeds", "0"], None),
 ])
 def test_invalid_input_exits_2_before_writing(tmp_path, capsys, argv, ini):
     """Bad values from the command line or the config file are

@@ -51,7 +51,8 @@ def test_validation_rules():
                 ScenarioConfig(noise_shape="square"),
                 ScenarioConfig(window_T=-4), ScenarioConfig(local_demand=-1.0),
                 ScenarioConfig(migration_demand=-1.0),
-                ScenarioConfig(lifetime=0)):
+                ScenarioConfig(lifetime=0),
+                ScenarioConfig(master_seed=-1)):
         with pytest.raises(ConfigError):
             validate_config(bad)
     validate_config(ScenarioConfig())

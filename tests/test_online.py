@@ -367,12 +367,14 @@ def test_relaxation_count_formula():
 
 
 def test_arrival_outside_window_rejected():
+    """An arrival slot after the window, or after the planned end."""
     model = mmc()
     w = Window(2, 3)
-    inst = ServiceInstance(id=1, arrival_slot=9)
     m = ConfigurationMatrix(w, [1])
-    with pytest.raises(ValueError):
-        place_on_arrival(inst, 9, m, [inst], model)
+    for inst, t in [(ServiceInstance(id=1, arrival_slot=9), 9),
+                    (ServiceInstance(id=1, arrival_slot=1, max_lifetime=2), 3)]:
+        with pytest.raises(ValueError):
+            place_on_arrival(inst, t, m, [inst], model)
 
 
 def test_departure_unknown_id_warns(caplog):
@@ -860,6 +862,46 @@ def test_tie_break_matches_enumeration_on_integer_costs():
         assert tuple(out.matrix.column(1).tolist()) == _reversed_min(paths)
         assert out.predicted_cost == cost
     assert discriminating > 0
+
+
+def test_ledger_looks_up_cells_only_where_a_column_may_be_placed():
+    """A column's user cells are looked up once per slot from max(arrival,
+    t0) to min(planned_end, window end), the slots a planner may fill,
+    and not at all for a prev_config column whose planned end is before
+    t0. A known later departure does not shorten the lookups: the
+    planner does not know it."""
+    from collections import Counter
+
+    from mmcplace.online import WindowLedger
+
+    K = 4
+    calls = Counter()
+
+    def cell(iid, t):
+        return 1 + (iid + t) % (K - 1)
+
+    def cell_of(iid, t):
+        calls[iid, t] += 1
+        return cell(iid, t)
+
+    d = DistanceContext(user_cell_of=cell_of,
+                        cloud_cell_distance=lambda k, c: abs(k - c),
+                        cloud_pair_distance=lambda k, l: abs(k - l), backend=K)
+    w = Window(3, 6)                                  # slots 3..8
+    insts = [ServiceInstance(id=1, arrival_slot=1),
+             ServiceInstance(id=2, arrival_slot=1, max_lifetime=2),
+             ServiceInstance(id=3, arrival_slot=4, max_lifetime=3,
+                             actual_departure_slot=5),
+             ServiceInstance(id=4, arrival_slot=1, max_lifetime=1)]
+    m = ConfigurationMatrix(w, [1, 2, 3, 4])
+    ledger = WindowLedger(m, insts, K, K, {1: 1, 2: 2, 4: 3}, d)
+    want = {(1, t) for t in range(3, 9)} | {(3, t) for t in range(4, 7)}
+    assert set(calls) == want
+    assert set(calls.values()) == {1}
+    looked_up = np.zeros_like(ledger.cell_row)
+    for iid, t in want:
+        looked_up[t - 3, iid - 1] = cell(iid, t)
+    assert np.array_equal(ledger.cell_row, looked_up)
 
 
 @pytest.mark.parametrize("hex_grid", [True, False])

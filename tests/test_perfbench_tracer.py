@@ -1,5 +1,7 @@
-"""The traced benchmark wraps mmcplace names from outside; a renamed or
-deleted name breaks it. Install its tracer against the package."""
+"""The benchmark calls and wraps mmcplace names from outside; a renamed
+or deleted name, or a changed signature, breaks it. Install its tracer
+against the package, and run one exact-ref repetition against its stored
+fingerprint."""
 
 import os
 import subprocess
@@ -19,3 +21,20 @@ def test_tracer_installs_against_the_package():
         timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "installed"
+
+
+def test_exact_ref_repetition_matches_its_fingerprint():
+    """exact_rep calls run_online with positional arguments and reads
+    place_on_arrival(..., want_cost=False).matrix."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(ROOT / "src"))
+    script = ("import json, workload\n"
+              "rep = workload.exact_rep(1)\n"
+              "ref = json.loads(workload.REFERENCE.read_text())\n"
+              "workload.check_reference(ref['exact-ref']['1'], rep)\n"
+              "print(json.dumps(rep.failures))\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          cwd=ROOT / "perfbench", env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

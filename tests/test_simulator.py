@@ -86,6 +86,31 @@ def test_active_counts_match_instance_spans(policy, monkeypatch):
     assert any(i.planned_end < i.actual_departure_slot for i in scn.instances)
 
 
+def test_policy_d_plans_no_placement_past_an_instance_stay(monkeypatch):
+    """Policy d knows every departure: with a finite declared lifetime, no
+    placement it plans reaches past an instance's last_slot, the earlier
+    of its planned end and its actual departure."""
+    from mmcplace import online
+
+    scn = build_scenario(small_config(lifetime=12.0), 5)
+    last = {i.id: i.last_slot for i in scn.instances}
+    place, placed = online.place_on_arrival, []
+
+    def checked(*args, **kwargs):
+        out = place(*args, **kwargs)
+        m = out.matrix
+        for j, iid in enumerate(m.instance_ids):
+            on = np.flatnonzero(m.data[:, j])
+            assert not on.size or m.window.t0 + on[-1] <= last[iid], iid
+        placed.append(args[0].id)
+        return out
+
+    monkeypatch.setattr(online, "place_on_arrival", checked)
+    run_policy(scn, "d")
+    assert len(placed) == len(scn.instances)
+    assert any(i.planned_end < i.actual_departure_slot for i in scn.instances)
+
+
 def test_online_policies_run_and_record_window():
     scn = build_scenario(small_config(), 1)
     d = run_policy(scn, "d")
