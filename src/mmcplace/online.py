@@ -23,20 +23,28 @@ loads so per-candidate deltas reduce to row/column corrections.
 _fast_steps reads every frozen load from a WindowLedger: per-slot
 local loads and user-distance sums, per-boundary MMC-to-MMC migration
 out- and in-sums, each user's cell id looked up once per window (from
-the instance's arrival on), and the DistanceContext's hop tables.
+the instance's arrival on), the DistanceContext's hop tables and the
+window model's constants (h times the pair hops, per-slot offsets).
 run_online keeps one ledger per window; the ledger owns the window's
-matrix, which place_on_arrival and handle_departure update in place,
-refreshing only the rows they touch. Each row is recomputed from the
-matrix in instance order, so it always equals a fresh
-WindowCostEvaluator aggregation bit for bit. No joint state tuple is
-built and no cost function is called per cloud; an arrival's (K, K)
-boundary matrices are built in blocks of consecutive slots, up to
-HOP_BLOCK_BYTES each, with the frozen-migration corrections added to
-the boundaries that need them.
+placements, slot t0-1 included, and the matrix's data is a view of
+them, which place_on_arrival and handle_departure update in place.
+Every ledger sum runs in instance order, so it always equals a fresh
+WindowCostEvaluator aggregation bit for bit. A placed column that was
+empty over its slots and has no later nonzero column there is appended:
+its load is the last term of each row's sum, and zout/zin are rebuilt
+over its boundaries only when it makes an MMC-to-MMC move. In run_online
+ids rise with arrival order, so every placement is such an append.
+Other writes and every departure rebuild the touched rows from the
+whole placement. No joint state tuple is built and no cost function is
+called per cloud; an arrival's (K, K) boundary matrices are built in
+blocks of consecutive slots, up to HOP_BLOCK_BYTES each, with the
+frozen-migration corrections, built only when the arrival's rows hold
+a frozen move, added to the boundaries that need them.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -54,6 +62,10 @@ log = logging.getLogger(__name__)
 # array, a whole desk span at K = 20 and 3 slots at K = 92. A 1 MiB block
 # raised fullscale-sim's peak memory 42.6 -> 45.2 MB.
 HOP_BLOCK_BYTES = 256 * 1024
+
+# _fast_steps' boundaries with frozen moves, for an arrival that has none
+_NO_STEPS = np.empty(0, dtype=np.intp)
+_NO_STEPS.flags.writeable = False
 
 
 @dataclass
@@ -78,23 +90,30 @@ class WindowLedger:
     """Per-window load aggregates of a placement matrix, for the fast DP.
 
     Ledger row i stands for window slot t0 + i - 1; row 0 is the slot just
-    before the window. y[i] and r[i] (i >= 1) equal
-    WindowCostEvaluator.state_loads of that slot's joint state, and y[0]
-    that of the evaluator's prior: the whole slot t0-1 map, prev_config,
-    over the matrix columns (r[0] stays zero; no cost reads it). zout[i]
-    / zin[i] hold, per MMC, the migration load that leaves / enters it in
+    before the window. place[i] is that slot's placement: place[0] is
+    prev_config over the matrix columns and place[1:] is the window's
+    matrix, whose data the ledger rebinds to that view when it is built.
+    y[i] and r[i] (i >= 1) equal WindowCostEvaluator.state_loads of a
+    slot's joint state, and y[0] that of the evaluator's prior: the whole
+    slot t0-1 map (r[0] stays zero; no cost reads it). zout[i] / zin[i]
+    hold, per MMC, the migration load that leaves / enters it in
     MMC-to-MMC moves over the boundary into slot i, summed per (k, l) pair
     first and then per cloud in first-seen pair order, as transition_loads
     groups them. cell_row holds each column's user cell ids, 0 when
     unknown, looked up once for the slots from max(arrival slot, t0) to
     min(planned_end, window end), a column's only placeable slots; a
-    column whose planned end is before t0 is not looked up. refresh()
-    recomputes whole rows from the matrix in instance order, so the sums
-    match a fresh aggregation bit for bit.
+    column whose planned end is before t0 is not looked up.
 
-    run_online hands the window's matrix to its ledger: place_on_arrival
-    and handle_departure update that matrix in place and refresh the
-    ledger rows it touches.
+    Every sum runs in instance order, so it matches a fresh aggregation
+    bit for bit. write() decides, before it writes, whether a placed
+    column is an append: the column was empty over the slots it fills and
+    no later column holds a cloud there. Its load is then the last term
+    of each instance-order sum, added to the row as it stands, and
+    zout/zin are rebuilt over the column's boundaries (its entry move
+    included) only when the column itself makes an MMC-to-MMC move there.
+    A write into a column that held clouds there or that has a later
+    nonzero column there, the first build and every departure (refresh)
+    rebuild the touched rows from the whole placement.
     """
 
     def __init__(self, matrix: ConfigurationMatrix,
@@ -104,15 +123,22 @@ class WindowLedger:
         window = matrix.window
         self.window = window
         self.K = K
-        self.backend = backend
         self.col = matrix._col
         by_id = {i.id: i for i in instances}
         cols = [by_id[iid] for iid in matrix.instance_ids]
         self.loc = np.array([i.local_demand for i in cols], dtype=float)
         self.mig = np.array([i.migration_demand for i in cols], dtype=float)
         prev_config = prev_config or {}
-        self.prev = np.array([prev_config.get(iid, 0)
-                              for iid in matrix.instance_ids], dtype=np.int64)
+        rows = window.T + 1
+        self.place = np.empty((rows, len(cols)), dtype=np.int64)
+        self.place[0] = [prev_config.get(iid, 0)
+                         for iid in matrix.instance_ids]
+        self.place[1:] = matrix.data
+        matrix.data = self.place[1:]
+        self.prev = self.place[0]
+        self.is_mmc = np.ones(K + 1, dtype=bool)
+        self.is_mmc[[0, backend]] = False
+        self.mmc = self.is_mmc.tolist()
         # user cell id of each (slot, instance), a row of `hops`; 0, the
         # all-zero row, for an unknown cell and every slot before arrival
         self.cell_row = np.zeros((window.T, len(cols)), dtype=np.int32)
@@ -131,37 +157,71 @@ class WindowLedger:
                                 dtype=np.int32, count=end + 1 - start))
             self.hops = distance.cell_hops
             self.pairD = distance.pair_hops
-        rows = window.T + 1
         self.y = np.zeros((rows, K + 1))
         self.r = np.zeros((rows, K + 1))
         self.zout = np.zeros((rows, K + 1))
         self.zin = np.zeros((rows, K + 1))
         self.y[0] = np.bincount(self.prev, self.loc, K + 1)
         self.y[0, 0] = 0.0
-        self.refresh(matrix, window.t0, window.end)
+        self.refresh(window.t0, window.end)
+        self._model = self._constants = None
 
-    def refresh(self, matrix: ConfigurationMatrix, lo: int, hi: int) -> None:
-        """Recompute slots lo..hi and the boundaries into lo..hi+1."""
-        t0, T, K1 = self.window.t0, self.window.T, self.K + 1
-        a, b = lo - t0, hi - t0 + 1              # matrix rows [a, b)
-        n = b - a
-        q, j = np.nonzero(matrix.data[a:b])      # row-major: instance order
-        k = matrix.data[a + q, j]
+    def model_constants(self, model, base):
+        """(h * pairD over clouds 1..K, the model's local-cost offsets per
+        window slot or None), computed once per model."""
+        if self._model is not model:
+            off = None
+            if model is not base:
+                zero = np.zeros(self.K + 1)
+                off = np.array([model.offsets.get(s, zero)
+                                for s in self.window.slots])
+            self._model = model
+            self._constants = (base.h * self.pairD[1:, 1:], off)
+        return self._constants
+
+    def write(self, j: int, t: int, path: tuple[int, ...]) -> None:
+        """Place column j on `path` from slot t on, and update the rows."""
+        a = t - self.window.t0 + 1                # ledger rows [a, b)
+        b = a + len(path)
+        append = not self.place[a:b, j:].any()     # decided before the write
+        self.place[a:b, j] = path
+        if not append:
+            self.refresh(t, t + len(path) - 1)
+            return
+        loc, hops, cells = self.loc[j], self.hops, self.cell_row[:, j]
+        for row, k in enumerate(path, start=a):   # short spans: no arrays
+            self.y[row, k] += loc
+            self.r[row, k] += hops[cells[row - 1], k]
+        c = min(b + 1, self.window.T + 1)          # boundaries into [a, c)
+        seq = self.place[a - 1:c, j].tolist()
+        mmc = self.mmc
+        if any(mmc[f] and mmc[g] and f != g for f, g in zip(seq, seq[1:])):
+            self._migrations(a, c)
+
+    def refresh(self, lo: int, hi: int) -> None:
+        """Rebuild slots lo..hi and the boundaries into lo..hi+1."""
+        a, b = lo - self.window.t0 + 1, hi - self.window.t0 + 2
+        self._occupancy(a, b)
+        self._migrations(a, min(b + 1, self.window.T + 1))
+
+    def _occupancy(self, a: int, b: int) -> None:
+        """y and r of ledger rows [a, b), summed in instance order."""
+        K1, n = self.K + 1, b - a
+        q, j = np.nonzero(self.place[a:b])       # row-major: instance order
+        k = self.place[a + q, j]
         bins = q * K1 + k
-        self.y[a + 1:b + 1] = np.bincount(bins, self.loc[j],
-                                          n * K1).reshape(n, K1)
-        self.r[a + 1:b + 1] = np.bincount(
-            bins, self.hops[self.cell_row[a + q, j], k], n * K1).reshape(n, K1)
+        self.y[a:b] = np.bincount(bins, self.loc[j], n * K1).reshape(n, K1)
+        self.r[a:b] = np.bincount(
+            bins, self.hops[self.cell_row[a - 1 + q, j], k],
+            n * K1).reshape(n, K1)
 
-        b = min(b + 1, T)                        # boundaries into rows [a, b)
-        n = b - a
-        to = matrix.data[a:b]
-        frm = (matrix.data[a - 1:b - 1] if a > 0
-               else np.vstack((self.prev, matrix.data[:b - 1])))
-        moved = ((to != 0) & (frm != 0) & (frm != to)
-                 & (to != self.backend) & (frm != self.backend))
-        self.zout[a + 1:b + 1] = 0.0
-        self.zin[a + 1:b + 1] = 0.0
+    def _migrations(self, a: int, c: int) -> None:
+        """zout and zin over the boundaries into ledger rows [a, c)."""
+        K1, n = self.K + 1, c - a
+        frm, to = self.place[a - 1:c - 1], self.place[a:c]
+        moved = self.is_mmc[to] & self.is_mmc[frm] & (frm != to)
+        self.zout[a:c] = 0.0
+        self.zin[a:c] = 0.0
         q, j = np.nonzero(moved)                 # row-major: instance order
         if not q.size:
             return
@@ -171,10 +231,18 @@ class WindowLedger:
         seen = np.argsort(first, kind="stable")
         keys, z = keys[seen], z[seen]
         row = keys // (K1 * K1)
-        self.zout[a + 1:b + 1] = np.bincount(
+        self.zout[a:c] = np.bincount(
             row * K1 + keys // K1 % K1, z, n * K1).reshape(n, K1)
-        self.zin[a + 1:b + 1] = np.bincount(
+        self.zin[a:c] = np.bincount(
             row * K1 + keys % K1, z, n * K1).reshape(n, K1)
+
+
+@functools.cache
+def _columns(K: int) -> np.ndarray:
+    """np.arange(K), read-only, made once per K."""
+    out = np.arange(K)
+    out.flags.writeable = False
+    return out
 
 
 def _min_path(first, local, hop, tail):
@@ -195,7 +263,7 @@ def _min_path(first, local, hop, tail):
     """
     nu = first
     K = nu.shape[0]
-    columns = np.arange(K)
+    columns = _columns(K)
     back: list[np.ndarray] = []
     for q in range(1, len(local)):
         # cand[k, l]: reach k by slot t+q-1, then hop k -> l into slot t+q
@@ -287,18 +355,17 @@ def _and_plus(x, dx):
     return out
 
 
-def _local_delta(model, base, slots, y2, r, d):
+def _local_delta(base, y2, r, d, off):
     """Local-cost change per slot and cloud from adding our load there.
 
     y2: the slots' frozen loads and the same with our load added, stacked;
-    r: frozen user-distance sums; d: the instance's hops to its user.
-    PerturbedCostModel offsets apply only where the cloud hosts load.
+    r: frozen user-distance sums; d: the instance's hops to its user; off:
+    the slots' PerturbedCostModel offsets or None. Offsets apply only where
+    the cloud hosts load.
     """
     y, y_plus = y2
     u_now, u_plus = _mmc_u(base, y2, _and_plus(r, d))
-    if model is not base:
-        zero = np.zeros(base.K + 1)
-        off = np.array([model.offsets.get(s, zero) for s in slots])
+    if off is not None:
         u_plus = np.where(y_plus > 0, u_plus + off, u_plus)
         u_now = u_now + off
     return np.where(y > 0, u_plus - u_now, u_plus)
@@ -330,24 +397,28 @@ def _fast_steps(instance, t, t_e, ledger, model, base):
     j = ledger.col[instance.id]
     i, i_e = t - window.t0 + 1, t_e - window.t0 + 1   # ledger rows of t, t_e
     span = i_e - i + 1
+    hD, off = ledger.model_constants(model, base)
 
-    # ledger rows i-1..i_e: congestion without and with our load added,
-    # and its change
+    # ledger rows i-1..i_e: congestion without and with our load added
     y2 = _and_plus(ledger.y[i - 1:i_e + 1], a)
-    R_now, R_plus = _congestion(y2, base.capacity)
-    diff = np.where(np.isfinite(R_plus), R_plus - R_now, np.inf)[:, 1:]
-    R_now, R_plus = R_now[:, 1:], R_plus[:, 1:]
-    hD = base.h * ledger.pairD[1:, 1:]
+    R_now, R_plus = _congestion(y2, base.capacity)[..., 1:]
     hop_backend = base.h_backend * b
-    ld = _local_delta(model, base, range(t, t_e + 1), y2[:, 1:],
-                      ledger.r[i:i_e + 1],
-                      ledger.hops[ledger.cell_row[i - 1:i_e, j]])[:, 1:]
-    zin = ledger.zin[:, 1:]
-    zout = ledger.zout[:, 1:]
+    ld = _local_delta(base, y2[:, 1:], ledger.r[i:i_e + 1],
+                      ledger.hops[ledger.cell_row[i - 1:i_e, j]],
+                      None if off is None else off[i - 1:i_e])[:, 1:]
     # frozen MMC-to-MMC moves over the boundaries into ledger rows
     # i..i_e+1, which feel our load on their clouds (a boundary's zout and
     # zin are nonzero together: both sum the same nonnegative moves)
-    moves = zout[i:i_e + 2].any(axis=1)
+    zout = ledger.zout[i:i_e + 2, 1:]
+    moves = zout.any(axis=1)
+    moved = _NO_STEPS                          # steps q with frozen moves
+    if moves.any():
+        zin = ledger.zin[i:i_e + 2, 1:]
+        diff = np.where(np.isfinite(R_plus), R_plus - R_now, np.inf)
+        moved = moves[1:span].nonzero()[0] + 1
+        if moved.size:
+            out_shift = _shift(diff[moved], zout[moved])[:, :, None]
+            in_shift = _shift(diff[moved + 1], zin[moved])[:, None, :]
 
     def boundary(R_from, R_to, lo=0, hi=K):
         """Hop costs over len(R_from) boundaries from clouds lo+1..hi to
@@ -361,10 +432,6 @@ def _fast_steps(instance, t, t_e, ledger, model, base):
         cand.reshape(len(cand), -1)[:, lo::K + 1] = 0.0     # k -> k is free
         return cand
 
-    moved = moves[1:span].nonzero()[0] + 1     # steps q with frozen moves
-    if moved.size:
-        out_shift = _shift(diff[moved], zout[i + moved])[:, :, None]
-        in_shift = _shift(diff[moved + 1], zin[i + moved])[:, None, :]
     n = max(1, HOP_BLOCK_BYTES // (8 * K * K))
     block, q0 = (), 0
 
@@ -379,20 +446,21 @@ def _fast_steps(instance, t, t_e, ledger, model, base):
                 block[moved[lo:hi] - q0] += out_shift[lo:hi] + in_shift[lo:hi]
         return block[q - q0]
 
-    first = ld[0].copy()
+    first = ld[0]                     # _min_path never writes into it
     if t > 1:
         if moves[0]:
-            first += _shift(diff[1], zin[i])
+            first = first + _shift(diff[1], zin[0])
         k_prev = ledger.prev[j] if t == window.t0 else 0
         if k_prev:
             # carried instance: its load already sits in the pre-window
             # profile at k_prev, so no +a on that side
-            first += boundary(R_now[:1], R_plus[1:2], k_prev - 1, k_prev)[0, 0]
+            first = first + boundary(R_now[:1], R_plus[1:2],
+                                     k_prev - 1, k_prev)[0, 0]
     # leaving a congested cloud after the column ends still shifts frozen
     # migrations over the next boundary
     tail = None
     if t_e + 1 <= window.end and moves[span]:
-        tail = _shift(diff[-1], zout[i_e + 1])
+        tail = _shift(diff[-1], zout[span])
     return first, ld, hop, tail
 
 
@@ -417,11 +485,12 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     going back (see _min_path).
 
     ledger, when given, must describe `matrix` (run_online keeps one per
-    window), and the matrix then belongs to it: the column is written
-    into `matrix` itself, the ledger is refreshed, and outcome.matrix is
-    `matrix`. Without a ledger the caller's matrix is left as it was and
-    outcome.matrix is a copy; the capacity/backend path then builds a
-    throwaway ledger from the matrix.
+    window), and the matrix then belongs to it: the ledger writes the
+    column into `matrix` itself and updates its rows (WindowLedger.write),
+    and outcome.matrix is `matrix`. Without a ledger the caller's matrix
+    is left as it was, its data array included, and outcome.matrix is a
+    copy; the capacity/backend path then builds a throwaway ledger on
+    that copy.
     """
     window = matrix.window
     if not (window.t0 <= t <= window.end):
@@ -440,20 +509,21 @@ def place_on_arrival(instance: ServiceInstance, t: int,
         ev = WindowCostEvaluator(window,
                                  [by_id[iid] for iid in matrix.instance_ids],
                                  model, prev_config, distance)
+    out = matrix if ledger is not None else matrix.copy()
+    j = out._col[instance.id]
     with np.errstate(divide="ignore", invalid="ignore"):
         if base is None:
-            steps = _generic_steps(t, t_e, matrix, ev,
-                                   matrix._col[instance.id], K)
+            steps = _generic_steps(t, t_e, out, ev, j, K)
         else:
             fast_ledger = ledger if ledger is not None else WindowLedger(
-                matrix, instances, K, base.backend, prev_config, distance)
+                out, instances, K, base.backend, prev_config, distance)
             steps = _fast_steps(instance, t, t_e, fast_ledger, model, base)
         path, relax, saturated = _min_path(*steps)
 
-    out = matrix if ledger is not None else matrix.copy()
-    out.data[t - window.t0:t_e - window.t0 + 1, out._col[instance.id]] = path
     if ledger is not None:
-        ledger.refresh(out, t, t_e)
+        ledger.write(j, t, path)
+    else:
+        out.data[t - window.t0:t_e - window.t0 + 1, j] = path
     total = math.nan
     if want_cost:
         total = ev.path_cost([out.slot_state(s) for s in window.slots])
@@ -479,7 +549,7 @@ def handle_departure(instance_id: int, t: int,
     cleared = np.flatnonzero(out.data[q + 1:, out._col[instance_id]])
     out.zero_after(instance_id, t)
     if ledger is not None and cleared.size:
-        ledger.refresh(out, t + 1, t + 1 + int(cleared[-1]))
+        ledger.refresh(t + 1, t + 1 + int(cleared[-1]))
     return out
 
 
@@ -512,8 +582,10 @@ def run_online(horizon: int, window_size: int,
     charge_placements once the last window is placed.
     """
     arrivals_at: dict[int, list[ServiceInstance]] = {}
+    departures_at: dict[float, list[int]] = {}
     for inst in sorted(instances, key=lambda i: i.id):
         arrivals_at.setdefault(inst.arrival_slot, []).append(inst)
+        departures_at.setdefault(inst.last_slot, []).append(inst.id)
     by_id = {inst.id: inst for inst in instances}
 
     run = OnlineRun({}, {}, {}, [])
@@ -553,8 +625,8 @@ def run_online(horizon: int, window_size: int,
             run.placements[t] = dict(zip(ids[on].tolist(), row[on].tolist()))
 
             # departures take effect at the end of the slot
-            for iid in run.placements[t]:
-                if by_id[iid].last_slot == t:
+            for iid in departures_at.get(t, ()):
+                if iid in run.placements[t]:
                     matrix = handle_departure(iid, t, matrix, ledger=ledger)
 
         prev_config = run.placements[window.end]

@@ -260,9 +260,11 @@ def synthetic_ratio_experiment(n_arrivals: int = 4000, seeds=range(1, 21),
                                sample_every: int = 10):
     """Single-slot greedy placement against the splittable lower bound.
 
-    Returns (sample points m, mean integral cost, mean fractional cost,
-    ratio curve dict m -> ratio).
+    seeds may be any iterable, a one-shot one included. Returns (sample
+    points m, mean integral cost, mean fractional cost, ratio curve dict
+    m -> ratio).
     """
+    seeds = list(seeds)
     model = MmcBackendCostModel(K=n_clouds, capacity=capacity,
                                 backend_local_rate=backend_rate,
                                 backend_migration_rate=backend_rate)
@@ -293,7 +295,7 @@ def synthetic_ratio_experiment(n_arrivals: int = 4000, seeds=range(1, 21),
                 sums_int[m] += total
                 sums_frac[m] += fractional_lower_bound_single_slot(
                     float(y[1:].sum()), model)
-    n = len(list(seeds))
+    n = len(seeds)
     ratio = {m: (sums_int[m] / n) / (sums_frac[m] / n) if sums_frac[m] > 0 else 1.0
              for m in samples}
     return samples, {m: sums_int[m] / n for m in samples}, \

@@ -697,16 +697,17 @@ def test_whole_run_with_ties_matches_per_arrival(seed, monkeypatch):
 def test_ledger_owns_the_matrix_it_is_given():
     """With a ledger, place_on_arrival and handle_departure write into the
     window's matrix and hand it back; without one, they return a changed
-    copy and leave the caller's matrix as it was."""
+    copy and leave the caller's matrix as it was, its data array too."""
     from mmcplace.online import WindowLedger
 
     model, w, insts, prev, m, d = random_setup(
         np.random.default_rng(3), distance=True, dist_weights=(0.2, 0.1))
     inst = insts[-1]
     t = inst.arrival_slot
-    before = m.copy()
+    before, data = m.copy(), m.data
     copied = place_on_arrival(inst, t, m, insts, model, prev, d)
     assert copied.matrix is not m and m == before
+    assert m.data is data
     assert copied.matrix != before
     ledger = WindowLedger(m, insts, model.K, model.backend, prev, d)
     placed = place_on_arrival(inst, t, m, insts, model, prev, d,
@@ -762,6 +763,66 @@ def test_ledger_sums_migrations_per_pair_first():
         assert np.array_equal(getattr(ledger, name), np.array(rows)), name
     assert ledger.zout[1, 1] == (mig[0] + mig[2]) + mig[1]
     assert ledger.zin[3, 1] == (mig[0] + mig[2]) + mig[1]
+
+
+def _written_ledger(frozen, j, t, path):
+    """A Window(2, 3) ledger on K = 5 over instances 1..3 with local and
+    migration demands (0.1, 0.1, 0.4), all in cloud 1 at slot 1, the
+    frozen columns {id: column} set, then `path` written into column j
+    from slot t on. Returns (ledger, fresh rows of the written matrix)."""
+    from mmcplace.online import WindowLedger
+
+    dem = (0.1, 0.1, 0.4)
+    model = mmc(K=5)
+    d = grid_distance(model.K)
+    insts = [ServiceInstance(id=k, arrival_slot=1, local_demand=z,
+                             migration_demand=z)
+             for k, z in enumerate(dem, start=1)]
+    m = ConfigurationMatrix(Window(2, 3), [1, 2, 3])
+    for iid, col in frozen.items():
+        m.set_column(iid, col)
+    prev = {1: 1, 2: 1, 3: 1}
+    ledger = WindowLedger(m, insts, model.K, model.backend, prev, d)
+    ledger.write(j, t, path)
+    return ledger, _fresh_rows(m, insts, model, prev, d)
+
+
+def _assert_rows(ledger, want):
+    for name, rows in want.items():
+        assert np.array_equal(getattr(ledger, name), np.array(rows)), name
+
+
+def test_ledger_write_before_a_later_column_sums_in_instance_order():
+    """Column 2 is written into cloud 1 where columns 1 and 3 already are:
+    its load is not the last term of the sum, and adding it to the row
+    rounds differently, (0.1 + 0.4) + 0.1 != (0.1 + 0.1) + 0.4."""
+    assert (0.1 + 0.4) + 0.1 != (0.1 + 0.1) + 0.4
+    ledger, want = _written_ledger({1: [1, 1, 1], 3: [1, 1, 1]}, 1, 2,
+                                   (1, 1, 1))
+    _assert_rows(ledger, want)
+    assert ledger.y[1, 1] == (0.1 + 0.1) + 0.4
+
+
+def test_ledger_rewrite_of_a_placed_last_column_replaces_its_load():
+    """Column 3, the last one, is written again over slots it already
+    fills: its old load must leave the rows, not be added to twice."""
+    ledger, want = _written_ledger(
+        {1: [1, 1, 1], 2: [1, 1, 1], 3: [1, 1, 1]}, 2, 2, (1, 2, 2))
+    _assert_rows(ledger, want)
+    assert ledger.y[1, 1] == (0.1 + 0.1) + 0.4
+    assert ledger.y[2, 1] == 0.1 + 0.1 and ledger.y[2, 2] == 0.4
+
+
+def test_ledger_append_regroups_a_shared_migration_pair():
+    """The appended column 3 (0.4) moves 1 -> 2 into slot 3, as frozen
+    column 1 (0.1) does, and column 2 (0.1) moves 1 -> 3 between them: the
+    pair (1, 2) is summed first, (0.1 + 0.4) + 0.1, not in instance order
+    (0.1 + 0.1) + 0.4, as transition_loads groups them."""
+    ledger, want = _written_ledger({1: [1, 2, 2], 2: [1, 3, 3]}, 2, 2,
+                                   (1, 2, 2))
+    _assert_rows(ledger, want)
+    assert ledger.zout[2, 1] == (0.1 + 0.4) + 0.1
+    assert ledger.zin[2, 2] == 0.1 + 0.4
 
 
 @pytest.mark.parametrize("columns", [[1, 2], [2, 1]])

@@ -138,6 +138,10 @@ def test_ratio_experiment_bounds():
     for m in samples:
         assert ints[m] >= fracs[m] - 1e-9
         assert ratio[m] >= 1.0 - 1e-9
+    # a one-shot iterable of seeds averages over the same seeds
+    assert synthetic_ratio_experiment(
+        n_arrivals=60, seeds=iter(range(1, 3)), sample_every=20) == (
+        samples, ints, fracs, ratio)
 
 
 def test_csv_writers_deterministic(tmp_path):
