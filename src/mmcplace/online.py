@@ -136,6 +136,8 @@ class WindowLedger:
         self.place[1:] = matrix.data
         matrix.data = self.place[1:]
         self.prev = self.place[0]
+        # is_mmc[k]: cloud k is an MMC, neither 0 nor the backend; mmc is
+        # the same as a list, for write()'s scalar lookups
         self.is_mmc = np.ones(K + 1, dtype=bool)
         self.is_mmc[[0, backend]] = False
         self.mmc = self.is_mmc.tolist()
