@@ -21,7 +21,7 @@ from .oracle import (BruteForceSolution, EnumerationBudgetExceeded,
                      gap_constants)
 from .predictor import (ZERO_BOUND, CostOracle, ErrorBound, PowerLawErrorBound,
                         TabulatedErrorBound)
-from .scenario import (EventStream, HexTopology, generate_service_demand,
+from .scenario import (HexTopology, generate_service_demand,
                        generate_synthetic, ingest_trace, synthetic_mobility)
 from .simulator import (BuiltScenario, PolicyResult, build_scenario,
                         run_policy, sweep_window, synthetic_ratio_experiment)

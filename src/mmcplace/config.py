@@ -122,35 +122,33 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return "\n".join(lines)
 
 
+# each numeric field's least allowed value (_AT_LEAST) or the bound it must
+# exceed (_ABOVE)
+_AT_LEAST = {"n_cells": 1, "horizon": 1, "staleness_seconds": 0,
+             "n_users": 0, "move_prob": 0, "backend_local_rate": 0,
+             "backend_migration_rate": 0, "distance_local_weight": 0,
+             "distance_migration_weight": 0, "mean_on_slots": 0,
+             "mean_off_slots": 0, "local_demand": 0, "migration_demand": 0,
+             "lifetime": 1, "beta": 0, "noise_spread": 1, "gamma": 1,
+             "sigma": 0, "window_T": 0, "T_max": 1, "master_seed": 0}
+_ABOVE = {"spacing_m": 0, "slot_seconds": 0, "capacity": 0, "alpha": 1}
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
-    if cfg.n_cells < 1:
-        raise ConfigError("field 'n_cells': need at least one cell")
-    if cfg.horizon < 1:
-        raise ConfigError("field 'horizon': need at least one slot")
+    for name, least in _AT_LEAST.items():
+        if not getattr(cfg, name) >= least:
+            raise ConfigError(f"field '{name}': must be >= {least}")
+    for name, bound in _ABOVE.items():
+        if not getattr(cfg, name) > bound:
+            raise ConfigError(f"field '{name}': must be > {bound}")
+    if cfg.move_prob > 1:
+        raise ConfigError("field 'move_prob': must be <= 1")
+    if not 0 < cfg.mean_on_slots + cfg.mean_off_slots < math.inf:
+        raise ConfigError("fields 'mean_on_slots', 'mean_off_slots': "
+                          "need a finite, positive sum")
     if cfg.mobility not in ("synthetic", "trace"):
         raise ConfigError(f"field 'mobility': unknown mode {cfg.mobility!r}")
     if cfg.mobility == "trace" and not cfg.trace_file:
         raise ConfigError("field 'trace_file': required for trace mobility")
-    if cfg.alpha <= 1:
-        raise ConfigError("field 'alpha': must be > 1")
-    if cfg.beta < 0:
-        raise ConfigError("field 'beta': must be >= 0")
-    if cfg.gamma < 1:
-        raise ConfigError("field 'gamma': must be >= 1")
-    if cfg.sigma < 0:
-        raise ConfigError("field 'sigma': must be >= 0")
     if cfg.noise_shape not in ("uniform", "truncated-gaussian"):
         raise ConfigError(f"field 'noise_shape': unknown {cfg.noise_shape!r}")
-    if cfg.capacity <= 0:
-        raise ConfigError("field 'capacity': must be positive")
-    if cfg.T_max < 1:
-        raise ConfigError("field 'T_max': must be >= 1")
-    if cfg.window_T < 0:
-        raise ConfigError("field 'window_T': must be >= 0 (0 = optimizer)")
-    for name in ("local_demand", "migration_demand"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"field '{name}': must be >= 0")
-    if cfg.lifetime < 1:
-        raise ConfigError("field 'lifetime': must be >= 1")
-    if cfg.master_seed < 0:
-        raise ConfigError("field 'master_seed': must be >= 0")

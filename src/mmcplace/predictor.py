@@ -95,11 +95,13 @@ class CostOracle:
                  noise_shape: str = "uniform", spread: int = 3):
         if noise_shape not in ("uniform", "truncated-gaussian"):
             raise ValueError(f"unknown noise shape: {noise_shape}")
+        if spread < 1:
+            raise ValueError(f"noise spread must be >= 1, got {spread}")
         self.actual = actual
         self.bound = bound
         self.seed = int(seed)
         self.noise_shape = noise_shape
-        self.spread = max(1, int(spread))
+        self.spread = int(spread)
 
     def _pattern(self, t0: int):
         """The window's noise pattern: (scale, clouds, signs * weights)."""

@@ -5,13 +5,18 @@ orientation, 1000 m spacing by default) with one extra backend cloud.
 Users come either from GPS traces (normalized CSV) or from a synthetic
 random walk over cells; service demand is an on/off renewal process per
 user.
+
+User positions are one int32 array cells[user, slot] of shape
+(users + 1, horizon + 2): the cell id hosting user 1..users at slot
+1..horizon, 0 where the user is inactive or unknown. Row 0 and slots 0
+and horizon + 1 stay 0.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,23 +120,6 @@ class HexTopology:
         return self.cells[i].id
 
 
-@dataclass
-class EventStream:
-    """Instances plus the per-slot user position map driving a run."""
-
-    instances: list[ServiceInstance]
-    user_cell: dict[tuple[int, int], int] = field(default_factory=dict)
-    # (user_id, slot) -> cell id; missing = inactive/unknown
-
-    def user_cell_of(self, instances_by_id):
-        def lookup(instance_id: int, t: int):
-            inst = instances_by_id.get(instance_id)
-            if inst is None or inst.user_id is None:
-                return None
-            return self.user_cell.get((inst.user_id, t))
-        return lookup
-
-
 def ingest_trace(records, topology: HexTopology, horizon: int,
                  slot_seconds: float = 60.0, staleness: float = 600.0,
                  origin: float | None = None):
@@ -139,8 +127,10 @@ def ingest_trace(records, topology: HexTopology, horizon: int,
 
     Slot s (1-based) is evaluated at origin + (s-1)*slot_seconds; a user
     is active there when their latest in-coverage fix is at most
-    `staleness` seconds old, and sits in that fix's cell. Returns
-    (user_cell map {(user, slot): cell}, skipped malformed-record count).
+    `staleness` seconds old, and sits in that fix's cell. Users active in
+    at least one slot become rows 1..N in ascending trace-id order; the
+    others take no row. Returns (cells array, skipped malformed-record
+    count).
     """
     by_user: dict = {}
     skipped = 0
@@ -158,20 +148,23 @@ def ingest_trace(records, topology: HexTopology, horizon: int,
     if origin is None:
         all_ts = [ts for fixes in by_user.values() for ts, _, _ in fixes]
         origin = min(all_ts) if all_ts else 0.0
-    user_cell: dict[tuple[int, int], int] = {}
-    for uid, fixes in by_user.items():
+    rows = [[0] * (horizon + 2)]
+    for _uid, fixes in sorted(by_user.items()):
         fixes.sort(key=lambda f: f[0])
         in_cov = [(ts, topology.latlon_to_cell(lat, lon))
                   for ts, lat, lon in fixes]
         in_cov = [(ts, c) for ts, c in in_cov if c is not None]
+        path = [0] * (horizon + 2)
         j = -1
         for s in range(1, horizon + 1):
             now = origin + (s - 1) * slot_seconds
             while j + 1 < len(in_cov) and in_cov[j + 1][0] <= now:
                 j += 1
             if j >= 0 and now - in_cov[j][0] <= staleness:
-                user_cell[(uid, s)] = in_cov[j][1]
-    return user_cell, skipped
+                path[s] = in_cov[j][1]
+        if any(path):
+            rows.append(path)
+    return np.array(rows, dtype=np.int32), skipped
 
 
 def read_normalized_trace(path):
@@ -186,42 +179,46 @@ def read_normalized_trace(path):
 
 
 def synthetic_mobility(topology: HexTopology, n_users: int, horizon: int,
-                       rng: np.random.Generator, move_prob: float = 0.3):
-    """Random-walk user positions: each slot, hop to a uniformly chosen
-    adjacent cell with probability move_prob, else stay."""
+                       rng: np.random.Generator,
+                       move_prob: float = 0.3) -> np.ndarray:
+    """Random-walk positions cells[user, slot]: each slot, hop to a
+    uniformly chosen adjacent cell with probability move_prob, else stay."""
     neighbors = topology.neighbors
     ids = [c.id for c in topology.cells]
-    user_cell: dict[tuple[int, int], int] = {}
-    for uid in range(1, n_users + 1):
+    rows = [[0] * (horizon + 2)]
+    for _uid in range(n_users):
         cell = ids[int(rng.integers(len(ids)))]
-        for s in range(1, horizon + 1):
-            user_cell[(uid, s)] = cell
+        path = [0]
+        for _s in range(horizon):
+            path.append(cell)
             if neighbors[cell] and rng.random() < move_prob:
                 cell = neighbors[cell][int(rng.integers(len(neighbors[cell])))]
-    return user_cell
+        rows.append(path + [0])
+    return np.array(rows, dtype=np.int32)
 
 
-def generate_service_demand(user_cell: dict, n_users: int, horizon: int,
-                            rng: np.random.Generator,
+def generate_service_demand(cells: np.ndarray, rng: np.random.Generator,
                             mean_on: float = 50.0, mean_off: float = 10.0,
                             local_demand: float = 1.0,
                             migration_demand: float = 1.0,
-                            max_lifetime: float = math.inf) -> EventStream:
-    """On/off renewal service demand per user.
+                            max_lifetime: float = math.inf
+                            ) -> list[ServiceInstance]:
+    """On/off renewal service demand per row of cells[user, slot].
 
-    While a user is active (present in user_cell) and its process is in an
+    While a user is active (a nonzero cell) and its process is in an
     on-period, one instance runs; the instance departs when the period
     ends or the user goes inactive. Durations are exponential, rounded up
-    to whole slots. Deterministic given the rng state.
+    to whole slots. Instances are numbered 1.. in arrival order, and
+    user_id is the user's row. Deterministic given the rng state.
     """
+    horizon = cells.shape[1] - 2
     spans: list[tuple[int, int, int]] = []     # (arrival, user, last slot)
-    for uid in range(1, n_users + 1):
+    for uid, row in enumerate(cells.tolist()[1:], start=1):
         on = rng.random() < mean_on / (mean_on + mean_off)
         remaining = max(1, math.ceil(rng.exponential(mean_on if on else mean_off)))
         arrival = None
         for s in range(1, horizon + 1):
-            active = (uid, s) in user_cell
-            if on and active:
+            if on and row[s]:
                 if arrival is None:
                     arrival = s
                 last = s
@@ -237,13 +234,12 @@ def generate_service_demand(user_cell: dict, n_users: int, horizon: int,
             spans.append((arrival, uid, last))
     # ids in arrival order, so they are a monotone arrival counter
     spans.sort()
-    instances = [ServiceInstance(id=j, arrival_slot=arrival,
-                                 local_demand=local_demand,
-                                 migration_demand=migration_demand,
-                                 max_lifetime=max_lifetime,
-                                 actual_departure_slot=last, user_id=uid)
-                 for j, (arrival, uid, last) in enumerate(spans, start=1)]
-    return EventStream(instances=instances, user_cell=dict(user_cell))
+    return [ServiceInstance(id=j, arrival_slot=arrival,
+                            local_demand=local_demand,
+                            migration_demand=migration_demand,
+                            max_lifetime=max_lifetime,
+                            actual_departure_slot=last, user_id=uid)
+            for j, (arrival, uid, last) in enumerate(spans, start=1)]
 
 
 @dataclass(frozen=True)

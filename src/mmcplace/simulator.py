@@ -23,11 +23,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ScenarioConfig
+from .core import ServiceInstance
 from .costs import DistanceContext, MmcBackendCostModel, charge_placements
 from .online import run_online
 from .oracle import fractional_lower_bound_single_slot
 from .predictor import ZERO_BOUND, CostOracle, PowerLawErrorBound
-from .scenario import (EventStream, HexTopology, generate_service_demand,
+from .scenario import (HexTopology, generate_service_demand,
                        generate_synthetic, ingest_trace, read_normalized_trace,
                        synthetic_mobility)
 from .window import WindowObjective, optimal_window_binary_search
@@ -40,13 +41,10 @@ class BuiltScenario:
     config: ScenarioConfig
     topology: HexTopology
     model: MmcBackendCostModel
-    events: EventStream
+    instances: list[ServiceInstance]
+    cells: np.ndarray            # cells[user, slot], see scenario
     distance: DistanceContext
     seed: int
-
-    @property
-    def instances(self):
-        return self.events.instances
 
 
 @dataclass
@@ -72,21 +70,17 @@ def build_scenario(config: ScenarioConfig, seed: int) -> BuiltScenario:
                                  config.anchor_lat, config.anchor_lon)
     if config.mobility == "trace":
         records = read_normalized_trace(config.trace_file)
-        user_cell, _skipped = ingest_trace(records, topology, config.horizon,
-                                           config.slot_seconds,
-                                           config.staleness_seconds)
-        n_users = len({uid for uid, _s in user_cell})
+        cells, _skipped = ingest_trace(records, topology, config.horizon,
+                                       config.slot_seconds,
+                                       config.staleness_seconds)
     else:
         rng_mob = np.random.default_rng(
             np.random.SeedSequence(entropy=[seed, 101]))
-        user_cell = synthetic_mobility(topology, config.n_users,
-                                       config.horizon, rng_mob,
-                                       config.move_prob)
-        n_users = config.n_users
+        cells = synthetic_mobility(topology, config.n_users, config.horizon,
+                                   rng_mob, config.move_prob)
     rng_dem = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 202]))
-    events = generate_service_demand(
-        user_cell, n_users, config.horizon, rng_dem,
-        config.mean_on_slots, config.mean_off_slots,
+    instances = generate_service_demand(
+        cells, rng_dem, config.mean_on_slots, config.mean_off_slots,
         config.local_demand, config.migration_demand, config.lifetime)
     model = MmcBackendCostModel(
         K=topology.K, capacity=config.capacity,
@@ -94,13 +88,20 @@ def build_scenario(config: ScenarioConfig, seed: int) -> BuiltScenario:
         backend_migration_rate=config.backend_migration_rate,
         distance_local_weight=config.distance_local_weight,
         distance_migration_weight=config.distance_migration_weight)
-    by_id = {i.id: i for i in events.instances}
+    # ids run 1..n: row_of[id] is the user's row, a list for fast reads
+    rows = cells.tolist()
+    row_of = [rows[0]] + [rows[i.user_id] for i in instances]
+
+    def user_cell_of(instance_id: int, t: int) -> int | None:
+        return row_of[instance_id][t] or None
+
     distance = DistanceContext(
-        user_cell_of=events.user_cell_of(by_id),
+        user_cell_of=user_cell_of,
         cloud_cell_distance=topology.hex_distance,
         cloud_pair_distance=topology.hex_distance,
         backend=topology.backend)
-    return BuiltScenario(config, topology, model, events, distance, seed)
+    return BuiltScenario(config, topology, model, instances, cells, distance,
+                         seed)
 
 
 def pick_window(config: ScenarioConfig, beta: float | None = None) -> int:
@@ -125,15 +126,13 @@ def _active_by_slot(instances, horizon) -> list[list]:
     return active
 
 
-def _nearest_with_capacity(scn: BuiltScenario, user_cell: int | None,
+def _nearest_with_capacity(scn: BuiltScenario, user_cell: int,
                            load: np.ndarray, demand: float,
                            flags: list[str]) -> int:
     """Closest cell to the user with room; overflow to next-nearest, then
-    to the backend (flagged)."""
+    to the backend (flagged). An active instance's user always has a cell:
+    its stay ends before the first slot without one."""
     topo = scn.topology
-    if user_cell is None:
-        flags.append("no-user-cell")
-        return topo.backend
     for cid in topo.nearest[user_cell]:
         if load[cid] + demand < scn.config.capacity:
             return cid
@@ -260,11 +259,13 @@ def synthetic_ratio_experiment(n_arrivals: int = 4000, seeds=range(1, 21),
                                sample_every: int = 10):
     """Single-slot greedy placement against the splittable lower bound.
 
-    seeds may be any iterable, a one-shot one included. Returns (sample
+    seeds may be any non-empty iterable, a one-shot one included. Returns (sample
     points m, mean integral cost, mean fractional cost, ratio curve dict
     m -> ratio).
     """
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds: need at least one seed")
     model = MmcBackendCostModel(K=n_clouds, capacity=capacity,
                                 backend_local_rate=backend_rate,
                                 backend_migration_rate=backend_rate)

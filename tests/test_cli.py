@@ -127,6 +127,8 @@ def test_ratio_curve_rows_equal_the_experiment(tmp_path, capsys):
     (["oracle-check", "--seed", "-1"], None),
     (["oracle-check", "--samples", "0"], None),
     (["sweep-window", "--seeds", "0"], None),
+    (["simulate"], "[demand]\nmean_on_slots = -1\n"),
+    (["simulate"], "[demand]\nmean_on_slots = 0\nmean_off_slots = 0\n"),
 ])
 def test_invalid_input_exits_2_before_writing(tmp_path, capsys, argv, ini):
     """Bad values from the command line or the config file are

@@ -52,7 +52,26 @@ def test_validation_rules():
                 ScenarioConfig(window_T=-4), ScenarioConfig(local_demand=-1.0),
                 ScenarioConfig(migration_demand=-1.0),
                 ScenarioConfig(lifetime=0),
-                ScenarioConfig(master_seed=-1)):
+                ScenarioConfig(master_seed=-1),
+                ScenarioConfig(mean_on_slots=-1.0),
+                ScenarioConfig(mean_off_slots=-1.0),
+                ScenarioConfig(mean_on_slots=0.0, mean_off_slots=0.0),
+                ScenarioConfig(mean_on_slots=math.inf),
+                ScenarioConfig(move_prob=-0.1), ScenarioConfig(move_prob=1.5),
+                ScenarioConfig(n_users=-1),
+                ScenarioConfig(backend_local_rate=-1.0),
+                ScenarioConfig(backend_migration_rate=-1.0),
+                ScenarioConfig(distance_local_weight=-0.1),
+                ScenarioConfig(distance_migration_weight=-0.1),
+                ScenarioConfig(spacing_m=0.0), ScenarioConfig(slot_seconds=0.0),
+                ScenarioConfig(staleness_seconds=-1.0),
+                ScenarioConfig(noise_spread=0)):
         with pytest.raises(ConfigError):
             validate_config(bad)
     validate_config(ScenarioConfig())
+    for edge in (ScenarioConfig(n_users=0), ScenarioConfig(move_prob=0.0),
+                 ScenarioConfig(move_prob=1.0),
+                 ScenarioConfig(staleness_seconds=0.0),
+                 ScenarioConfig(mean_on_slots=0.0),
+                 ScenarioConfig(mean_off_slots=0.0)):
+        validate_config(edge)

@@ -117,10 +117,12 @@ def test_trace_ingestion_staleness():
     cells, skipped = ingest_trace(rows, topo, horizon=20, slot_seconds=60.0,
                                   staleness=600.0, origin=0.0)
     assert skipped == 1
+    # user 5 is the only user, so row 1
+    assert cells.shape == (2, 22)
     # last fix at t=300; stale after t=900 -> slots 1..16 active
-    active = sorted(s for (u, s) in cells if u == 5)
+    active = np.flatnonzero(cells[1]).tolist()
     assert active == list(range(1, 17))
-    assert all(cells[(5, s)] == c.id for s in active)
+    assert (cells[1, active] == c.id).all()
 
 
 def test_trace_out_of_coverage_dropped():
@@ -128,17 +130,20 @@ def test_trace_out_of_coverage_dropped():
     cells, skipped = ingest_trace([(1, 0.0, 0.0, 0.0)], topo, horizon=5,
                                   origin=0.0)
     assert skipped == 0
-    assert not cells
+    assert cells.shape == (1, 7)
+    assert not cells.any()
 
 
 def test_synthetic_mobility_stays_on_grid():
     topo = HexTopology.build(19)
     rng = np.random.default_rng(7)
     cells = synthetic_mobility(topo, n_users=4, horizon=50, rng=rng)
+    assert cells.shape == (5, 52) and cells.dtype == np.int32
+    assert not cells[0].any() and not cells[:, [0, 51]].any()
     ids = {c.id for c in topo.cells}
-    assert set(cells.values()) <= ids
+    assert set(cells[1:, 1:51].ravel().tolist()) <= ids
     for uid in range(1, 5):
-        path = [cells[(uid, s)] for s in range(1, 51)]
+        path = cells[uid, 1:51].tolist()
         for a, b in zip(path, path[1:]):
             assert a == b or topo.hex_distance(a, b) == 1
 
@@ -146,20 +151,20 @@ def test_synthetic_mobility_stays_on_grid():
 def test_demand_deterministic_and_renumbered():
     topo = HexTopology.build(19)
     mob = synthetic_mobility(topo, 6, 120, np.random.default_rng(3))
-    ev1 = generate_service_demand(mob, 6, 120, np.random.default_rng(11))
-    ev2 = generate_service_demand(mob, 6, 120, np.random.default_rng(11))
-    assert [i.id for i in ev1.instances] == [i.id for i in ev2.instances]
+    ev1 = generate_service_demand(mob, np.random.default_rng(11))
+    ev2 = generate_service_demand(mob, np.random.default_rng(11))
+    assert [i.id for i in ev1] == [i.id for i in ev2]
     assert [(i.arrival_slot, i.user_id, i.actual_departure_slot)
-            for i in ev1.instances] == \
+            for i in ev1] == \
            [(i.arrival_slot, i.user_id, i.actual_departure_slot)
-            for i in ev2.instances]
-    arrivals = [i.arrival_slot for i in ev1.instances]
+            for i in ev2]
+    arrivals = [i.arrival_slot for i in ev1]
     assert arrivals == sorted(arrivals)
-    assert [i.id for i in ev1.instances] == list(range(1, len(arrivals) + 1))
-    for i in ev1.instances:
+    assert [i.id for i in ev1] == list(range(1, len(arrivals) + 1))
+    for i in ev1:
         assert i.actual_departure_slot >= i.arrival_slot
         # active only while the user is positioned
-        assert (i.user_id, i.arrival_slot) in mob
+        assert mob[i.user_id, i.arrival_slot] != 0
 
 
 def test_generate_synthetic_replayable():

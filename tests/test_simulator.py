@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmcplace.config import ScenarioConfig
+from mmcplace.scenario import HexTopology
 from mmcplace.simulator import (POLICIES, build_scenario, pick_window,
                                 run_policy, synthetic_ratio_experiment,
                                 write_results_csv, write_summary_csv)
@@ -20,9 +21,9 @@ def test_build_scenario_deterministic():
     a = build_scenario(cfg, 3)
     b = build_scenario(cfg, 3)
     assert [i.id for i in a.instances] == [i.id for i in b.instances]
-    assert a.events.user_cell == b.events.user_cell
+    assert np.array_equal(a.cells, b.cells)
     c = build_scenario(cfg, 4)
-    assert a.events.user_cell != c.events.user_cell
+    assert not np.array_equal(a.cells, c.cells)
 
 
 def test_backend_policy_hand_check():
@@ -142,6 +143,8 @@ def test_ratio_experiment_bounds():
     assert synthetic_ratio_experiment(
         n_arrivals=60, seeds=iter(range(1, 3)), sample_every=20) == (
         samples, ints, fracs, ratio)
+    with pytest.raises(ValueError):
+        synthetic_ratio_experiment(n_arrivals=60, seeds=[])
 
 
 def test_csv_writers_deterministic(tmp_path):
@@ -180,6 +183,27 @@ def test_edge_trace_without_coverage_costs_nothing(tmp_path):
     assert scn.instances == []
     for res in results:
         assert res.slot_costs == {t: 0.0 for t in range(1, 31)}
+
+
+def test_trace_users_renumbered_not_dropped(tmp_path):
+    """Trace users 5 and 9 are in coverage and become rows 1 and 2; user 2,
+    never in coverage, takes no row. Both rows get instances."""
+    c1, c2 = HexTopology.build(7).cells[:2]
+    trace = tmp_path / "ids.csv"
+    trace.write_text("user_id,timestamp,lat,lon\n"
+                     "2,0,0.0,0.0\n2,60,0.0,0.001\n"
+                     f"9,0,{c2.lat},{c2.lon}\n5,0,{c1.lat},{c1.lon}\n")
+    scn, results = _all_policies(small_config(mobility="trace",
+                                              trace_file=str(trace),
+                                              mean_off_slots=0.0))
+    assert scn.cells.shape == (3, 32)
+    # fixes at t=0, stale after 600 s: slots 1..11
+    assert scn.cells[1, 1:12].tolist() == [c1.id] * 11
+    assert scn.cells[2, 1:12].tolist() == [c2.id] * 11
+    assert not scn.cells[:, 12:].any()
+    assert {i.user_id for i in scn.instances} == {1, 2}
+    assert all(i.arrival_slot == 1 for i in scn.instances)
+    assert results[0].num_active[1] == 2
 
 
 @pytest.mark.parametrize("overrides", [dict(horizon=3, window_T=10),
