@@ -24,6 +24,7 @@ from .config import ConfigError, ScenarioConfig, parse_config, validate_config
 from .core import ServiceInstance, Window
 from .costs import WindowCostEvaluator
 from .predictor import CostOracle, PowerLawErrorBound
+from .scenario import TraceIOError
 from .simulator import (POLICIES, build_scenario, run_policy, sweep_window,
                         synthetic_ratio_experiment, write_results_csv,
                         write_summary_csv, write_sweep_csv)
@@ -271,6 +272,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except TraceIOError as exc:
+        print(f"trace I/O error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

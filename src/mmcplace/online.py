@@ -18,7 +18,10 @@ and the tie-break. Two step providers price its steps and run no
 recursion of their own: _generic_steps evaluates full joint states for
 any cost model, and _fast_steps prices the capacity/backend family in
 vectorized form, where the migration cost is linear in the migration
-loads so per-candidate deltas reduce to row/column corrections.
+loads so per-candidate deltas reduce to row/column corrections. A step
+is a (K, K) matrix in (to, from) layout: hop(q)[l, k] is the cost of
+k -> l, so _min_path adds the predecessor costs along the contiguous
+axis and takes each destination's argmin along it.
 
 _fast_steps reads every frozen load from a WindowLedger: per-slot
 local loads and user-distance sums, per-boundary MMC-to-MMC migration
@@ -37,9 +40,10 @@ ids rise with arrival order, so every placement is such an append.
 Other writes and every departure rebuild the touched rows from the
 whole placement. No joint state tuple is built and no cost function is
 called per cloud; an arrival's (K, K) boundary matrices are built in
-blocks of consecutive slots, up to HOP_BLOCK_BYTES each, with the
-frozen-migration corrections, built only when the arrival's rows hold
-a frozen move, added to the boundaries that need them.
+blocks of consecutive slots, up to HOP_BLOCK_BYTES each. The
+frozen-migration corrections are built only when the arrival's rows
+hold a frozen move, and added only to the rows and columns of the
+clouds those moves leave or enter.
 """
 
 from __future__ import annotations
@@ -62,10 +66,6 @@ log = logging.getLogger(__name__)
 # array, a whole desk span at K = 20 and 3 slots at K = 92. A 1 MiB block
 # raised fullscale-sim's peak memory 42.6 -> 45.2 MB.
 HOP_BLOCK_BYTES = 256 * 1024
-
-# _fast_steps' boundaries with frozen moves, for an arrival that has none
-_NO_STEPS = np.empty(0, dtype=np.intp)
-_NO_STEPS.flags.writeable = False
 
 
 @dataclass
@@ -169,8 +169,10 @@ class WindowLedger:
         self._model = self._constants = None
 
     def model_constants(self, model, base):
-        """(h * pairD over clouds 1..K, the model's local-cost offsets per
-        window slot or None), computed once per model."""
+        """(hD, the model's local-cost offsets per window slot or None),
+        computed once per model. hD[l, k] = h * pairD[k + 1, l + 1], the
+        hop cost of k+1 -> l+1 in the (to, from) layout of the DP's steps,
+        a contiguous array."""
         if self._model is not model:
             off = None
             if model is not base:
@@ -178,7 +180,8 @@ class WindowLedger:
                 off = np.array([model.offsets.get(s, zero)
                                 for s in self.window.slots])
             self._model = model
-            self._constants = (base.h * self.pairD[1:, 1:], off)
+            self._constants = (
+                np.ascontiguousarray((base.h * self.pairD[1:, 1:]).T), off)
         return self._constants
 
     def write(self, j: int, t: int, path: tuple[int, ...]) -> None:
@@ -252,10 +255,11 @@ def _min_path(first, local, hop, tail):
 
     first[k]: cost of cloud k+1 in the arrival slot t, entry migration
     included. local[q] (q >= 1): local cost vector of slot t+q; local[0]
-    is already in first, and len(local) is the span. hop(q)[k, l]: cost
+    is already in first, and len(local) is the span. hop(q)[l, k]: cost
     of moving k+1 -> l+1 over the boundary into slot t+q, a (K, K)
-    array that _min_path may overwrite; it asks for q = 1, 2, ... in
-    order. tail, when not None, is added per final cloud.
+    array, one row per destination, that _min_path may overwrite; it
+    asks for q = 1, 2, ... in order. tail, when not None, is added per
+    final cloud.
 
     Ties go to the smallest final cloud, then to the smallest predecessor
     at each boundary going back: the minimum of (cost, reversed path).
@@ -268,11 +272,11 @@ def _min_path(first, local, hop, tail):
     columns = _columns(K)
     back: list[np.ndarray] = []
     for q in range(1, len(local)):
-        # cand[k, l]: reach k by slot t+q-1, then hop k -> l into slot t+q
+        # cand[l, k]: reach k by slot t+q-1, then hop k -> l into slot t+q
         cand = hop(q)
-        cand += nu[:, None]
-        choice = cand.argmin(axis=0)
-        nu = cand[choice, columns]
+        cand += nu
+        choice = cand.argmin(axis=1)
+        nu = cand[columns, choice]
         nu += local[q]
         back.append(choice)
     if tail is not None:
@@ -314,8 +318,8 @@ def _generic_steps(t, t_e, matrix, ev, j, K):
                                  for state in rows[0]])
 
     def hop(q):
-        return np.array([[ev.transition(t + q, frm, to) for to in rows[q]]
-                         for frm in rows[q - 1]])
+        return np.array([[ev.transition(t + q, frm, to) for frm in rows[q - 1]]
+                         for to in rows[q]])
 
     tail = None
     if t_e + 1 <= window.end:
@@ -378,6 +382,21 @@ def _shift(diff, weight):
     return np.where(weight > 0, diff * weight, 0.0)
 
 
+def _correct(block, q0, q1, fix_rows, fix_cols):
+    """Add the nonzero frozen-migration corrections of steps q0..q1-1 to
+    their boundaries in `block` (block[q - q0] is step q's): rows of
+    fix_rows are rebuilt from the plain entries, then fix_cols' columns
+    get out_k in every other row."""
+    q, to, add = fix_rows
+    lo, hi = q.searchsorted((q0, q1))
+    rows = (q[lo:hi] - q0, to[lo:hi])
+    fixed = block[rows] + add[lo:hi]
+    q, frm, add = fix_cols
+    lo, hi = q.searchsorted((q0, q1))
+    block[q[lo:hi] - q0, :, frm[lo:hi]] += add[lo:hi]
+    block[rows] = fixed
+
+
 def _fast_steps(instance, t, t_e, ledger, model, base):
     """_min_path's inputs for the capacity/backend family, from the ledger.
 
@@ -387,9 +406,13 @@ def _fast_steps(instance, t, t_e, ledger, model, base):
     every frozen MMC-to-MMC migration leaving k or entering l. All frozen
     loads come from the ledger. Arrays of length K hold clouds 1..K.
 
-    hop(q) hands out one (K, K) matrix of a block of consecutive
-    boundaries built as one array of HOP_BLOCK_BYTES at most; a carried
-    instance's entry row is built alone by the same rules.
+    hop(q) hands out one (K, K) matrix, [l, k] for k -> l, of a block of
+    consecutive boundaries built as one array of HOP_BLOCK_BYTES at most.
+    A boundary's correction in_l + out_k is added only where it is
+    nonzero: rows l with in_l != 0 are rebuilt whole as entry + (in_l +
+    out_k), and the other rows get entry + out_k in the columns k with
+    out_k != 0. No entry is -0.0, so adding a zero would change nothing.
+    A carried instance's entry is built as one vector by the same rules.
     """
     a = instance.local_demand
     b = instance.migration_demand
@@ -413,25 +436,30 @@ def _fast_steps(instance, t, t_e, ledger, model, base):
     # zin are nonzero together: both sum the same nonnegative moves)
     zout = ledger.zout[i:i_e + 2, 1:]
     moves = zout.any(axis=1)
-    moved = _NO_STEPS                          # steps q with frozen moves
+    fix_rows = fix_cols = None        # nonzero hop corrections, by step q
     if moves.any():
         zin = ledger.zin[i:i_e + 2, 1:]
         diff = np.where(np.isfinite(R_plus), R_plus - R_now, np.inf)
-        moved = moves[1:span].nonzero()[0] + 1
+        moved = moves[1:span].nonzero()[0] + 1  # steps q with frozen moves
         if moved.size:
-            out_shift = _shift(diff[moved], zout[moved])[:, :, None]
-            in_shift = _shift(diff[moved + 1], zin[moved])[:, None, :]
+            out_shift = _shift(diff[moved], zout[moved])
+            in_shift = _shift(diff[moved + 1], zin[moved])
+            # (q, l, in_l + out_k over every k) and (q, k, out_k)
+            m, to = in_shift.nonzero()
+            fix_rows = (moved[m], to, in_shift[m, to, None] + out_shift[m])
+            m, frm = out_shift.nonzero()
+            fix_cols = (moved[m], frm, out_shift[m, frm, None])
 
-    def boundary(R_from, R_to, lo=0, hi=K):
-        """Hop costs over len(R_from) boundaries from clouds lo+1..hi to
-        every cloud, an (n, hi - lo, K) array; R_from, R_to are (n, K)."""
-        cand = R_from[:, lo:hi, None] + R_to[:, None, :]
-        cand *= b
-        cand += hD[lo:hi]
-        if lo <= b0 < hi:
-            cand[:, b0 - lo] = hop_backend
+    def boundary(R_from, R_to):
+        """Hop costs over len(R_from) boundaries, an (n, K, K) array with
+        [., l, k] for k -> l; R_from, R_to are (n, K)."""
+        cand = R_to[:, :, None] + R_from[:, None, :]
+        if b != 1.0:
+            cand *= b
+        cand += hD
+        cand[:, b0] = hop_backend
         cand[:, :, b0] = hop_backend
-        cand.reshape(len(cand), -1)[:, lo::K + 1] = 0.0     # k -> k is free
+        cand.reshape(len(cand), -1)[:, ::K + 1] = 0.0       # k -> k is free
         return cand
 
     n = max(1, HOP_BLOCK_BYTES // (8 * K * K))
@@ -443,21 +471,28 @@ def _fast_steps(instance, t, t_e, ledger, model, base):
         if not q0 <= q < q0 + len(block):
             q0, q1 = q, min(q + n, span)
             block = boundary(R_plus[q0:q1], R_plus[q0 + 1:q1 + 1])
-            lo, hi = moved.searchsorted((q0, q1))
-            if lo < hi:
-                block[moved[lo:hi] - q0] += out_shift[lo:hi] + in_shift[lo:hi]
+            if fix_rows is not None:
+                _correct(block, q0, q1, fix_rows, fix_cols)
         return block[q - q0]
 
     first = ld[0]                     # _min_path never writes into it
     if t > 1:
         if moves[0]:
             first = first + _shift(diff[1], zin[0])
-        k_prev = ledger.prev[j] if t == window.t0 else 0
-        if k_prev:
+        k = ledger.prev[j] - 1 if t == window.t0 else -1
+        if k >= 0:
             # carried instance: its load already sits in the pre-window
-            # profile at k_prev, so no +a on that side
-            first = first + boundary(R_now[:1], R_plus[1:2],
-                                     k_prev - 1, k_prev)[0, 0]
+            # profile at cloud k+1, so no +a on that side
+            if k == b0:
+                entry = np.full(K, hop_backend)
+            else:
+                entry = R_now[0, k] + R_plus[1]
+                if b != 1.0:
+                    entry *= b
+                entry += hD[:, k]
+                entry[b0] = hop_backend
+            entry[k] = 0.0
+            first = first + entry
     # leaving a congested cloud after the column ends still shifts frozen
     # migrations over the next boundary
     tail = None

@@ -167,15 +167,24 @@ def ingest_trace(records, topology: HexTopology, horizon: int,
     return np.array(rows, dtype=np.int32), skipped
 
 
+class TraceIOError(OSError):
+    """The trace file could not be opened or read."""
+
+
 def read_normalized_trace(path):
-    """Rows of a normalized trace CSV (user_id, timestamp, lat, lon)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and header[:1] != ["user_id"]:
-            yield header
-        for row in reader:
-            yield row
+    """Rows of a normalized trace CSV (user_id, timestamp, lat, lon).
+    An OSError while opening or reading the file is raised as
+    TraceIOError."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is not None and header[:1] != ["user_id"]:
+                yield header
+            for row in reader:
+                yield row
+    except OSError as exc:
+        raise TraceIOError(str(exc)) from exc
 
 
 def synthetic_mobility(topology: HexTopology, n_users: int, horizon: int,

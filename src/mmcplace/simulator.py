@@ -16,6 +16,7 @@ the same maps. Results keep the counts, not the maps.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -32,6 +33,8 @@ from .scenario import (HexTopology, generate_service_demand,
                        generate_synthetic, ingest_trace, read_normalized_trace,
                        synthetic_mobility)
 from .window import WindowObjective, optimal_window_binary_search
+
+log = logging.getLogger(__name__)
 
 POLICIES = ("a", "b", "c", "d", "e")
 
@@ -70,9 +73,12 @@ def build_scenario(config: ScenarioConfig, seed: int) -> BuiltScenario:
                                  config.anchor_lat, config.anchor_lon)
     if config.mobility == "trace":
         records = read_normalized_trace(config.trace_file)
-        cells, _skipped = ingest_trace(records, topology, config.horizon,
-                                       config.slot_seconds,
-                                       config.staleness_seconds)
+        cells, skipped = ingest_trace(records, topology, config.horizon,
+                                      config.slot_seconds,
+                                      config.staleness_seconds)
+        if skipped:
+            log.warning("trace %s: skipped %d malformed rows",
+                        config.trace_file, skipped)
     else:
         rng_mob = np.random.default_rng(
             np.random.SeedSequence(entropy=[seed, 101]))

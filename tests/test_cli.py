@@ -93,6 +93,37 @@ def test_convert_trace_missing_file(tmp_path, capsys):
     assert "I/O error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-window",
+                                     "oracle-check"])
+def test_unreadable_trace_exits_3_before_writing(tmp_path, capsys, command):
+    """A trace file that cannot be read is a trace I/O error: exit code 3
+    and no output directory."""
+    config = small_ini(tmp_path, mobility="trace",
+                       trace_file=str(tmp_path / "nope.csv"))
+    out = tmp_path / "out"
+    argv = [command, "--config", config]
+    if command != "oracle-check":
+        argv += ["--out-dir", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("trace I/O error:") and "nope.csv" in err
+    assert not out.exists()
+
+
+def test_output_directory_error_is_not_a_trace_error(tmp_path, capsys):
+    """An output directory that cannot be made raises its own OSError,
+    with a readable trace."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("user_id,timestamp,lat,lon\n1,0,0.0,0.0\n")
+    config = small_ini(tmp_path, mobility="trace", trace_file=str(trace))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(OSError):
+        main(["simulate", "--config", config, "--policy", "c",
+              "--out-dir", str(blocker / "out")])
+    assert "trace I/O error" not in capsys.readouterr().err
+
+
 def test_ratio_curve_rows_equal_the_experiment(tmp_path, capsys):
     from mmcplace.simulator import synthetic_ratio_experiment
 

@@ -271,12 +271,15 @@ def _per_step_reference(instance, t, t_e, ledger, model, base):
     return first, local, hops, tail
 
 
-def _kernel_case(moves, perturb, k_prev, t, life):
+def _kernel_case(moves, perturb, k_prev, t, life, paired=False):
     """Window [2, 9] on K = 5 (backend 5), capacity 3, three frozen
     instances and instance 4 arriving at t, carried from k_prev when
     k_prev > 0. With moves, frozen MMC-to-MMC moves cross the boundaries
     into slots 4, 6 and 7; instance 3 moves to the backend at slot 6 either
-    way. MMC 3 holds 2.5, so our load 1 saturates it."""
+    way. MMC 3 holds 2.5, so our load 1 saturates it. paired (with moves)
+    moves instance 2 from MMC 3 to MMC 4 into slot 4 instead, so that
+    boundary has moves out of two MMCs and into two, and its corrections
+    out of MMC 3 and into MMC 4 are infinite."""
     from mmcplace.online import WindowLedger, _fast_base
 
     K = 5
@@ -302,7 +305,8 @@ def _kernel_case(moves, perturb, k_prev, t, life):
     m = ConfigurationMatrix(w, [1, 2, 3, 4])
     if moves:
         m.set_column(1, [1, 1, 2, 2, 2, 1, 1, 1])
-        m.set_column(2, [3, 3, 3, 3, 4, 4, 4, 4])
+        m.set_column(2, [3, 3, 4, 4, 4, 4, 4, 4] if paired
+                     else [3, 3, 3, 3, 4, 4, 4, 4])
     else:
         m.set_column(1, [1] * 8)
         m.set_column(2, [3] * 8)
@@ -336,24 +340,97 @@ def test_block_built_steps_match_per_step_reference(
     args = _kernel_case(moves, perturb, k_prev, t, life)
     ledger = args[3]
     assert ledger.zout.any() == moves
+    want_local = _assert_steps_match_reference(args)[1]
+    assert np.isinf(want_local).any()               # MMC 3 saturates
+
+
+@pytest.mark.parametrize("block_slots", [1, 3, None])
+@pytest.mark.parametrize("perturb", [True, False])
+@pytest.mark.parametrize("k_prev, t, life", [(1, 2, math.inf), (5, 2, 5),
+                                             (0, 3, math.inf)])
+def test_block_built_steps_match_reference_with_two_moves_out(
+        block_slots, perturb, k_prev, t, life, monkeypatch):
+    """The boundary into slot 4 has frozen moves out of MMCs 1 and 3 and
+    into MMCs 2 and 4, with infinite corrections on MMCs 3 and 4: two
+    corrected rows and two corrected columns in one boundary, equal to
+    the per-step reference bit for bit."""
+    from mmcplace import online
+
+    if block_slots is not None:
+        monkeypatch.setattr(online, "HOP_BLOCK_BYTES", 8 * 5 * 5 * block_slots)
+    args = _kernel_case(True, perturb, k_prev, t, life, paired=True)
+    ledger = args[3]
+    out, into = ledger.zout[3, 1:5], ledger.zin[3, 1:5]  # boundary into 4
+    assert (out > 0).tolist() == [True, False, True, False]
+    assert (into > 0).tolist() == [False, True, False, True]
+    # our load saturates MMC 3 in slot 3 and MMC 4 in slot 4
+    assert ledger.y[2, 3] + 1 >= 3 and ledger.y[3, 4] + 1 >= 3
+    _assert_steps_match_reference(args)
+
+
+def _assert_steps_match_reference(args, fast_steps=None):
+    """fast_steps(*args), online._fast_steps by default, equals
+    _per_step_reference(*args): first, local and tail bit for bit, every
+    hop(q) the transpose of the reference's (K_from, K_to) matrix, and
+    _min_path takes the same route on both. Returns the reference's
+    steps."""
+    from mmcplace import online
+
+    fast_steps = fast_steps or online._fast_steps
+    t = args[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        first, local, hop, tail = online._fast_steps(*args)
+        first, local, hop, tail = fast_steps(*args)
         want_first, want_local, want_hops, want_tail = _per_step_reference(
             *args)
-        assert np.isinf(want_local).any()           # MMC 3 saturates
         assert first.tobytes() == want_first.tobytes()
         assert local.tobytes() == want_local.tobytes()
         assert len(want_hops) == args[2] - t
         for q, want in enumerate(want_hops, start=1):
-            got = hop(q)
+            got, want = hop(q), np.ascontiguousarray(want.T)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert (tail is None) == (want_tail is None)
         if tail is not None:
             assert tail.tobytes() == want_tail.tobytes()
-        fast = _min_path(*online._fast_steps(*args))
+        fast = _min_path(*fast_steps(*args))
         ref = _min_path(want_first, want_local,
-                        lambda q: want_hops[q - 1].copy(), want_tail)
+                        lambda q: want_hops[q - 1].T.copy(), want_tail)
     assert fast == ref
+    return want_first, want_local, want_hops, want_tail
+
+
+@pytest.mark.parametrize("policy", ["d", "e"])
+def test_fullscale_run_steps_match_per_step_reference(policy, monkeypatch):
+    """K = 92: every arrival of a policy d or e run on fullscale.ini (20
+    slots, seed 1) has its _fast_steps checked against the per-step
+    reference on the same ledger, before the placement is written."""
+    from pathlib import Path
+
+    from mmcplace import online
+    from mmcplace.config import parse_config
+    from mmcplace.simulator import build_scenario, run_policy
+
+    root = Path(__file__).resolve().parent.parent
+    cfg = parse_config(str(root / "configs" / "fullscale.ini"))
+    cfg.horizon = 20
+    scn = build_scenario(cfg, 1)
+    fast_steps = online._fast_steps
+    seen = {"arrivals": 0, "moved": 0}
+
+    def checked(instance, t, t_e, ledger, model, base):
+        args = (instance, t, t_e, ledger, model, base)
+        _assert_steps_match_reference(args, fast_steps)
+        i = t - ledger.window.t0 + 1
+        seen["arrivals"] += 1
+        seen["moved"] += bool(ledger.zout[i + 1:t_e - t + i + 1].any())
+        return fast_steps(*args)
+
+    monkeypatch.setattr(online, "_fast_steps", checked)
+    run_policy(scn, policy)
+    assert scn.model.K == 92
+    # policy e's re-arrivals at window starts come on top
+    assert seen["arrivals"] >= sum(i.arrival_slot <= 20
+                                   for i in scn.instances) > 0
+    assert seen["moved"] > 0        # hop corrections for frozen moves ran
 
 
 def test_relaxation_count_formula():

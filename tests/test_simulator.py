@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -204,6 +205,22 @@ def test_trace_users_renumbered_not_dropped(tmp_path):
     assert {i.user_id for i in scn.instances} == {1, 2}
     assert all(i.arrival_slot == 1 for i in scn.instances)
     assert results[0].num_active[1] == 2
+
+
+def test_malformed_trace_rows_are_counted_in_a_warning(tmp_path, caplog):
+    """A trace whose rows are all malformed still runs as an empty
+    scenario, and the skipped rows are logged with their count."""
+    trace = tmp_path / "bad.csv"
+    trace.write_text("user_id,timestamp,lat,lon\n"
+                     "1,0,north,west\n2,60,x,y\n")
+    with caplog.at_level(logging.WARNING, logger="mmcplace"):
+        scn, results = _all_policies(small_config(mobility="trace",
+                                                  trace_file=str(trace)))
+    assert scn.instances == []
+    assert all(res.avg_cost == 0.0 for res in results)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("mmcplace.simulator", logging.WARNING,
+         f"trace {trace}: skipped 2 malformed rows")]
 
 
 @pytest.mark.parametrize("overrides", [dict(horizon=3, window_T=10),
