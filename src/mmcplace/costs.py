@@ -5,14 +5,22 @@ w_kl(y_k(t-1), y_l(t), z_kl) over ordered cloud pairs with migration
 traffic. Conventions baked in everywhere: u(0) = 0, w(.,.,0) = 0, and
 W = 0 in the very first slot of the whole run (t = 1).
 
-placement_loads is the only code that turns a concrete placement into
-SlotLoads; its two halves, the slot's occupancy (y, r) and the boundary
-moves (z, s, moved), are also what WindowCostEvaluator calls.
-charge_placements charges a whole run from its per-slot placement maps
-(every policy and control loop goes through it); WindowCostEvaluator
-prices joint states inside one window for the solvers, each state once
-per solver call. online.WindowLedger keeps a vectorized mirror for the
-fast DP.
+placement_loads turns one concrete placement into SlotLoads; its two
+halves, the slot's occupancy (y, r) and the boundary moves (z, s, moved),
+are also what WindowCostEvaluator calls. charge_placements charges a whole
+run from its per-slot placement maps (every policy and control loop goes
+through it) in one array pass, with the same sums in the same order as
+placement_loads, local_total and migration_total slot by slot;
+WindowCostEvaluator prices joint states inside one window for the
+solvers, each state once per solver call. online.WindowLedger keeps a
+vectorized mirror for the fast DP.
+
+Every family has scalar u and w, and array forms u_array and w_array for
+the charge, by default the scalar ones applied per entry.
+MmcBackendCostModel has its own: R_array and u_from_R run the operations
+of R and u element for element, so they agree bit for bit, and they are
+the one array copy of those formulas; the fast DP prices arrivals with
+them too.
 
 The slot t0-1 before a window is an ordinary joint state for the
 planners (WindowCostEvaluator.prior, ledger row 0): the control loops
@@ -116,6 +124,29 @@ class CostModel:
                 total += self.w(k, l, t, float(y_prev[k]), float(loads.y[l]),
                                 float(zv), float(loads.s.get((k, l), 0.0)))
         return total
+
+    # Array forms, for charge_placements: by default the scalar u and w
+    # per entry.
+
+    def u_array(self, slots: np.ndarray, y: np.ndarray,
+                r: np.ndarray) -> np.ndarray:
+        """u over an (n, K+1) load block, row i at slot slots[i]: [i, k] =
+        u(k, slots[i], y[i, k], r[i, k]) where y[i, k] > 0, and 0 (u(0))
+        where the cloud is empty."""
+        out = np.zeros(y.shape)
+        for i, k in zip(*np.nonzero(y > 0)):
+            out[i, k] = self.u(int(k), int(slots[i]), float(y[i, k]),
+                               float(r[i, k]))
+        return out
+
+    def w_array(self, slots: np.ndarray, k: np.ndarray, l: np.ndarray,
+                y_from: np.ndarray, y_to: np.ndarray, z: np.ndarray,
+                s: np.ndarray) -> np.ndarray:
+        """w per migration entry, all arguments 1-D and aligned: [e] =
+        w(k[e], l[e], slots[e], y_from[e], y_to[e], z[e], s[e])."""
+        return np.array([self.w(*args) for args in zip(
+            k.tolist(), l.tolist(), slots.tolist(), y_from.tolist(),
+            y_to.tolist(), z.tolist(), s.tolist())], dtype=float)
 
 
 class LinearCostModel(CostModel):
@@ -259,6 +290,34 @@ class MmcBackendCostModel(CostModel):
             return math.inf
         return 1.0 / (1.0 - y / self.capacity)
 
+    # The array forms run R's and u's operations element for element, so
+    # each entry equals the scalar's bit for bit. online._fast_steps and
+    # charge_placements both use them.
+
+    def R_array(self, y: np.ndarray) -> np.ndarray:
+        """R over an array of loads: inf at or over capacity."""
+        full = y >= self.capacity
+        out = y / self.capacity
+        np.subtract(1.0, out, out=out)
+        np.copyto(out, 1.0, where=full)          # no division by zero
+        np.divide(1.0, out, out=out)
+        np.copyto(out, math.inf, where=full)
+        return out
+
+    def u_from_R(self, y: np.ndarray, r: np.ndarray,
+                 R: np.ndarray) -> np.ndarray:
+        """u over a load block whose last column is the backend (clouds
+        0..K or 1..K), given R = R_array(y). No capacity mask: y * inf
+        is inf."""
+        out = y * R
+        out += self.g * r
+        out[..., -1] = self.g_backend * y[..., -1]
+        return out
+
+    def u_array(self, slots, y, r):
+        """u over a (..., K+1) load block, every entry: u(0) is g * r."""
+        return self.u_from_R(y, r, self.R_array(y))
+
     def u(self, k, t, y, r=0.0):
         if k == self.backend:
             return self.g_backend * y
@@ -369,29 +428,87 @@ def charge_placements(model: CostModel,
 
     placements maps slot -> {instance id: cloud} for the running instances.
     C(t) = U(t) + W(t) is charged from each slot's map, with the whole map
-    of slot t-1 (empty when absent) as y(t-1) and the migration baseline,
-    so a slot costs O(its running instances). Returns (cost by slot,
-    migrations by slot).
+    of slot t-1 (empty when absent) as y(t-1) and the migration baseline.
+    Returns (cost by slot, migrations by slot).
+
+    The run is charged in one array pass over its (slot, instance, cloud,
+    cloud at t-1) entries, each slot in its map's order, with the same
+    sums as placement_loads, local_total and migration_total slot by slot:
+    y and r per (slot, cloud) are bincounts in entry order; U sums u over
+    the loaded clouds in cloud order; z and the move count per (slot, k, l)
+    pair are bincounts in entry order, and W sums w over the pairs in
+    first-seen order. Every per-slot sum is a cumsum along a row, which
+    adds in order, as the scalar loops do.
     """
+    slots = sorted(placements)
+    n, K1 = len(slots), model.K + 1
+    ids, to, frm = [], [], []
+    for t in slots:
+        placed, before = placements[t], placements.get(t - 1, {})
+        ids.extend(placed)
+        to.extend(placed.values())
+        frm.extend(map(before.get, placed, itertools.repeat(0)))
+    ids, to, frm = (np.array(v, dtype=np.int64) for v in (ids, to, frm))
+    row = np.repeat(np.arange(n), [len(placements[t]) for t in slots])
+    slot = np.array(slots, dtype=np.int64)
+    loc, mig = _demands(instances, ids)
+
+    # U: y and r per (slot, cloud), u summed over the loaded clouds
+    bins = row * K1 + to
+    y = np.bincount(bins, loc, n * K1).reshape(n, K1)
+    r = np.zeros((n, K1))
+    if distance is not None:
+        mmc = (to != 0) & (to != distance.backend)
+        cells = [distance.user_cell_of(iid, t) or 0 for iid, t in
+                 zip(ids[mmc].tolist(), slot[row[mmc]].tolist())]
+        r = np.bincount(bins[mmc], distance.cell_hops[cells, to[mmc]],
+                        n * K1).reshape(n, K1)
+    y[:, 0] = r[:, 0] = 0.0                    # cloud 0: not running
+    local = np.where(y > 0, model.u_array(slot, y, r), 0.0)
+    local = np.cumsum(local, axis=1)[:, -1]
+
+    # W: z and the move count per (slot, k, l) pair, priced where z > 0
+    moving = (to != 0) & (frm != 0) & (frm != to)
+    moved = np.bincount(row[moving], minlength=n)
+    pair = (row[moving] * K1 + frm[moving]) * K1 + to[moving]
+    keys, first = np.unique(pair, return_index=True)
+    of = np.searchsorted(keys, pair)
+    z = np.bincount(of, mig[moving], keys.size)
+    count = np.bincount(of, minlength=keys.size)
+    seen = np.argsort(first, kind="stable")
+    seen = seen[z[seen] > 0]
+    keys, z, count = keys[seen], z[seen], count[seen]
+    q, k, l = keys // (K1 * K1), keys // K1 % K1, keys % K1
+    s = np.zeros(keys.size)
+    if distance is not None:
+        mm = (k != distance.backend) & (l != distance.backend)
+        s[mm] = distance.pair_hops[k[mm], l[mm]] * count[mm]
+    # y(t-1) is the y of the run's slot t-1, zero when it has none
+    y_prev = np.zeros((n, K1))
+    follows = np.flatnonzero(slot[1:] - 1 == slot[:-1]) + 1
+    y_prev[follows] = y[follows - 1]
+    w = model.w_array(slot[q], k, l, y_prev[q, k], y[q, l], z, s)
+    # each slot's pairs in one row, in order, after a leading 0.0
+    rank = np.arange(q.size) - np.searchsorted(q, q)
+    per_slot = np.zeros((n, 2 + rank.max(initial=0)))
+    per_slot[q, 1 + rank] = w
+    migration = np.cumsum(per_slot, axis=1)[:, -1]
+    migration[slot <= 1] = 0.0
+    cost = local + migration
+    return (dict(zip(slots, cost.tolist())),
+            dict(zip(slots, moved.tolist())))
+
+
+def _demands(instances, ids: np.ndarray):
+    """(local, migration) demand arrays of the instances with these ids."""
     by_id = {inst.id: inst for inst in instances}
-    K = model.K
-    cost: dict[int, float] = {}
-    moved: dict[int, int] = {}
-    prev_t, y_prev = None, None
-    for t in sorted(placements):
-        placed = placements[t]
-        before = placements.get(t - 1, {})
-        loads = placement_loads(t, [by_id[iid] for iid in placed],
-                                placed.values(), K, distance,
-                                [before.get(iid, 0) for iid in placed])
-        if prev_t != t - 1:
-            y_prev = placement_loads(t - 1, [by_id[iid] for iid in before],
-                                     before.values(), K).y
-        cost[t] = (model.local_total(t, loads)
-                   + model.migration_total(t, y_prev, loads))
-        moved[t] = loads.moved
-        prev_t, y_prev = t, loads.y
-    return cost, moved
+    known = np.array(sorted(by_id), dtype=np.int64)
+    at = np.searchsorted(known, ids)
+    if ids.size and (at.max() == known.size or (known[at] != ids).any()):
+        raise KeyError("placements hold an instance not in `instances`")
+    table = np.array([(by_id[i].local_demand, by_id[i].migration_demand)
+                      for i in known.tolist()], dtype=float).reshape(-1, 2)
+    return table[at, 0], table[at, 1]
 
 
 class WindowCostEvaluator:

@@ -18,7 +18,10 @@ and the tie-break. Two step providers price its steps and run no
 recursion of their own: _generic_steps evaluates full joint states for
 any cost model, and _fast_steps prices the capacity/backend family in
 vectorized form, where the migration cost is linear in the migration
-loads so per-candidate deltas reduce to row/column corrections. A step
+loads so per-candidate deltas reduce to row/column corrections. It takes
+R and u from the model's array forms (MmcBackendCostModel.R_array and
+u_from_R), one stacked R over the arrival's loads without and with its
+own, and has no copy of those formulas. A step
 is a (K, K) matrix in (to, from) layout: hop(q)[l, k] is the cost of
 k -> l, so _min_path adds the predecessor costs along the contiguous
 axis and takes each destination's argmin along it.
@@ -34,16 +37,17 @@ them, which place_on_arrival and handle_departure update in place.
 Every ledger sum runs in instance order, so it always equals a fresh
 WindowCostEvaluator aggregation bit for bit. A placed column that was
 empty over its slots and has no later nonzero column there is appended:
-its load is the last term of each row's sum, and zout/zin are rebuilt
-over its boundaries only when it makes an MMC-to-MMC move. In run_online
-ids rise with arrival order, so every placement is such an append.
-Other writes and every departure rebuild the touched rows from the
-whole placement. No joint state tuple is built and no cost function is
-called per cloud; an arrival's (K, K) boundary matrices are built in
-blocks of consecutive slots, up to HOP_BLOCK_BYTES each. The
-frozen-migration corrections are built only when the arrival's rows
-hold a frozen move, and added only to the rows and columns of the
-clouds those moves leave or enter.
+its load is the last term of each row's sum, and so is each MMC-to-MMC
+move it makes in its (k, l) pair; a new pair is added to zout/zin as it
+stands, a known one has its boundary regrouped. In run_online ids rise
+with arrival order, so every placement is such an append. Other writes
+and every departure rebuild the touched rows from the whole placement.
+No joint state tuple is built and no cost function is called per cloud;
+an arrival's (K, K) boundary matrices are built in blocks of consecutive
+slots, up to HOP_BLOCK_BYTES each. The
+frozen-migration corrections are built only when the ledger flags a
+frozen move in the arrival's rows, and added only to the rows and columns
+of the clouds those moves leave or enter.
 """
 
 from __future__ import annotations
@@ -99,7 +103,8 @@ class WindowLedger:
     hold, per MMC, the migration load that leaves / enters it in
     MMC-to-MMC moves over the boundary into slot i, summed per (k, l) pair
     first and then per cloud in first-seen pair order, as transition_loads
-    groups them. cell_row holds each column's user cell ids, 0 when
+    groups them; moves[i] flags a nonzero zout[i], a frozen move over that
+    boundary. cell_row holds each column's user cell ids, 0 when
     unknown, looked up once for the slots from max(arrival slot, t0) to
     min(planned_end, window end), a column's only placeable slots; a
     column whose planned end is before t0 is not looked up.
@@ -108,12 +113,15 @@ class WindowLedger:
     bit for bit. write() decides, before it writes, whether a placed
     column is an append: the column was empty over the slots it fills and
     no later column holds a cloud there. Its load is then the last term
-    of each instance-order sum, added to the row as it stands, and
-    zout/zin are rebuilt over the column's boundaries (its entry move
-    included) only when the column itself makes an MMC-to-MMC move there.
-    A write into a column that held clouds there or that has a later
-    nonzero column there, the first build and every departure (refresh)
-    rebuild the touched rows from the whole placement.
+    of each instance-order sum, added to the row as it stands. Each
+    MMC-to-MMC move it makes (its entry move included) is the last term
+    of its (k, l) pair and, for a pair no earlier column makes over that
+    boundary, the last pair in first-seen order: the demand is added to
+    zout[k] and zin[l]. Where the pair is there already, that boundary is
+    regrouped. A write into a column that held clouds there or that has a
+    later nonzero column there, the first build of a matrix that holds
+    placements and every departure (refresh) rebuild the touched rows
+    from the whole placement; an empty matrix starts from zero rows.
     """
 
     def __init__(self, matrix: ConfigurationMatrix,
@@ -163,9 +171,11 @@ class WindowLedger:
         self.r = np.zeros((rows, K + 1))
         self.zout = np.zeros((rows, K + 1))
         self.zin = np.zeros((rows, K + 1))
+        self.moves = np.zeros(rows, dtype=bool)
         self.y[0] = np.bincount(self.prev, self.loc, K + 1)
         self.y[0, 0] = 0.0
-        self.refresh(window.t0, window.end)
+        if self.place[1:].any():            # else the zero rows are right
+            self.refresh(window.t0, window.end)
         self._model = self._constants = None
 
     def model_constants(self, model, base):
@@ -199,9 +209,19 @@ class WindowLedger:
             self.r[row, k] += hops[cells[row - 1], k]
         c = min(b + 1, self.window.T + 1)          # boundaries into [a, c)
         seq = self.place[a - 1:c, j].tolist()
-        mmc = self.mmc
-        if any(mmc[f] and mmc[g] and f != g for f, g in zip(seq, seq[1:])):
-            self._migrations(a, c)
+        mmc, mig = self.mmc, self.mig[j]
+        for row, (f, g) in enumerate(zip(seq, seq[1:]), start=a):
+            if not (mmc[f] and mmc[g] and f != g):
+                continue
+            # our move is the last term of its (f, g) pair: a new pair adds
+            # last to zout[f] and zin[g], a known one regroups the boundary
+            frm, to = self.place[row - 1, :j], self.place[row, :j]
+            if ((frm == f) & (to == g)).any():
+                self._migrations(row, row + 1)
+            else:
+                self.zout[row, f] += mig
+                self.zin[row, g] += mig
+                self.moves[row] |= bool(self.zout[row, f])
 
     def refresh(self, lo: int, hi: int) -> None:
         """Rebuild slots lo..hi and the boundaries into lo..hi+1."""
@@ -227,6 +247,7 @@ class WindowLedger:
         moved = self.is_mmc[to] & self.is_mmc[frm] & (frm != to)
         self.zout[a:c] = 0.0
         self.zin[a:c] = 0.0
+        self.moves[a:c] = False
         q, j = np.nonzero(moved)                 # row-major: instance order
         if not q.size:
             return
@@ -240,6 +261,7 @@ class WindowLedger:
             row * K1 + keys // K1 % K1, z, n * K1).reshape(n, K1)
         self.zin[a:c] = np.bincount(
             row * K1 + keys % K1, z, n * K1).reshape(n, K1)
+        self.moves[a:c] = self.zout[a:c].any(axis=1)
 
 
 @functools.cache
@@ -332,50 +354,8 @@ def _generic_steps(t, t_e, matrix, ev, j, K):
 
 
 # The helpers below run inside place_on_arrival's np.errstate: where a
-# load reaches capacity, 1/0 and inf - inf are expected and masked or
-# kept, as the scalar cost functions produce them.
-
-def _congestion(y, capacity):
-    """R(y) = 1/(1 - y/Y) per cloud, inf at or over capacity; column 0 is 0."""
-    out = np.where(
-        y < capacity,
-        1.0 / (1.0 - np.minimum(y, capacity * (1 - 1e-15)) / capacity),
-        np.inf)
-    out[..., 0] = 0.0
-    return out
-
-
-def _mmc_u(base, y, r):
-    """MmcBackendCostModel.u over a (..., K+1) load block, same operations."""
-    u = np.where(y >= base.capacity, np.inf,
-                 y * (1.0 / (1.0 - y / base.capacity)) + base.g * r)
-    u[..., base.backend] = base.g_backend * y[..., base.backend]
-    return u
-
-
-def _and_plus(x, dx):
-    """np.stack((x, x + dx)), built in place."""
-    out = np.empty((2,) + x.shape)
-    out[0] = x
-    np.add(x, dx, out=out[1])
-    return out
-
-
-def _local_delta(base, y2, r, d, off):
-    """Local-cost change per slot and cloud from adding our load there.
-
-    y2: the slots' frozen loads and the same with our load added, stacked;
-    r: frozen user-distance sums; d: the instance's hops to its user; off:
-    the slots' PerturbedCostModel offsets or None. Offsets apply only where
-    the cloud hosts load.
-    """
-    y, y_plus = y2
-    u_now, u_plus = _mmc_u(base, y2, _and_plus(r, d))
-    if off is not None:
-        u_plus = np.where(y_plus > 0, u_plus + off, u_plus)
-        u_now = u_now + off
-    return np.where(y > 0, u_plus - u_now, u_plus)
-
+# load reaches capacity, inf - inf is expected and masked or kept, as the
+# scalar cost functions produce it.
 
 def _shift(diff, weight):
     """weight * diff where weight > 0, else 0 (so inf only where it matters)."""
@@ -404,7 +384,9 @@ def _fast_steps(instance, t, t_e, ledger, model, base):
     cloud l shifts u there; a k->l hop adds its own migration cost plus,
     since w is linear in the migration load, a congestion correction for
     every frozen MMC-to-MMC migration leaving k or entering l. All frozen
-    loads come from the ledger. Arrays of length K hold clouds 1..K.
+    loads come from the ledger. Arrays of length K hold clouds 1..K. R
+    and u come from the model's array forms: R once over the rows'
+    loads without and with a, stacked, and u from those R.
 
     hop(q) hands out one (K, K) matrix, [l, k] for k -> l, of a block of
     consecutive boundaries built as one array of HOP_BLOCK_BYTES at most.
@@ -424,20 +406,32 @@ def _fast_steps(instance, t, t_e, ledger, model, base):
     span = i_e - i + 1
     hD, off = ledger.model_constants(model, base)
 
-    # ledger rows i-1..i_e: congestion without and with our load added
-    y2 = _and_plus(ledger.y[i - 1:i_e + 1], a)
-    R_now, R_plus = _congestion(y2, base.capacity)[..., 1:]
+    # ledger rows i-1..i_e, clouds 1..K: loads without and with ours added,
+    # their congestion, and the local cost of rows i..i_e
+    y2 = np.empty((2, span + 1, K))
+    y2[0] = ledger.y[i - 1:i_e + 1, 1:]
+    np.add(y2[0], a, out=y2[1])
+    R2 = base.R_array(y2)
+    R_now, R_plus = R2
+    r2 = np.empty((2, span, K))
+    r2[0] = ledger.r[i:i_e + 1, 1:]
+    np.add(r2[0], ledger.hops[ledger.cell_row[i - 1:i_e, j], 1:], out=r2[1])
+    u_now, u_plus = base.u_from_R(y2[:, 1:], r2, R2[:, 1:])
+    y, y_plus = y2[:, 1:]
+    if off is not None:
+        # a slot's offset is charged only where the cloud hosts load
+        off = off[i - 1:i_e, 1:]
+        u_plus = np.where(y_plus > 0, u_plus + off, u_plus)
+        u_now = u_now + off
+    ld = np.where(y > 0, u_plus - u_now, u_plus)
     hop_backend = base.h_backend * b
-    ld = _local_delta(base, y2[:, 1:], ledger.r[i:i_e + 1],
-                      ledger.hops[ledger.cell_row[i - 1:i_e, j]],
-                      None if off is None else off[i - 1:i_e])[:, 1:]
     # frozen MMC-to-MMC moves over the boundaries into ledger rows
     # i..i_e+1, which feel our load on their clouds (a boundary's zout and
     # zin are nonzero together: both sum the same nonnegative moves)
-    zout = ledger.zout[i:i_e + 2, 1:]
-    moves = zout.any(axis=1)
+    moves = ledger.moves[i:i_e + 2]
     fix_rows = fix_cols = None        # nonzero hop corrections, by step q
     if moves.any():
+        zout = ledger.zout[i:i_e + 2, 1:]
         zin = ledger.zin[i:i_e + 2, 1:]
         diff = np.where(np.isfinite(R_plus), R_plus - R_now, np.inf)
         moved = moves[1:span].nonzero()[0] + 1  # steps q with frozen moves

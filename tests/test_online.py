@@ -216,15 +216,15 @@ def _per_step_reference(instance, t, t_e, ledger, model, base):
     (K, K) matrix with its own frozen-migration correction, the carried
     entry row read off a whole matrix, loads without and with ours priced
     apart. Returns (first, local, hops, tail), hops[q - 1] for hop(q)."""
-    from mmcplace.online import _congestion, _mmc_u, _shift
+    from mmcplace.online import _shift
 
     a, b = instance.local_demand, instance.migration_demand
     K, b0, window = ledger.K, base.backend - 1, ledger.window
     j = ledger.col[instance.id]
     i, i_e = t - window.t0 + 1, t_e - window.t0 + 1
     y = ledger.y[i - 1:i_e + 1]
-    R_now = _congestion(y, base.capacity)
-    R_plus = _congestion(y + a, base.capacity)
+    R_now = base.R_array(y)
+    R_plus = base.R_array(y + a)
     diff = np.where(np.isfinite(R_plus), R_plus - R_now, np.inf)[:, 1:]
     R_now, R_plus = R_now[:, 1:], R_plus[:, 1:]
     hD = base.h * ledger.pairD[1:, 1:]
@@ -232,8 +232,9 @@ def _per_step_reference(instance, t, t_e, ledger, model, base):
 
     y1, r1 = y[1:], ledger.r[i:i_e + 1]
     d = ledger.hops[ledger.cell_row[i - 1:i_e, j]]
-    u_plus = _mmc_u(base, y1 + a, r1 + d)
-    u_now = _mmc_u(base, y1, r1)
+    slots = np.arange(t, t_e + 1)
+    u_plus = base.u_array(slots, y1 + a, r1 + d)
+    u_now = base.u_array(slots, y1, r1)
     if model is not base:
         off = np.array([model.offsets.get(s, np.zeros(K + 1))
                         for s in range(t, t_e + 1)])
@@ -690,7 +691,8 @@ def _fresh_rows(matrix, instances, model, prev_config, distance):
         zout.append(out)
         zin.append(into)
         prev_state = state
-    return {"y": y, "r": r, "zout": zout, "zin": zin}
+    return {"y": y, "r": r, "zout": zout, "zin": zin,
+            "moves": [bool(out.any()) for out in zout]}
 
 
 def _checked_fast_run(monkeypatch, horizon, T, insts, oracle, distance):
@@ -900,6 +902,64 @@ def test_ledger_append_regroups_a_shared_migration_pair():
     _assert_rows(ledger, want)
     assert ledger.zout[2, 1] == (0.1 + 0.4) + 0.1
     assert ledger.zin[2, 2] == 0.1 + 0.4
+
+
+def test_ledger_append_adds_a_new_pair_and_regroups_a_shared_one(
+        monkeypatch):
+    """The appended column 3 (0.4) moves 1 -> 2 into slot 3, a pair that
+    column 1 (0.1) opened there, and 2 -> 3 into slot 4, a pair no other
+    column has there, after column 1's 2 -> 4. Only the first boundary is
+    regrouped; at the second the move is added last to zout and zin. Both
+    equal a fresh _migrations bit for bit."""
+    from mmcplace.online import WindowLedger
+
+    regrouped = []
+    migrations = WindowLedger._migrations
+
+    def spied(self, a, c):
+        regrouped.append((a, c))
+        migrations(self, a, c)
+
+    monkeypatch.setattr(WindowLedger, "_migrations", spied)
+    ledger, want = _written_ledger({1: [1, 2, 4], 2: [1, 3, 3]}, 2, 2,
+                                   (1, 2, 3))
+    assert regrouped == [(1, 4), (2, 3)]      # the build, then the write
+    _assert_rows(ledger, want)
+    written = {name: getattr(ledger, name).copy()
+               for name in ("zout", "zin", "moves")}
+    migrations(ledger, 1, ledger.window.T + 1)
+    for name, rows in written.items():
+        assert np.array_equal(getattr(ledger, name), rows), name
+    assert ledger.zout[2, 1] == (0.1 + 0.4) + 0.1
+    assert ledger.zout[3, 2] == 0.1 + 0.4 and ledger.zin[3, 3] == 0.4
+    assert ledger.moves.tolist() == [False, False, True, True]
+
+
+def test_ledger_builds_an_empty_window_without_a_refresh(monkeypatch):
+    """A window with no placement yet (every run_online window) starts
+    from zero rows and row 0's loads; one with frozen columns (the
+    throwaway ledger of place_on_arrival) is refreshed."""
+    from mmcplace.online import WindowLedger
+
+    refreshed = []
+    monkeypatch.setattr(WindowLedger, "refresh",
+                        lambda self, lo, hi: refreshed.append((lo, hi)))
+    model = mmc(K=5)
+    insts = [ServiceInstance(id=j, arrival_slot=1, local_demand=0.5 * j)
+             for j in (1, 2)]
+    m = ConfigurationMatrix(Window(2, 3), [1, 2])
+    prev = {1: 1, 2: 3}
+    ledger = WindowLedger(m, insts, model.K, model.backend, prev,
+                          grid_distance(model.K))
+    assert refreshed == []
+    monkeypatch.undo()
+    _assert_rows(ledger, _fresh_rows(m, insts, model, prev,
+                                     grid_distance(model.K)))
+    m.set_column(2, [3, 2, 2])
+    monkeypatch.setattr(WindowLedger, "refresh",
+                        lambda self, lo, hi: refreshed.append((lo, hi)))
+    WindowLedger(m, insts, model.K, model.backend, prev)
+    assert refreshed == [(2, 4)]
 
 
 @pytest.mark.parametrize("columns", [[1, 2], [2, 1]])
