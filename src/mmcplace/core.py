@@ -67,6 +67,8 @@ class ServiceInstance:
     def __post_init__(self):
         if self.id < 1:
             raise ValueError("instance ids are positive integers")
+        if self.arrival_slot < 1:
+            raise ValueError("arrival slots are numbered from 1")
         if self.local_demand < 0 or self.migration_demand < 0:
             raise ValueError("demands must be nonnegative")
         if self.max_lifetime < 1:

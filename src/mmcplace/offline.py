@@ -17,8 +17,8 @@ import itertools
 from dataclasses import dataclass
 
 from .core import ConfigurationMatrix, ServiceInstance, Window
-from .costs import (CostModel, DistanceContext, WindowCostEvaluator,
-                    charge_placements)
+from .costs import CostModel, DistanceContext, WindowCostEvaluator
+from .online import run_windows
 
 DEFAULT_STATE_BUDGET = 200_000
 
@@ -117,35 +117,22 @@ def _path(links, state):
 
 def run_offline(horizon: int, window_size: int,
                 instances: list[ServiceInstance], oracle,
-                distance: DistanceContext | None = None,
-                state_budget: int = DEFAULT_STATE_BUDGET):
+                distance: DistanceContext | None = None):
     """Window-by-window offline placement over a full horizon.
 
-    oracle supplies predicted costs per window (predictor.CostOracle);
-    the prior window's final placements seed each window's migration
-    baseline. The actual costs are charged from the per-slot placements
-    by costs.charge_placements. Returns (per-window solutions, per-slot
-    actual costs).
+    online.run_windows runs the windows: each one is solved exactly on
+    the oracle's predicted costs (predictor.CostOracle) from the slot
+    t0-1 placements, and the actual costs are charged from the per-slot
+    placements by costs.charge_placements. Returns (per-window solutions,
+    per-slot actual costs).
     """
-    prev_config: dict[int, int] = {}
     solutions = []
-    placements: dict[int, dict[int, int]] = {}
-    t0 = 1
-    while t0 <= horizon:
-        window = Window(t0, min(window_size, horizon - t0 + 1))
-        # an instance placed in t0-1 keeps a (then all-zero) column, so
-        # y(t0-1) counts the whole slot, as the charge does
-        active = [i for i in instances if i.active_span(window) is not None
-                  or i.id in prev_config]
-        model = oracle.predicted_model(t0, window)
-        sol = solve_window_offline(window, active, prev_config, model,
-                                   distance, state_budget)
-        solutions.append(sol)
-        for q, t in enumerate(window.slots):
-            placements[t] = {iid: int(k) for iid, k in zip(
-                sol.matrix.instance_ids, sol.matrix.data[q]) if k}
-        prev_config = placements[window.end]
-        t0 += window_size
-    actual_by_slot, _moved = charge_placements(oracle.actual, placements,
-                                               instances, distance)
+
+    def solve(window, model, prev_config, columns):
+        solutions.append(solve_window_offline(window, columns, prev_config,
+                                              model, distance))
+        return solutions[-1].matrix
+
+    _placements, actual_by_slot, _moved = run_windows(
+        horizon, window_size, instances, oracle, distance, solve)
     return solutions, actual_by_slot

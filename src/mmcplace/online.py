@@ -1,16 +1,20 @@
-"""Greedy per-instance placement under arrivals and departures.
+"""Greedy per-instance placement under arrivals and departures, and the
+window loop that the online and offline solvers share.
 
-Each arriving instance is routed by a single-instance shortest-path DP
-over the remainder of the window, with every other column frozen; the
-control loop processes slots in order, re-presents carried-over instances
-as arrivals at each window start, and zeroes columns on departure without
-re-optimizing survivors. It records each slot's placement map and charges
-the run's actual costs from those maps with costs.charge_placements, the
-accounting every policy shares. The planner reads the same slot t0-1 as
-the charge: a window's prev_config is the whole placement map of slot
-t0-1, and every instance in it gets a column (all zero for one that
-departed at the end of t0-1), so the joint state at t0-1 is an ordinary
-state (WindowCostEvaluator.prior, WindowLedger row 0).
+run_windows tiles the horizon into look-ahead windows. Each window's
+solver gets the oracle's predicted model, prev_config (the whole placement
+map of slot t0-1) and the window's columns: every instance in that map
+(all zero for one that departed at the end of t0-1) plus the window's
+arrivals, in id order, so the joint state at t0-1 is an ordinary state
+(WindowCostEvaluator.prior, WindowLedger row 0). The loop records each
+slot's placement map from the solver's matrix and charges the run's
+actual costs from those maps with costs.charge_placements, the
+accounting every policy shares. run_online's solver routes each arriving
+instance by a single-instance shortest-path DP over the remainder of the
+window, with every other column frozen; carried-over instances re-arrive
+at the window start, and a departure zeroes its column without
+re-optimizing survivors. offline.run_offline's solver is the exact joint
+DP.
 
 One DP recursion, _min_path, owns the min-plus step over the K clouds
 of each slot, the relaxation count, the saturation flag, backtracking
@@ -26,14 +30,14 @@ is a (K, K) matrix in (to, from) layout: hop(q)[l, k] is the cost of
 k -> l, so _min_path adds the predecessor costs along the contiguous
 axis and takes each destination's argmin along it.
 
-_fast_steps reads every frozen load from a WindowLedger: per-slot
-local loads and user-distance sums, per-boundary MMC-to-MMC migration
-out- and in-sums, each user's cell id looked up once per window (from
-the instance's arrival on), the DistanceContext's hop tables and the
-window model's constants (h times the pair hops, per-slot offsets).
-run_online keeps one ledger per window; the ledger owns the window's
-placements, slot t0-1 included, and the matrix's data is a view of
-them, which place_on_arrival and handle_departure update in place.
+_fast_steps reads every frozen load from a WindowLedger: per-slot local
+loads and user-distance sums, per-boundary MMC-to-MMC migration out- and
+in-sums, each user's cell id looked up once per window (from the
+instance's arrival on), the DistanceContext's hop tables and the
+constants of the model it was built for (h times the pair hops, per-slot
+offsets). run_online keeps one ledger per window; the ledger owns the
+window's placements, slot t0-1 included, and the matrix's data is a view
+of them, which place_on_arrival and handle_departure update in place.
 Every ledger sum runs in instance order, so it always equals a fresh
 WindowCostEvaluator aggregation bit for bit. A placed column that was
 empty over its slots and has no later nonzero column there is appended:
@@ -44,10 +48,10 @@ with arrival order, so every placement is such an append. Other writes
 and every departure rebuild the touched rows from the whole placement.
 No joint state tuple is built and no cost function is called per cloud;
 an arrival's (K, K) boundary matrices are built in blocks of consecutive
-slots, up to HOP_BLOCK_BYTES each. The
-frozen-migration corrections are built only when the ledger flags a
-frozen move in the arrival's rows, and added only to the rows and columns
-of the clouds those moves leave or enter.
+slots, up to HOP_BLOCK_BYTES each. The frozen-migration corrections are
+built only when the ledger flags a frozen move in the arrival's rows,
+and added only to the rows and columns of the clouds those moves leave
+or enter.
 """
 
 from __future__ import annotations
@@ -107,7 +111,9 @@ class WindowLedger:
     boundary. cell_row holds each column's user cell ids, 0 when
     unknown, looked up once for the slots from max(arrival slot, t0) to
     min(planned_end, window end), a column's only placeable slots; a
-    column whose planned end is before t0 is not looked up.
+    column whose planned end is before t0 is not looked up. The ledger
+    serves one capacity/backend model, `model`, perhaps perturbed, whose
+    constants hD and off it takes once.
 
     Every sum runs in instance order, so it matches a fresh aggregation
     bit for bit. write() decides, before it writes, whether a placed
@@ -125,12 +131,13 @@ class WindowLedger:
     """
 
     def __init__(self, matrix: ConfigurationMatrix,
-                 instances: list[ServiceInstance], K: int, backend: int,
+                 instances: list[ServiceInstance], model: CostModel,
                  prev_config: dict[int, int] | None = None,
                  distance: DistanceContext | None = None):
         window = matrix.window
         self.window = window
-        self.K = K
+        self.model, self.base = model, _fast_base(model)
+        self.K = K = model.K
         self.col = matrix._col
         by_id = {i.id: i for i in instances}
         cols = [by_id[iid] for iid in matrix.instance_ids]
@@ -147,7 +154,7 @@ class WindowLedger:
         # is_mmc[k]: cloud k is an MMC, neither 0 nor the backend; mmc is
         # the same as a list, for write()'s scalar lookups
         self.is_mmc = np.ones(K + 1, dtype=bool)
-        self.is_mmc[[0, backend]] = False
+        self.is_mmc[[0, self.base.backend]] = False
         self.mmc = self.is_mmc.tolist()
         # user cell id of each (slot, instance), a row of `hops`; 0, the
         # all-zero row, for an unknown cell and every slot before arrival
@@ -176,23 +183,15 @@ class WindowLedger:
         self.y[0, 0] = 0.0
         if self.place[1:].any():            # else the zero rows are right
             self.refresh(window.t0, window.end)
-        self._model = self._constants = None
-
-    def model_constants(self, model, base):
-        """(hD, the model's local-cost offsets per window slot or None),
-        computed once per model. hD[l, k] = h * pairD[k + 1, l + 1], the
-        hop cost of k+1 -> l+1 in the (to, from) layout of the DP's steps,
-        a contiguous array."""
-        if self._model is not model:
-            off = None
-            if model is not base:
-                zero = np.zeros(self.K + 1)
-                off = np.array([model.offsets.get(s, zero)
-                                for s in self.window.slots])
-            self._model = model
-            self._constants = (
-                np.ascontiguousarray((base.h * self.pairD[1:, 1:]).T), off)
-        return self._constants
+        # hD[l, k] = h * pairD[k + 1, l + 1], the hop cost of k+1 -> l+1 in
+        # the (to, from) layout of the DP's steps; off[i] the model's
+        # local-cost offsets of window slot t0 + i, None on the base model
+        self.hD = np.ascontiguousarray((self.base.h * self.pairD[1:, 1:]).T)
+        self.off = None
+        if model is not self.base:
+            zero = np.zeros(K + 1)
+            self.off = np.array([model.offsets.get(s, zero)
+                                 for s in window.slots])
 
     def write(self, j: int, t: int, path: tuple[int, ...]) -> None:
         """Place column j on `path` from slot t on, and update the rows."""
@@ -377,7 +376,7 @@ def _correct(block, q0, q1, fix_rows, fix_cols):
     block[rows] = fixed
 
 
-def _fast_steps(instance, t, t_e, ledger, model, base):
+def _fast_steps(instance, t, t_e, ledger):
     """_min_path's inputs for the capacity/backend family, from the ledger.
 
     Works on cost deltas relative to the frozen columns: adding load a to
@@ -398,13 +397,12 @@ def _fast_steps(instance, t, t_e, ledger, model, base):
     """
     a = instance.local_demand
     b = instance.migration_demand
-    K = ledger.K
+    K, base, hD, off = ledger.K, ledger.base, ledger.hD, ledger.off
     b0 = base.backend - 1                     # backend position in 1..K arrays
     window = ledger.window
     j = ledger.col[instance.id]
     i, i_e = t - window.t0 + 1, t_e - window.t0 + 1   # ledger rows of t, t_e
     span = i_e - i + 1
-    hD, off = ledger.model_constants(model, base)
 
     # ledger rows i-1..i_e, clouds 1..K: loads without and with ours added,
     # their congestion, and the local cost of rows i..i_e
@@ -516,9 +514,10 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     going back (see _min_path).
 
     ledger, when given, must describe `matrix` (run_online keeps one per
-    window), and the matrix then belongs to it: the ledger writes the
-    column into `matrix` itself and updates its rows (WindowLedger.write),
-    and outcome.matrix is `matrix`. Without a ledger the caller's matrix
+    window) and be built for `model` (else ValueError), and the matrix
+    then belongs to it: the ledger writes the column into `matrix` itself
+    and updates its rows (WindowLedger.write), and outcome.matrix is
+    `matrix`. Without a ledger the caller's matrix
     is left as it was, its data array included, and outcome.matrix is a
     copy; the capacity/backend path then builds a throwaway ledger on
     that copy.
@@ -530,6 +529,8 @@ def place_on_arrival(instance: ServiceInstance, t: int,
         raise ValueError("arrival slot after the instance's planned end")
     if instance.id not in matrix._col:
         raise ValueError("matrix has no column for the arriving instance")
+    if ledger is not None and ledger.model is not model:
+        raise ValueError("ledger was built for another cost model")
     t_e = int(min(instance.planned_end, window.end))
     K = model.K
 
@@ -546,9 +547,8 @@ def place_on_arrival(instance: ServiceInstance, t: int,
         if base is None:
             steps = _generic_steps(t, t_e, out, ev, j, K)
         else:
-            fast_ledger = ledger if ledger is not None else WindowLedger(
-                out, instances, K, base.backend, prev_config, distance)
-            steps = _fast_steps(instance, t, t_e, fast_ledger, model, base)
+            steps = _fast_steps(instance, t, t_e, ledger or WindowLedger(
+                out, instances, model, prev_config, distance))
         path, relax, saturated = _min_path(*steps)
 
     if ledger is not None:
@@ -597,71 +597,85 @@ class OnlineRun:
         return sum(self.actual_by_slot.values())
 
 
-def run_online(horizon: int, window_size: int,
-               instances: list[ServiceInstance], oracle,
-               distance: DistanceContext | None = None) -> OnlineRun:
-    """Full-horizon online control loop.
+def run_windows(horizon: int, window_size: int,
+                instances: list[ServiceInstance], oracle,
+                distance: DistanceContext | None, solve):
+    """The window loop of run_online and offline.run_offline.
 
-    instances carry their true arrival/departure slots; the loop only
-    reveals them at those slots. Each arrival is planned up to its
-    planned_end; it departs at the end of its last_slot. Carried-over
-    instances, those placed in t0-1 with last_slot >= t0, re-enter as
-    arrivals at each window start (keeping their prior placement as the
-    migration baseline); each window's prev_config is the whole placement
-    map of the slot before it, the map charge_placements reads.
-    Actual costs and migration counts are charged from run.placements by
-    charge_placements once the last window is placed.
+    Tiles [1, horizon] into windows of window_size slots (the last one may
+    be shorter) and calls solve(window, model, prev_config, columns) on
+    each: model is oracle.predicted_model(t0, window), prev_config the
+    placement map of slot t0-1, and columns the instances in that map plus
+    those arriving in the window, in id order. solve returns the window's
+    ConfigurationMatrix over those columns. Returns (slot -> {instance id
+    -> cloud}, actual cost per slot, migrations per slot), the last two
+    charged from the maps by charge_placements once the last window is
+    placed.
     """
-    arrivals_at: dict[int, list[ServiceInstance]] = {}
-    departures_at: dict[float, list[int]] = {}
-    for inst in sorted(instances, key=lambda i: i.id):
-        arrivals_at.setdefault(inst.arrival_slot, []).append(inst)
-        departures_at.setdefault(inst.last_slot, []).append(inst.id)
     by_id = {inst.id: inst for inst in instances}
-
-    run = OnlineRun({}, {}, {}, [])
+    arrivals_at: dict[int, list[ServiceInstance]] = {}
+    for inst in instances:
+        arrivals_at.setdefault(inst.arrival_slot, []).append(inst)
+    placements: dict[int, dict[int, int]] = {}
     prev_config: dict[int, int] = {}
     t0 = 1
     while t0 <= horizon:
         window = Window(t0, min(window_size, horizon - t0 + 1))
-        model = oracle.predicted_model(t0, window)
-        # everything placed in t0-1 (the running instances among them) or
-        # arriving in this window gets a column up front
-        pending = [i for ts in range(t0, window.end + 1)
-                   for i in arrivals_at.get(ts, [])]
-        window_instances = sorted([by_id[iid] for iid in prev_config]
-                                  + pending, key=lambda i: i.id)
-        matrix = ConfigurationMatrix(window, [i.id for i in window_instances])
-        base = _fast_base(model)
-        ledger = (None if base is None else
-                  WindowLedger(matrix, window_instances, model.K,
-                               base.backend, prev_config, distance))
+        columns = [by_id[iid] for iid in prev_config]
+        columns += [i for t in window.slots for i in arrivals_at.get(t, ())]
+        columns.sort(key=lambda i: i.id)
+        matrix = solve(window, oracle.predicted_model(t0, window),
+                       prev_config, columns)
         ids = np.array(matrix.instance_ids, dtype=np.int64)
+        for t, row in zip(window.slots, matrix.data):
+            on = np.flatnonzero(row)
+            placements[t] = dict(zip(ids[on].tolist(), row[on].tolist()))
+        prev_config = placements[window.end]
+        t0 += window.T
+    actual, moved = charge_placements(oracle.actual, placements, instances,
+                                      distance)
+    return placements, actual, moved
+
+
+def run_online(horizon: int, window_size: int,
+               instances: list[ServiceInstance], oracle,
+               distance: DistanceContext | None = None) -> OnlineRun:
+    """Full-horizon online control loop: run_windows, placing arrivals.
+
+    instances carry their true arrival/departure slots; the loop only
+    reveals them at those slots. Each arrival is planned up to its
+    planned_end; it departs at the end of its last_slot. A window's
+    carried-over columns, those with last_slot >= t0, re-enter as arrivals
+    at its start, keeping their slot t0-1 cloud as the migration baseline.
+    """
+    run = OnlineRun({}, {}, {}, [])
+
+    def solve(window, model, prev_config, columns):
+        matrix = ConfigurationMatrix(window, [i.id for i in columns])
+        ledger = (None if _fast_base(model) is None else
+                  WindowLedger(matrix, columns, model, prev_config, distance))
+        # a column arrives at its first slot in the window and departs at
+        # the end of its last_slot; one that left at t0-1 does neither
+        arrive: dict[int, list[ServiceInstance]] = {}
+        depart: dict[float, list[int]] = {}
+        for inst in columns:
+            last = inst.last_slot
+            if last >= window.t0:
+                arrive.setdefault(max(inst.arrival_slot, window.t0),
+                                  []).append(inst)
+                depart.setdefault(last, []).append(inst.id)
         for t in window.slots:
-            todo = list(arrivals_at.get(t, []))
-            if t == t0:                             # carried-over re-arrivals
-                todo.extend(by_id[iid] for iid in prev_config
-                            if by_id[iid].last_slot >= t0)
-            for inst in sorted(todo, key=lambda i: i.id):
-                outcome = place_on_arrival(inst, t, matrix, window_instances,
-                                           model, prev_config, distance,
+            for inst in arrive.get(t, ()):
+                outcome = place_on_arrival(inst, t, matrix, columns, model,
+                                           prev_config, distance,
                                            want_cost=False, ledger=ledger)
                 matrix = outcome.matrix
                 run.relaxations_per_arrival.append(outcome.relaxations)
-                if outcome.saturated:
-                    run.saturated_events += 1
+                run.saturated_events += outcome.saturated
+            for iid in depart.get(t, ()):
+                matrix = handle_departure(iid, t, matrix, ledger=ledger)
+        return matrix
 
-            row = matrix.data[t - t0]
-            on = np.flatnonzero(row)
-            run.placements[t] = dict(zip(ids[on].tolist(), row[on].tolist()))
-
-            # departures take effect at the end of the slot
-            for iid in departures_at.get(t, ()):
-                if iid in run.placements[t]:
-                    matrix = handle_departure(iid, t, matrix, ledger=ledger)
-
-        prev_config = run.placements[window.end]
-        t0 += window.T
-    run.actual_by_slot, run.migrations_by_slot = charge_placements(
-        oracle.actual, run.placements, instances, distance)
+    run.placements, run.actual_by_slot, run.migrations_by_slot = run_windows(
+        horizon, window_size, instances, oracle, distance, solve)
     return run

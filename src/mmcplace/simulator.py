@@ -241,14 +241,9 @@ def sweep_window(config: ScenarioConfig, T_values, beta_values, seeds):
     """Day-average policy-E cost per (T, beta, seed), with the optimizer's
     pick marked. Returns a list of row dicts in deterministic order."""
     rows = []
-    T_m = max(T_values)
+    optimizer = replace(config, window_T=0, T_max=max(T_values))
     for beta in beta_values:
-        if beta > 0:
-            obj = WindowObjective(config.gamma, config.sigma,
-                                  PowerLawErrorBound(beta, config.alpha))
-            t_star = optimal_window_binary_search(obj, T_m)
-        else:
-            t_star = T_m
+        t_star = pick_window(optimizer, beta)
         for seed in seeds:
             scn = build_scenario(config, seed)
             for T in T_values:

@@ -28,6 +28,8 @@ def test_instance_validation():
         ServiceInstance(id=1, arrival_slot=5, actual_departure_slot=4)
     with pytest.raises(ValueError):
         ServiceInstance(id=1, arrival_slot=1, max_lifetime=0)
+    with pytest.raises(ValueError):
+        ServiceInstance(id=1, arrival_slot=0)      # slots count from 1
 
 
 def test_active_span_truncation():

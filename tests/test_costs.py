@@ -253,7 +253,7 @@ def _assert_charge_matches_reference(model, placements, instances,
 
 def _recorded_charges(monkeypatch, run):
     """The arguments of every charge_placements call that run() makes."""
-    from mmcplace import offline, online, simulator
+    from mmcplace import online, simulator
 
     seen = []
 
@@ -261,7 +261,7 @@ def _recorded_charges(monkeypatch, run):
         seen.append(args)
         return charge_placements(*args)
 
-    for module in (simulator, online, offline):
+    for module in (simulator, online):
         monkeypatch.setattr(module, "charge_placements", recording)
     run()
     monkeypatch.undo()

@@ -106,13 +106,13 @@ def test_single_column_dp_is_optimal(seed, use_distance, use_perturb):
         assert out.saturated
 
 
-def _fast_path(instance, t, t_e, ledger, model, base):
+def _fast_path(instance, t, t_e, ledger):
     """_min_path on the capacity/backend provider, under the errstate that
     place_on_arrival gives it."""
     from mmcplace.online import _fast_steps
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _min_path(*_fast_steps(instance, t, t_e, ledger, model, base))
+        return _min_path(*_fast_steps(instance, t, t_e, ledger))
 
 
 @given(st.integers(0, 2 ** 31))
@@ -131,10 +131,9 @@ def test_fast_path_matches_generic(seed):
     ev = WindowCostEvaluator(w, insts_sorted, model, prev, d)
     j = next(i for i, x in enumerate(insts_sorted) if x.id == inst.id)
     t_e = int(min(t + inst.max_lifetime - 1, w.end))
-    base = _fast_base(model)
-    assert base is not None
-    ledger = WindowLedger(m, insts_sorted, model.K, base.backend, prev, d)
-    fast = _fast_path(inst, t, t_e, ledger, model, base)
+    assert _fast_base(model) is not None
+    ledger = WindowLedger(m, insts_sorted, model, prev, d)
+    fast = _fast_path(inst, t, t_e, ledger)
     gen = _min_path(*_generic_steps(t, t_e, m, ev, j, model.K))
 
     def path_cost(path):
@@ -154,7 +153,7 @@ def test_fast_path_matches_generic(seed):
 def test_fast_path_matches_generic_near_capacity(seed):
     """Frozen columns that hop between MMCs next to capacity, where the
     congestion corrections for frozen migrations decide the route."""
-    from mmcplace.online import WindowLedger, _fast_base, _generic_steps
+    from mmcplace.online import WindowLedger, _generic_steps
 
     rng = np.random.default_rng(seed)
     K, capacity = 4, 3.0
@@ -192,12 +191,10 @@ def test_fast_path_matches_generic_near_capacity(seed):
             else:
                 m.set(f.id, t, k)
     d = grid_distance(K) if seed % 4 < 2 else None
-    base = _fast_base(model)
     ev = WindowCostEvaluator(w, insts, model, prev, d)
     t = inst.arrival_slot
     t_e = int(min(t + life - 1, w.end))
-    fast = _fast_path(inst, t, t_e, WindowLedger(m, insts, K, base.backend,
-                                                 prev, d), model, base)
+    fast = _fast_path(inst, t, t_e, WindowLedger(m, insts, model, prev, d))
     gen = _min_path(*_generic_steps(t, t_e, m, ev, 5, K))
 
     def path_cost(path):
@@ -211,7 +208,7 @@ def test_fast_path_matches_generic_near_capacity(seed):
     assert fast[2] is gen[2] is False
 
 
-def _per_step_reference(instance, t, t_e, ledger, model, base):
+def _per_step_reference(instance, t, t_e, ledger):
     """_fast_steps' inputs built one slot at a time: each boundary its own
     (K, K) matrix with its own frozen-migration correction, the carried
     entry row read off a whole matrix, loads without and with ours priced
@@ -219,6 +216,7 @@ def _per_step_reference(instance, t, t_e, ledger, model, base):
     from mmcplace.online import _shift
 
     a, b = instance.local_demand, instance.migration_demand
+    model, base = ledger.model, ledger.base
     K, b0, window = ledger.K, base.backend - 1, ledger.window
     j = ledger.col[instance.id]
     i, i_e = t - window.t0 + 1, t_e - window.t0 + 1
@@ -281,7 +279,7 @@ def _kernel_case(moves, perturb, k_prev, t, life, paired=False):
     moves instance 2 from MMC 3 to MMC 4 into slot 4 instead, so that
     boundary has moves out of two MMCs and into two, and its corrections
     out of MMC 3 and into MMC 4 are infinite."""
-    from mmcplace.online import WindowLedger, _fast_base
+    from mmcplace.online import WindowLedger
 
     K = 5
     model = MmcBackendCostModel(K=K, capacity=3.0, backend_local_rate=3.0,
@@ -315,10 +313,9 @@ def _kernel_case(moves, perturb, k_prev, t, life, paired=False):
     prev = {1: 1, 2: 3, 3: 2}
     if k_prev:
         prev[4] = k_prev
-    base = _fast_base(model)
-    ledger = WindowLedger(m, insts, K, base.backend, prev, grid_distance(K))
+    ledger = WindowLedger(m, insts, model, prev, grid_distance(K))
     t_e = int(min(t + life - 1, w.end))
-    return insts[-1], t, t_e, ledger, model, base
+    return insts[-1], t, t_e, ledger
 
 
 @pytest.mark.parametrize("block_slots", [1, 3, None])
@@ -417,8 +414,8 @@ def test_fullscale_run_steps_match_per_step_reference(policy, monkeypatch):
     fast_steps = online._fast_steps
     seen = {"arrivals": 0, "moved": 0}
 
-    def checked(instance, t, t_e, ledger, model, base):
-        args = (instance, t, t_e, ledger, model, base)
+    def checked(instance, t, t_e, ledger):
+        args = (instance, t, t_e, ledger)
         _assert_steps_match_reference(args, fast_steps)
         i = t - ledger.window.t0 + 1
         seen["arrivals"] += 1
@@ -515,6 +512,81 @@ def test_run_online_noise_changes_placement_not_accounting():
             expect = ev.local(t, state) + ev.transition(t, prev, state)
             assert run.actual_by_slot[t] == pytest.approx(expect)
             prev = state
+
+
+class _MarkerOracle:
+    """Actual costs, and a marker tuple for each window's predicted model."""
+
+    def __init__(self, actual):
+        self.actual = actual
+
+    def predicted_model(self, t0, window):
+        return ("predicted", t0, window)
+
+
+@pytest.mark.parametrize("window_size", [1, 2, 3, 4])
+def test_window_loop_gives_each_window_the_offline_column_rule(window_size):
+    """run_windows driven with a solve that records its arguments and puts
+    every active column on a fixed cloud. Each window gets the oracle's
+    model, the previous window's last slot map as prev_config and, in id
+    order, the columns run_offline chose by its own rule: placed in t0-1
+    or active in the window. Over the seeds, windows see carried
+    instances, instances that departed at t0-1 and (windows of 2 slots or
+    more) arrivals after t0."""
+    from collections import Counter
+
+    from mmcplace.online import run_windows
+
+    K, horizon = 3, 13
+    seen = Counter()
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        insts = []
+        for j in range(1, int(rng.integers(1, 9)) + 1):
+            arrival = int(rng.integers(1, horizon + 1))
+            life = int(rng.integers(1, 6)) if rng.random() < 0.3 else math.inf
+            departure = (min(horizon, arrival + int(rng.integers(0, 6)))
+                         if rng.random() < 0.7 else None)
+            insts.append(ServiceInstance(id=j, arrival_slot=arrival,
+                                         max_lifetime=life,
+                                         actual_departure_slot=departure))
+        rng.shuffle(insts)
+        calls = []
+
+        def solve(window, model, prev_config, columns):
+            matrix = ConfigurationMatrix(window, [i.id for i in columns])
+            for inst in columns:
+                span = inst.active_span(window)
+                for t in range(span[0], span[1] + 1) if span else ():
+                    matrix.set(inst.id, t, 1 + inst.id % K)
+            calls.append((window, model, dict(prev_config),
+                          [i.id for i in columns], matrix))
+            return matrix
+
+        placements, _actual, _moved = run_windows(
+            horizon, window_size, insts, _MarkerOracle(mmc(K)), None, solve)
+        t0, last_map = 1, {}
+        for window, model, prev_config, ids, matrix in calls:
+            assert window == Window(t0, min(window_size, horizon - t0 + 1))
+            assert model == ("predicted", t0, window)
+            assert prev_config == last_map
+            assert ids == sorted(i.id for i in insts if i.id in prev_config
+                                 or i.active_span(window) is not None)
+            for i in insts:
+                if i.id in prev_config:
+                    seen["carried" if i.last_slot >= t0 else "departed"] += 1
+                elif t0 < i.arrival_slot <= window.end:
+                    seen["mid-window"] += 1
+            last_map = {iid: k for iid, k in zip(ids, matrix.data[-1].tolist())
+                        if k}
+            t0 = window.end + 1
+        assert t0 == horizon + 1
+        assert placements == {
+            t: {i.id: 1 + i.id % K for i in sorted(insts, key=lambda i: i.id)
+                if i.arrival_slot <= t <= i.last_slot}
+            for t in range(1, horizon + 1)}
+    assert seen["carried"] > 0 and seen["departed"] > 0
+    assert (seen["mid-window"] > 0) == (window_size > 1)
 
 
 class _WindowOracle:
@@ -788,7 +860,7 @@ def test_ledger_owns_the_matrix_it_is_given():
     assert copied.matrix is not m and m == before
     assert m.data is data
     assert copied.matrix != before
-    ledger = WindowLedger(m, insts, model.K, model.backend, prev, d)
+    ledger = WindowLedger(m, insts, model, prev, d)
     placed = place_on_arrival(inst, t, m, insts, model, prev, d,
                               ledger=ledger)
     assert placed.matrix is m and m == copied.matrix
@@ -796,6 +868,29 @@ def test_ledger_owns_the_matrix_it_is_given():
     assert departed is not m and m == copied.matrix
     assert handle_departure(inst.id, t, m, ledger=ledger) is m
     assert m == departed
+
+
+def test_place_on_arrival_rejects_a_ledger_built_for_another_model():
+    """A ledger holds the constants of the model it was built for (h times
+    the pair hops, the per-slot offsets). Handed another model, one with
+    the same costs or the same base included, place_on_arrival raises and
+    writes nothing; with its own model it places."""
+    from mmcplace.online import WindowLedger
+
+    model, w, insts, prev, m, d = random_setup(
+        np.random.default_rng(4), distance=True, dist_weights=(0.2, 0.1))
+    ledger = WindowLedger(m, insts, model, prev, d)
+    inst, before = insts[-1], m.copy()
+    same_base = PerturbedCostModel(model, {t: np.zeros(model.K + 1)
+                                           for t in w.slots})
+    for other in (mmc(K=model.K, Y=6.0), same_base):
+        with pytest.raises(ValueError, match="another cost model"):
+            place_on_arrival(inst, inst.arrival_slot, m, insts, other, prev,
+                             d, ledger=ledger)
+    assert m == before
+    placed = place_on_arrival(inst, inst.arrival_slot, m, insts, model, prev,
+                              d, ledger=ledger)
+    assert placed.matrix is m and m != before
 
 
 def test_fast_run_copies_no_matrix(monkeypatch):
@@ -835,7 +930,7 @@ def test_ledger_sums_migrations_per_pair_first():
         m.set(iid, 2, k)
         m.set(iid, 3, k)
         m.set(iid, 4, 1)
-    ledger = WindowLedger(m, insts, model.K, model.backend, prev,
+    ledger = WindowLedger(m, insts, model, prev,
                           grid_distance(model.K))
     want = _fresh_rows(m, insts, model, prev, grid_distance(model.K))
     for name, rows in want.items():
@@ -861,7 +956,7 @@ def _written_ledger(frozen, j, t, path):
     for iid, col in frozen.items():
         m.set_column(iid, col)
     prev = {1: 1, 2: 1, 3: 1}
-    ledger = WindowLedger(m, insts, model.K, model.backend, prev, d)
+    ledger = WindowLedger(m, insts, model, prev, d)
     ledger.write(j, t, path)
     return ledger, _fresh_rows(m, insts, model, prev, d)
 
@@ -949,7 +1044,7 @@ def test_ledger_builds_an_empty_window_without_a_refresh(monkeypatch):
              for j in (1, 2)]
     m = ConfigurationMatrix(Window(2, 3), [1, 2])
     prev = {1: 1, 2: 3}
-    ledger = WindowLedger(m, insts, model.K, model.backend, prev,
+    ledger = WindowLedger(m, insts, model, prev,
                           grid_distance(model.K))
     assert refreshed == []
     monkeypatch.undo()
@@ -958,7 +1053,7 @@ def test_ledger_builds_an_empty_window_without_a_refresh(monkeypatch):
     m.set_column(2, [3, 2, 2])
     monkeypatch.setattr(WindowLedger, "refresh",
                         lambda self, lo, hi: refreshed.append((lo, hi)))
-    WindowLedger(m, insts, model.K, model.backend, prev)
+    WindowLedger(m, insts, model, prev)
     assert refreshed == [(2, 4)]
 
 
@@ -1092,7 +1187,7 @@ def test_ledger_looks_up_cells_only_where_a_column_may_be_placed():
                              actual_departure_slot=5),
              ServiceInstance(id=4, arrival_slot=1, max_lifetime=1)]
     m = ConfigurationMatrix(w, [1, 2, 3, 4])
-    ledger = WindowLedger(m, insts, K, K, {1: 1, 2: 2, 4: 3}, d)
+    ledger = WindowLedger(m, insts, mmc(K), {1: 1, 2: 2, 4: 3}, d)
     want = {(1, t) for t in range(3, 9)} | {(3, t) for t in range(4, 7)}
     assert set(calls) == want
     assert set(calls.values()) == {1}
@@ -1160,6 +1255,6 @@ def test_distance_hooks_run_once_per_table_entry():
             loads = placement_loads(t, insts, m.slot_state(t), K, d,
                                     m.slot_state(t - 1))
             assert loads.s
-        WindowLedger(m, insts, K, K, {}, d)
+        WindowLedger(m, insts, mmc(K), {}, d)
     assert set(calls.values()) == {1}
     assert len(calls) == (K - 1) * (K - 2) + (K - 1) ** 2

@@ -1,7 +1,7 @@
 """The benchmark calls and wraps mmcplace names from outside; a renamed
 or deleted name, or a changed signature, breaks it. Install its tracer
-against the package, and run one exact-ref and one fullscale-sim
-repetition against their stored fingerprints."""
+against the package, and run one exact-ref, one fullscale-sim and one
+desk-sweep repetition against their stored fingerprints."""
 
 import os
 import subprocess
@@ -58,3 +58,23 @@ def test_fullscale_sim_repetition_matches_its_fingerprint(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "fullscale-10000" / "summary.csv").is_file()
+
+
+def test_desk_sweep_repetition_matches_its_fingerprint(tmp_path):
+    """desk_rep runs policy e over T = 1..30 at two betas, a window start
+    every 1 to 30 slots, and checks every cell's cost against the seed-1
+    fingerprint. Its sweep CSV goes to tmp_path."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(ROOT / "src"))
+    script = ("import json, pathlib, sys, workload\n"
+              "workload.OUT = pathlib.Path(sys.argv[1])\n"
+              "rep = workload.desk_rep(1)\n"
+              "ref = json.loads(workload.REFERENCE.read_text())\n"
+              "workload.check_reference(ref['desk-sweep']['1'], rep)\n"
+              "print(json.dumps(rep.failures))\n")
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          cwd=ROOT / "perfbench", env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "sweep-1.csv").is_file()
