@@ -204,7 +204,7 @@ class PolynomialCostModel(CostModel):
     order() is the largest total degree with a positive coefficient.
     """
 
-    def __init__(self, ucoeffs, wterms, require_assumption1=True):
+    def __init__(self, ucoeffs, wterms):
         ucoeffs = np.asarray(ucoeffs, dtype=float)
         if ucoeffs.ndim != 2:
             raise ValueError("ucoeffs must be (K+1, max_order+1)")
@@ -220,12 +220,11 @@ class PolynomialCostModel(CostModel):
                 raise ValueError("polynomial coefficients must be nonnegative")
             if p3 < 1:
                 raise ValueError("migration terms need z degree >= 1 (w(.,.,0)=0)")
-        if require_assumption1:
-            if ucoeffs.shape[1] < 2 or np.any(ucoeffs[1:, 1] <= 0):
-                raise ValueError("need positive linear y term in every u_k")
-            if not any(p1 == 0 and p2 == 0 and p3 == 1 and c > 0
-                       for p1, p2, p3, c in self.wterms):
-                raise ValueError("need a positive pure-z linear migration term")
+        if ucoeffs.shape[1] < 2 or np.any(ucoeffs[1:, 1] <= 0):
+            raise ValueError("need positive linear y term in every u_k")
+        if not any(p1 == 0 and p2 == 0 and p3 == 1 and c > 0
+                   for p1, p2, p3, c in self.wterms):
+            raise ValueError("need a positive pure-z linear migration term")
         self.convex_nondecreasing = True
 
     def order(self) -> int:

@@ -30,14 +30,16 @@ is a (K, K) matrix in (to, from) layout: hop(q)[l, k] is the cost of
 k -> l, so _min_path adds the predecessor costs along the contiguous
 axis and takes each destination's argmin along it.
 
-_fast_steps reads every frozen load from a WindowLedger: per-slot local
-loads and user-distance sums, per-boundary MMC-to-MMC migration out- and
-in-sums, each user's cell id looked up once per window (from the
-instance's arrival on), the DistanceContext's hop tables and the
-constants of the model it was built for (h times the pair hops, per-slot
-offsets). run_online keeps one ledger per window; the ledger owns the
-window's placements, slot t0-1 included, and the matrix's data is a view
-of them, which place_on_arrival and handle_departure update in place.
+Every arrival, whatever the cost family, is placed through a
+WindowLedger, which owns the window's placements, slot t0-1 included:
+the matrix's data is a view of them, which WindowLedger.write and
+handle_departure update in place. run_online keeps one ledger per
+window. _generic_steps reads its frozen joint states from the ledger's
+rows, and _fast_steps every frozen load: per-slot local loads and
+user-distance sums, per-boundary MMC-to-MMC migration out- and in-sums,
+each user's cell id looked up once per window (from the instance's
+arrival on), the DistanceContext's hop tables and the capacity/backend
+constants (h times the pair hops, per-slot offsets).
 Every ledger sum runs in instance order, so it always equals a fresh
 WindowCostEvaluator aggregation bit for bit. A placed column that was
 empty over its slots and has no later nonzero column there is appended:
@@ -46,12 +48,12 @@ move it makes in its (k, l) pair; a new pair is added to zout/zin as it
 stands, a known one has its boundary regrouped. In run_online ids rise
 with arrival order, so every placement is such an append. Other writes
 and every departure rebuild the touched rows from the whole placement.
-No joint state tuple is built and no cost function is called per cloud;
-an arrival's (K, K) boundary matrices are built in blocks of consecutive
-slots, up to HOP_BLOCK_BYTES each. The frozen-migration corrections are
-built only when the ledger flags a frozen move in the arrival's rows,
-and added only to the rows and columns of the clouds those moves leave
-or enter.
+_fast_steps builds no joint state tuple and calls no cost function per
+cloud; an arrival's (K, K) boundary matrices are built in blocks of
+consecutive slots, up to HOP_BLOCK_BYTES each. The frozen-migration
+corrections are built only when the ledger flags a frozen move in the
+arrival's rows, and added only to the rows and columns of the clouds
+those moves leave or enter.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def _fast_base(model):
 
 
 class WindowLedger:
-    """Per-window load aggregates of a placement matrix, for the fast DP.
+    """A window's placements and their per-slot load aggregates.
 
     Ledger row i stands for window slot t0 + i - 1; row 0 is the slot just
     before the window. place[i] is that slot's placement: place[0] is
@@ -112,8 +114,10 @@ class WindowLedger:
     unknown, looked up once for the slots from max(arrival slot, t0) to
     min(planned_end, window end), a column's only placeable slots; a
     column whose planned end is before t0 is not looked up. The ledger
-    serves one capacity/backend model, `model`, perhaps perturbed, whose
-    constants hD and off it takes once.
+    serves one cost model, `model`, of any family (with no backend, every
+    cloud 1..K counts as an MMC); hD, off and the backend mask are the
+    constants of `base`, the capacity/backend model behind it, taken once
+    (hD and off are None without one).
 
     Every sum runs in instance order, so it matches a fresh aggregation
     bit for bit. write() decides, before it writes, whether a placed
@@ -151,11 +155,6 @@ class WindowLedger:
         self.place[1:] = matrix.data
         matrix.data = self.place[1:]
         self.prev = self.place[0]
-        # is_mmc[k]: cloud k is an MMC, neither 0 nor the backend; mmc is
-        # the same as a list, for write()'s scalar lookups
-        self.is_mmc = np.ones(K + 1, dtype=bool)
-        self.is_mmc[[0, self.base.backend]] = False
-        self.mmc = self.is_mmc.tolist()
         # user cell id of each (slot, instance), a row of `hops`; 0, the
         # all-zero row, for an unknown cell and every slot before arrival
         self.cell_row = np.zeros((window.T, len(cols)), dtype=np.int32)
@@ -174,6 +173,23 @@ class WindowLedger:
                                 dtype=np.int32, count=end + 1 - start))
             self.hops = distance.cell_hops
             self.pairD = distance.pair_hops
+        # is_mmc[k]: cloud k is an MMC, neither 0 nor the backend; mmc is
+        # the same as a list, for write()'s scalar lookups. hD[l, k] = h *
+        # pairD[k + 1, l + 1], the hop cost of k+1 -> l+1 in the (to, from)
+        # layout of the DP's steps; off[i] the model's local-cost offsets
+        # of window slot t0 + i, None on the base model
+        self.is_mmc = np.ones(K + 1, dtype=bool)
+        self.is_mmc[0] = False
+        self.hD = self.off = None
+        if self.base is not None:
+            self.is_mmc[self.base.backend] = False
+            self.hD = np.ascontiguousarray(
+                (self.base.h * self.pairD[1:, 1:]).T)
+            if model is not self.base:
+                zero = np.zeros(K + 1)
+                self.off = np.array([model.offsets.get(s, zero)
+                                     for s in window.slots])
+        self.mmc = self.is_mmc.tolist()
         self.y = np.zeros((rows, K + 1))
         self.r = np.zeros((rows, K + 1))
         self.zout = np.zeros((rows, K + 1))
@@ -183,15 +199,6 @@ class WindowLedger:
         self.y[0, 0] = 0.0
         if self.place[1:].any():            # else the zero rows are right
             self.refresh(window.t0, window.end)
-        # hD[l, k] = h * pairD[k + 1, l + 1], the hop cost of k+1 -> l+1 in
-        # the (to, from) layout of the DP's steps; off[i] the model's
-        # local-cost offsets of window slot t0 + i, None on the base model
-        self.hD = np.ascontiguousarray((self.base.h * self.pairD[1:, 1:]).T)
-        self.off = None
-        if model is not self.base:
-            zero = np.zeros(K + 1)
-            self.off = np.array([model.offsets.get(s, zero)
-                                 for s in window.slots])
 
     def write(self, j: int, t: int, path: tuple[int, ...]) -> None:
         """Place column j on `path` from slot t on, and update the rows."""
@@ -313,28 +320,22 @@ def _min_path(first, local, hop, tail):
     return tuple(k + 1 for k in path), relax, saturated
 
 
-def _generic_steps(t, t_e, matrix, ev, j, K):
+def _generic_steps(t, t_e, ledger, ev, j):
     """_min_path's inputs for any cost model, from full joint states.
 
-    Each slot's K joint states (the frozen columns with cloud k in column
-    j) are built once; every step is priced by the evaluator.
+    The frozen joint states are the ledger's placement rows (row 0 is slot
+    t0-1, the evaluator's prior). rows[q][k - 1], slot t+q's row with
+    cloud k in column j, is built once; every step is priced by the
+    evaluator.
     """
-    window = matrix.window
-
-    def joints(s: int) -> list[tuple[int, ...]]:
-        state = list(matrix.slot_state(s))
-        row = []
-        for k in range(1, K + 1):
-            state[j] = k
-            row.append(tuple(state))
-        return row
-
-    rows = [joints(s) for s in range(t, t_e + 1)]
+    i, K = t - ledger.window.t0 + 1, ledger.K    # ledger row of slot t
+    joint = np.repeat(ledger.place[i:i + t_e - t + 1, None], K, axis=1)
+    joint[:, :, j] = np.arange(1, K + 1)
+    rows = [[tuple(state) for state in row] for row in joint.tolist()]
     local = [np.array([ev.local(t + q, state) for state in row])
              for q, row in enumerate(rows)]
-    # the joint state at t-1 is the migration baseline: the evaluator's
-    # prior at the window start, the frozen columns' state mid-window
-    before = ev.prior if t == window.t0 else matrix.slot_state(t - 1)
+    # the frozen joint state at t-1 is the migration baseline
+    before = tuple(ledger.place[i - 1].tolist())
     first = local[0] + np.array([ev.transition(t, before, state)
                                  for state in rows[0]])
 
@@ -343,10 +344,10 @@ def _generic_steps(t, t_e, matrix, ev, j, K):
                          for to in rows[q]])
 
     tail = None
-    if t_e + 1 <= window.end:
+    if t_e + 1 <= ledger.window.end:
         # frozen migrations over the next boundary still feel the load we
         # leave behind at t_e
-        after = matrix.slot_state(t_e + 1)
+        after = tuple(ledger.place[i + len(rows)].tolist())
         tail = np.array([ev.transition(t_e + 1, state, after)
                          for state in rows[-1]])
     return first, local, hop, tail
@@ -506,55 +507,54 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     t_e = min(instance.planned_end, window end): the declared lifetime
     counts from the instance's own arrival, also when a carried instance
     is placed again at a window start. Raises ValueError when t is outside
-    the window or after planned_end. The DP state per slot is the
-    instance's cloud id; transition costs are evaluated on the full joint
-    state (frozen columns included), so congestion effects are exact.
-    Instances are matched to the matrix columns by id. Ties go to the
-    smallest final cloud, then the smallest predecessor at each boundary
-    going back (see _min_path).
+    the window, before the instance's arrival or after planned_end, or
+    when the instance's column already holds a cloud. The DP state per
+    slot is the instance's cloud id; transition costs are evaluated on
+    the full joint state (frozen columns included), so congestion effects
+    are exact. Instances are matched to the matrix columns by id. Ties go
+    to the smallest final cloud, then the smallest predecessor at each
+    boundary going back (see _min_path).
 
     ledger, when given, must describe `matrix` (run_online keeps one per
     window) and be built for `model` (else ValueError), and the matrix
-    then belongs to it: the ledger writes the column into `matrix` itself
-    and updates its rows (WindowLedger.write), and outcome.matrix is
-    `matrix`. Without a ledger the caller's matrix
-    is left as it was, its data array included, and outcome.matrix is a
-    copy; the capacity/backend path then builds a throwaway ledger on
-    that copy.
+    then belongs to it. Without one, a throwaway ledger is built on a
+    copy, and the caller's matrix is left as it was, its data array
+    included. Every family writes the column through the ledger
+    (WindowLedger.write); outcome.matrix is the ledger's matrix.
     """
     window = matrix.window
     if not (window.t0 <= t <= window.end):
         raise ValueError("arrival slot outside window")
+    if t < instance.arrival_slot:
+        raise ValueError("arrival slot before the instance's arrival")
     if t > instance.planned_end:
         raise ValueError("arrival slot after the instance's planned end")
     if instance.id not in matrix._col:
         raise ValueError("matrix has no column for the arriving instance")
+    if matrix.data[:, matrix._col[instance.id]].any():
+        raise ValueError("the arriving instance is already placed")
     if ledger is not None and ledger.model is not model:
         raise ValueError("ledger was built for another cost model")
     t_e = int(min(instance.planned_end, window.end))
-    K = model.K
 
-    base = _fast_base(model)
+    out = matrix if ledger is not None else matrix.copy()
+    ledger = ledger or WindowLedger(out, instances, model, prev_config,
+                                    distance)
+    j = ledger.col[instance.id]
     ev = None
-    if base is None or want_cost:
+    if ledger.base is None or want_cost:
         by_id = {i.id: i for i in instances}
         ev = WindowCostEvaluator(window,
                                  [by_id[iid] for iid in matrix.instance_ids],
                                  model, prev_config, distance)
-    out = matrix if ledger is not None else matrix.copy()
-    j = out._col[instance.id]
     with np.errstate(divide="ignore", invalid="ignore"):
-        if base is None:
-            steps = _generic_steps(t, t_e, out, ev, j, K)
+        if ledger.base is None:
+            steps = _generic_steps(t, t_e, ledger, ev, j)
         else:
-            steps = _fast_steps(instance, t, t_e, ledger or WindowLedger(
-                out, instances, model, prev_config, distance))
+            steps = _fast_steps(instance, t, t_e, ledger)
         path, relax, saturated = _min_path(*steps)
 
-    if ledger is not None:
-        ledger.write(j, t, path)
-    else:
-        out.data[t - window.t0:t_e - window.t0 + 1, j] = path
+    ledger.write(j, t, path)
     total = math.nan
     if want_cost:
         total = ev.path_cost([out.slot_state(s) for s in window.slots])
@@ -652,8 +652,7 @@ def run_online(horizon: int, window_size: int,
 
     def solve(window, model, prev_config, columns):
         matrix = ConfigurationMatrix(window, [i.id for i in columns])
-        ledger = (None if _fast_base(model) is None else
-                  WindowLedger(matrix, columns, model, prev_config, distance))
+        ledger = WindowLedger(matrix, columns, model, prev_config, distance)
         # a column arrives at its first slot in the window and departs at
         # the end of its last_slot; one that left at t0-1 does neither
         arrive: dict[int, list[ServiceInstance]] = {}
@@ -669,11 +668,10 @@ def run_online(horizon: int, window_size: int,
                 outcome = place_on_arrival(inst, t, matrix, columns, model,
                                            prev_config, distance,
                                            want_cost=False, ledger=ledger)
-                matrix = outcome.matrix
                 run.relaxations_per_arrival.append(outcome.relaxations)
                 run.saturated_events += outcome.saturated
             for iid in depart.get(t, ()):
-                matrix = handle_departure(iid, t, matrix, ledger=ledger)
+                handle_departure(iid, t, matrix, ledger=ledger)
         return matrix
 
     run.placements, run.actual_by_slot, run.migrations_by_slot = run_windows(

@@ -259,24 +259,22 @@ class SyntheticEvent:
     demand: float                # arriving instance's load
 
 
-def generate_synthetic(n_arrivals: int, rng: np.random.Generator,
-                       departure_prob: float = 0.1,
-                       demand_low: float = 0.5,
-                       demand_high: float = 1.5) -> list[SyntheticEvent]:
+def generate_synthetic(n_arrivals: int,
+                       rng: np.random.Generator) -> list[SyntheticEvent]:
     """Arrival sequence for the single-slot load-balancing experiment.
 
-    Before each arrival, with probability departure_prob one uniformly
-    random running instance departs (depart_index is drawn as a fraction
-    and resolved against the caller's running count at replay time).
+    Before each arrival, with probability 0.1 one uniformly random
+    running instance departs (depart_index indexes the caller's list of
+    running instances at replay time); demands are uniform on [0.5, 1.5).
     """
     events = []
     n_running = 0
     for _ in range(n_arrivals):
         depart = None
-        if rng.random() < departure_prob and n_running > 0:
+        if rng.random() < 0.1 and n_running > 0:
             depart = int(rng.integers(n_running))
             n_running -= 1
-        demand = rng.uniform(demand_low, demand_high)
+        demand = rng.uniform(0.5, 1.5)
         events.append(SyntheticEvent(depart_index=depart, demand=demand))
         n_running += 1
     return events

@@ -255,10 +255,9 @@ def sweep_window(config: ScenarioConfig, T_values, beta_values, seeds):
 
 
 def synthetic_ratio_experiment(n_arrivals: int = 4000, seeds=range(1, 21),
-                               n_clouds: int = 5, capacity: float = 5.0,
-                               backend_rate: float = 3.0,
-                               sample_every: int = 10):
-    """Single-slot greedy placement against the splittable lower bound.
+                               n_clouds: int = 5, sample_every: int = 10):
+    """Single-slot greedy placement against the splittable lower bound,
+    on n_clouds clouds of capacity 5 (the last one the backend, rate 3).
 
     seeds may be any non-empty iterable, a one-shot one included. Returns (sample
     points m, mean integral cost, mean fractional cost, ratio curve dict
@@ -267,9 +266,9 @@ def synthetic_ratio_experiment(n_arrivals: int = 4000, seeds=range(1, 21),
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds: need at least one seed")
-    model = MmcBackendCostModel(K=n_clouds, capacity=capacity,
-                                backend_local_rate=backend_rate,
-                                backend_migration_rate=backend_rate)
+    model = MmcBackendCostModel(K=n_clouds, capacity=5.0,
+                                backend_local_rate=3.0,
+                                backend_migration_rate=3.0)
     samples = sorted({m for m in range(sample_every, n_arrivals + 1,
                                        sample_every)} | {1, n_arrivals})
     sums_int = {m: 0.0 for m in samples}

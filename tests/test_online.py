@@ -134,7 +134,7 @@ def test_fast_path_matches_generic(seed):
     assert _fast_base(model) is not None
     ledger = WindowLedger(m, insts_sorted, model, prev, d)
     fast = _fast_path(inst, t, t_e, ledger)
-    gen = _min_path(*_generic_steps(t, t_e, m, ev, j, model.K))
+    gen = _min_path(*_generic_steps(t, t_e, ledger, ev, j))
 
     def path_cost(path):
         m2 = m.copy()
@@ -194,8 +194,9 @@ def test_fast_path_matches_generic_near_capacity(seed):
     ev = WindowCostEvaluator(w, insts, model, prev, d)
     t = inst.arrival_slot
     t_e = int(min(t + life - 1, w.end))
-    fast = _fast_path(inst, t, t_e, WindowLedger(m, insts, model, prev, d))
-    gen = _min_path(*_generic_steps(t, t_e, m, ev, 5, K))
+    ledger = WindowLedger(m, insts, model, prev, d)
+    fast = _fast_path(inst, t, t_e, ledger)
+    gen = _min_path(*_generic_steps(t, t_e, ledger, ev, 5))
 
     def path_cost(path):
         m2 = m.copy()
@@ -442,12 +443,14 @@ def test_relaxation_count_formula():
 
 
 def test_arrival_outside_window_rejected():
-    """An arrival slot after the window, or after the planned end."""
+    """An arrival slot after the window, after the planned end, or
+    before the instance's arrival."""
     model = mmc()
     w = Window(2, 3)
     m = ConfigurationMatrix(w, [1])
     for inst, t in [(ServiceInstance(id=1, arrival_slot=9), 9),
-                    (ServiceInstance(id=1, arrival_slot=1, max_lifetime=2), 3)]:
+                    (ServiceInstance(id=1, arrival_slot=1, max_lifetime=2), 3),
+                    (ServiceInstance(id=1, arrival_slot=3), 2)]:
         with pytest.raises(ValueError):
             place_on_arrival(inst, t, m, [inst], model)
 
@@ -657,7 +660,7 @@ def test_generic_planner_pre_window_load_counts_whole_previous_slot(
 
     def spy(instance, t, matrix, instances, model, prev_config, distance,
             *args, **kwargs):
-        assert kwargs["ledger"] is None          # the generic path
+        assert kwargs["ledger"].base is None     # the generic path
         captured.setdefault(matrix.window.t0, (matrix, instances, model,
                                                prev_config, distance))
         return place(instance, t, matrix, instances, model, prev_config,
@@ -738,10 +741,12 @@ def tie_free_distance(K):
 
 
 def _fresh_rows(matrix, instances, model, prev_config, distance):
-    """Ledger rows rebuilt from state_loads / transition_loads."""
+    """Ledger rows rebuilt from state_loads / transition_loads. A model
+    outside the capacity/backend family has no backend: every move
+    between two clouds counts."""
     from mmcplace.online import _fast_base
 
-    backend = _fast_base(model).backend
+    backend = getattr(_fast_base(model), "backend", None)
     w = matrix.window
     ev = WindowCostEvaluator(w, sorted(instances, key=lambda i: i.id),
                              model, prev_config, distance)
@@ -894,9 +899,9 @@ def test_place_on_arrival_rejects_a_ledger_built_for_another_model():
 
 
 def test_fast_run_copies_no_matrix(monkeypatch):
-    """run_online on the capacity/backend DP keeps each window's matrix in
-    its ledger and updates it in place: no ConfigurationMatrix.copy per
-    arrival or departure."""
+    """run_online, on the capacity/backend DP and on the generic one,
+    keeps each window's matrix in its ledger and updates it in place: no
+    ConfigurationMatrix.copy per arrival or departure."""
     copy, copies = ConfigurationMatrix.copy, []
 
     def counted(self):
@@ -905,9 +910,63 @@ def test_fast_run_copies_no_matrix(monkeypatch):
 
     monkeypatch.setattr(ConfigurationMatrix, "copy", counted)
     horizon, T, insts, oracle = _whole_run_case(1)
-    run = run_online(horizon, T, insts, oracle, grid_distance(oracle.actual.K))
-    assert len(run.relaxations_per_arrival) > len(insts)   # re-arrivals too
-    assert copies == []
+    for planner in (oracle, _GenericOracle(oracle)):
+        run = run_online(horizon, T, insts, planner,
+                         grid_distance(oracle.actual.K))
+        assert len(run.relaxations_per_arrival) > len(insts)  # re-arrivals
+        assert copies == []
+
+
+def test_ledger_over_a_model_without_backend_matches_fresh_rows():
+    """A ledger over linear costs, a family with no backend, builds and
+    holds the rows of a fresh state_loads / transition_loads aggregation,
+    moves into and out of cloud K (the distance context's backend) among
+    them; it takes no capacity/backend constants. A column written
+    through it keeps the rows fresh."""
+    from mmcplace.online import WindowLedger
+
+    K = 4
+    model = LinearCostModel(np.array([0.0, 1.0, 1.5, 2.0, 2.5]), 0.1, 0.2,
+                            1.0)
+    d = grid_distance(K)
+    insts = [ServiceInstance(id=j, arrival_slot=1, local_demand=0.3 * j,
+                             migration_demand=0.2 + 0.1 * j)
+             for j in (1, 2, 3, 4)]
+    m = ConfigurationMatrix(Window(2, 3), [1, 2, 3, 4])
+    m.set_column(1, [4, 4, 1])
+    m.set_column(2, [4, 2, 2])
+    m.set_column(3, [2, 2, 0])
+    prev = {1: 1, 2: 4, 3: 2}
+    ledger = WindowLedger(m, insts, model, prev, d)
+    assert ledger.hD is None and ledger.off is None
+    _assert_rows(ledger, _fresh_rows(m, insts, model, prev, d))
+    mig = insts[0].migration_demand                       # 1 -> 4 counts
+    assert ledger.zout[1, 1] == ledger.zin[1, 4] == mig > 0
+    ledger.write(3, 3, (4, 3))
+    _assert_rows(ledger, _fresh_rows(m, insts, model, prev, d))
+    assert m.column(4).tolist() == [0, 4, 3]
+
+
+@pytest.mark.parametrize("generic", [False, True])
+def test_place_on_arrival_rejects_an_instance_already_placed(generic):
+    """Placing an instance whose column already holds clouds in the window
+    raises, with and without a ledger, and writes nothing."""
+    from mmcplace.online import WindowLedger
+
+    model, w, insts, prev, m, d = random_setup(
+        np.random.default_rng(0), K=4, n=3, distance=True,
+        dist_weights=(0.2, 0.1))
+    model = _Delegating(model) if generic else model
+    inst = insts[-1]
+    placed = place_on_arrival(inst, inst.arrival_slot, m, insts, model, prev,
+                              d).matrix
+    before = placed.copy()
+    ledger = WindowLedger(placed, insts, model, prev, d)
+    for kwargs in ({}, {"ledger": ledger}):
+        with pytest.raises(ValueError, match="already placed"):
+            place_on_arrival(inst, inst.arrival_slot, placed, insts, model,
+                             prev, d, **kwargs)
+    assert placed == before
 
 
 def test_ledger_sums_migrations_per_pair_first():

@@ -1,7 +1,8 @@
 """The benchmark calls and wraps mmcplace names from outside; a renamed
 or deleted name, or a changed signature, breaks it. Install its tracer
-against the package, and run one exact-ref, one fullscale-sim and one
-desk-sweep repetition against their stored fingerprints."""
+against the package, run its per-arrival grid, and run one exact-ref,
+one fullscale-sim and one desk-sweep repetition against their stored
+fingerprints."""
 
 import os
 import subprocess
@@ -21,6 +22,23 @@ def test_tracer_installs_against_the_package():
         timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "installed"
+
+
+def test_arrival_grid_runs_against_the_package():
+    """arrival_grid builds DistanceContext from hooks and calls
+    place_on_arrival without a ledger on the capacity/backend DP: one
+    finite median per (K, T, M) point, 36 in all."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(ROOT / "src"))
+    script = ("import json, math, grid\n"
+              "out = grid.arrival_grid(1)\n"
+              "print(json.dumps([len(out), all(map(math.isfinite, "
+              "out.values()))]))\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          cwd=ROOT / "perfbench", env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[36, true]"
 
 
 def test_exact_ref_repetition_matches_its_fingerprint():
