@@ -20,7 +20,9 @@ the charge, by default the scalar ones applied per entry.
 MmcBackendCostModel has its own: R_array and u_from_R run the operations
 of R and u element for element, so they agree bit for bit, and they are
 the one array copy of those formulas; the fast DP prices arrivals with
-them too.
+them too. The linear and capacity/backend families also have
+inv_marginal_array, the inverse marginal cost that the oracle's
+fractional bound water-fills with, in array form only.
 
 The slot t0-1 before a window is an ordinary joint state for the
 planners (WindowCostEvaluator.prior, ledger row 0): the control loops
@@ -191,9 +193,11 @@ class LinearCostModel(CostModel):
         return (float(self.kappa1[k, l]), float(self.kappa2[k, l]),
                 float(self.kappa3[k, l]))
 
-    def inv_marginal(self, k, t, mu, cap):
-        """Largest load with marginal cost <= mu (flat slope: all or nothing)."""
-        return cap if mu >= self.gamma[k] else 0.0
+    def inv_marginal_array(self, mu, cap):
+        """Largest load with marginal cost <= mu (flat slope: all or
+        nothing), for the fractional bound: mu is (n,), cap (n, K) over
+        clouds 1..K, and [i, k - 1] is cloud k's load at mu[i]."""
+        return np.where(mu[:, None] >= self.gamma[1:], cap, 0.0)
 
 
 class PolynomialCostModel(CostModel):
@@ -333,13 +337,15 @@ class MmcBackendCostModel(CostModel):
             return math.inf
         return z * (self.R(y_from) + self.R(y_to)) + self.h * s
 
-    def inv_marginal(self, k, t, mu, cap):
-        """Largest load with marginal <= mu (used by the fractional bound)."""
-        if k == self.backend:
-            return cap if mu >= self.g_backend else 0.0
-        if mu < 1.0:
-            return 0.0
-        return min(cap, self.capacity * (1.0 - 1.0 / math.sqrt(mu)))
+    def inv_marginal_array(self, mu, cap):
+        """Largest load with marginal <= mu, as LinearCostModel's: an MMC
+        takes min(cap, Y (1 - 1/sqrt(mu))) from mu = 1 on, the backend
+        all of cap from mu = g_backend on."""
+        wall = self.capacity * (1.0 - 1.0 / np.sqrt(np.maximum(mu, 1.0)))
+        out = np.minimum(cap, wall[:, None])
+        out[mu < 1.0] = 0.0
+        out[:, -1] = np.where(mu >= self.g_backend, cap[:, -1], 0.0)
+        return out
 
 
 class PerturbedCostModel(CostModel):

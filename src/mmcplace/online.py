@@ -494,6 +494,14 @@ def _fast_steps(instance, t, t_e, ledger):
     return first, ld, hop, tail
 
 
+def _frozen_overload(ledger, t, t_e) -> bool:
+    """Whether the frozen load of an MMC is at or over capacity in a
+    ledger row that the arrival at t..t_e reads (slots t-1..t_e+1)."""
+    i = t - ledger.window.t0 + 1
+    rows = ledger.y[i - 1:i + t_e - t + 2, ledger.is_mmc]
+    return bool((rows >= ledger.base.capacity).any())
+
+
 def place_on_arrival(instance: ServiceInstance, t: int,
                      matrix: ConfigurationMatrix,
                      instances: list[ServiceInstance],
@@ -514,6 +522,13 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     are exact. Instances are matched to the matrix columns by id. Ties go
     to the smallest final cloud, then the smallest predecessor at each
     boundary going back (see _min_path).
+
+    When every route costs inf (saturated) and a frozen MMC load in the
+    rows the arrival reads is already at or over capacity, the
+    capacity/backend family is routed again by the generic DP, which
+    prices every joint state of such a slot as inf; the fast deltas
+    there are inf - inf. So both DPs return the same path in that case,
+    and the check costs nothing on an unsaturated arrival.
 
     ledger, when given, must describe `matrix` (run_online keeps one per
     window) and be built for `model` (else ValueError), and the matrix
@@ -541,22 +556,31 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     ledger = ledger or WindowLedger(out, instances, model, prev_config,
                                     distance)
     j = ledger.col[instance.id]
-    ev = None
-    if ledger.base is None or want_cost:
+
+    def evaluator():
         by_id = {i.id: i for i in instances}
-        ev = WindowCostEvaluator(window,
-                                 [by_id[iid] for iid in matrix.instance_ids],
-                                 model, prev_config, distance)
+        return WindowCostEvaluator(window,
+                                   [by_id[iid] for iid in matrix.instance_ids],
+                                   model, prev_config, distance)
+
+    ev = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        if ledger.base is None:
-            steps = _generic_steps(t, t_e, ledger, ev, j)
-        else:
-            steps = _fast_steps(instance, t, t_e, ledger)
-        path, relax, saturated = _min_path(*steps)
+        if ledger.base is not None:
+            path, relax, saturated = _min_path(
+                *_fast_steps(instance, t, t_e, ledger))
+        # at a frozen MMC at capacity the fast deltas are inf - inf = NaN,
+        # which argmin would take as the minimum: route as the generic DP
+        if ledger.base is None or (saturated and _frozen_overload(
+                ledger, t, t_e)):
+            ev = evaluator()
+            path, relax, saturated = _min_path(
+                *_generic_steps(t, t_e, ledger, ev, j))
 
     ledger.write(j, t, path)
     total = math.nan
     if want_cost:
+        if ev is None:
+            ev = evaluator()
         total = ev.path_cost([out.slot_state(s) for s in window.slots])
     return PlacementOutcome(matrix=out, predicted_cost=total,
                             relaxations=relax, saturated=saturated)

@@ -4,6 +4,11 @@ Exhaustive enumeration of all feasible placement paths, the single-slot
 fractional (splittable-load) lower bound via marginal-cost equalization,
 and the gap constants (phi, psi) bounding the greedy online solution
 against the scaled offline optimum.
+
+The fractional bound bisects a whole array of demands at once on the
+model's inv_marginal_array; a scalar demand is a one-element array. Each
+demand keeps its own bracket and branch rules, so its bound does not
+depend on the batch it is priced in.
 """
 
 from __future__ import annotations
@@ -72,68 +77,98 @@ def brute_force_offline(window: Window, instances: list[ServiceInstance],
     return BruteForceSolution(matrix, cost, count)
 
 
-def fractional_lower_bound_single_slot(total_demand: float,
-                                       model: CostModel) -> float:
+def fractional_lower_bound_single_slot(total_demand, model: CostModel):
     """Min of sum_k u_k(y_k) over fractional splits with sum y_k = demand.
 
-    Water-filling on a shared marginal mu: each cloud absorbs load until
-    its slot-1 marginal cost reaches mu, as the model's inv_marginal says;
-    bisection drives the total allocation to the demand. Requires a convex
-    model with inv_marginal; a cloud whose cost is infinite at the demand
-    is capped just below the model's capacity wall.
+    total_demand is a scalar (the bound is a float) or a 1-D array of
+    demands (an array of bounds). Water-filling on a shared marginal mu:
+    each cloud absorbs load until its slot-1 marginal cost reaches mu, as
+    the model's inv_marginal_array says; bisection drives the total
+    allocation to the demand. Requires a convex model with
+    inv_marginal_array; a cloud whose cost is infinite at the demand is
+    capped just below the model's capacity wall. A demand <= 0 costs 0,
+    +inf costs inf, and NaN raises ValueError.
     """
     if not getattr(model, "convex_nondecreasing", False):
         raise ValueError("fractional bound needs a convex cost model")
-    if not hasattr(model, "inv_marginal"):
-        raise ValueError("fractional bound needs an inv_marginal")
-    if total_demand <= 0:
-        return 0.0
-    K = model.K
-    t = 1
+    if not hasattr(model, "inv_marginal_array"):
+        raise ValueError("fractional bound needs an inv_marginal_array")
+    demand = np.asarray(total_demand, dtype=float)
+    if demand.ndim > 1:
+        raise ValueError("total_demand must be a scalar or a 1-D array")
+    if np.isnan(demand).any():
+        raise ValueError("total_demand is NaN")
+    flat = demand.reshape(-1)
+    bound = np.where(flat == math.inf, math.inf, 0.0)
+    live = (flat > 0) & (flat < math.inf)
+    if live.any():
+        bound[live] = _water_fill(flat[live], model)
+    return float(bound[0]) if demand.ndim == 0 else bound
 
-    def cap(k: int) -> float:
+
+def _water_fill(d: np.ndarray, model: CostModel) -> np.ndarray:
+    """The bound for positive finite demands d, all bisected at once.
+
+    Each demand keeps its own bracket [lo, hi] and takes the same steps a
+    bisection of it alone would take, so every bound is the same however
+    the demands are batched. An allocation sums its clouds in cloud order;
+    a split's total sums a row of the (n, K) block as numpy sums a 1-D
+    array of K loads.
+    """
+    n, K = d.size, model.K
+    slots = np.ones(n, dtype=np.int64)
+    block = np.repeat(d[:, None], K + 1, axis=1)     # column 0: no cloud
+    zero = np.zeros_like(block)
+    capped = ~np.isfinite(model.u_array(slots, block, zero)[:, 1:])
+    caps = block[:, 1:].copy()
+    if capped.any():
         # largest load with finite cost, minus a hair
-        if math.isfinite(model.u(k, t, total_demand)):
-            return total_demand
-        return model.capacity * (1.0 - 1e-12)
+        caps[capped] = model.capacity * (1.0 - 1e-12)
 
-    caps = [cap(k) for k in range(1, K + 1)]
+    def alloc(mu):
+        ys = model.inv_marginal_array(mu, caps)
+        total = np.zeros(n)
+        for k in range(K):
+            total += ys[:, k]
+        return total
 
-    def alloc_one(k: int, mu: float) -> float:
-        return min(model.inv_marginal(k, t, mu, caps[k - 1]), caps[k - 1])
-
-    def alloc(mu: float) -> float:
-        return sum(alloc_one(k, mu) for k in range(1, K + 1))
-
-    lo_mu = 0.0
-    hi_mu = 1.0
+    lo = np.zeros(n)
+    hi = np.ones(n)
     for _ in range(200):
-        if alloc(hi_mu) >= total_demand:
+        short = alloc(hi) < d
+        if not short.any():
             break
-        hi_mu *= 2.0
+        hi[short] *= 2.0
     for _ in range(100):
-        mid = 0.5 * (lo_mu + hi_mu)
-        if alloc(mid) >= total_demand:
-            hi_mu = mid
-        else:
-            lo_mu = mid
-    mu = hi_mu
-    ys = np.array([alloc_one(k, mu) for k in range(1, K + 1)])
+        mid = 0.5 * (lo + hi)
+        up = alloc(mid) >= d
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    ys = model.inv_marginal_array(hi, caps)
     # flat-marginal clouds (e.g. a linear backend) can overshoot at mu;
     # scale the slack absorbers back so the total matches the demand
-    excess = ys.sum() - total_demand
-    if excess > 0:
-        lower = np.array([alloc_one(k, lo_mu) for k in range(1, K + 1)])
-        slack = ys - lower
-        if slack.sum() > 0:
-            ys = ys - slack * (excess / slack.sum())
-    elif ys.sum() < total_demand * (1 - 1e-6):
-        # everything capped below the demand: spill is impossible to place
-        return math.inf
-    ys = np.clip(ys, 0.0, None)
-    if ys.sum() > 0:
-        ys *= total_demand / ys.sum()
-    return float(sum(model.u(k, t, float(ys[k - 1])) for k in range(1, K + 1)))
+    excess = ys.sum(axis=1) - d
+    over = excess > 0
+    if over.any():
+        slack = ys[over] - model.inv_marginal_array(lo[over], caps[over])
+        room = slack.sum(axis=1)
+        fix = room > 0
+        rows = over.nonzero()[0][fix]
+        ys[rows] -= slack[fix] * (excess[rows] / room[fix])[:, None]
+    # everything capped below the demand: spill is impossible to place
+    spill = ~over & (ys.sum(axis=1) < d * (1 - 1e-6))
+    np.clip(ys, 0.0, None, out=ys)
+    total = ys.sum(axis=1)
+    fill = total > 0
+    ys[fill] *= (d[fill] / total[fill])[:, None]
+    block[:, 0] = 0.0
+    block[:, 1:] = ys
+    u = model.u_array(slots, block, zero)
+    cost = np.zeros(n)
+    for k in range(1, K + 1):
+        cost += u[:, k]
+    cost[spill] = math.inf
+    return cost
 
 
 def grad_window_cost(model: CostModel, window: Window, y, z, y_before=None):

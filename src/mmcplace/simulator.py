@@ -259,13 +259,20 @@ def synthetic_ratio_experiment(n_arrivals: int = 4000, seeds=range(1, 21),
     """Single-slot greedy placement against the splittable lower bound,
     on n_clouds clouds of capacity 5 (the last one the backend, rate 3).
 
-    seeds may be any non-empty iterable, a one-shot one included. Returns (sample
-    points m, mean integral cost, mean fractional cost, ratio curve dict
-    m -> ratio).
+    seeds may be any non-empty iterable, a one-shot one included;
+    n_arrivals and sample_every must be >= 1 and n_clouds >= 2 (else
+    ValueError). Each seed's sample totals are priced by one batched
+    fractional-bound call. Returns (sample points m, mean integral cost,
+    mean fractional cost, ratio curve dict m -> ratio).
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds: need at least one seed")
+    if n_arrivals < 1 or sample_every < 1:
+        raise ValueError("n_arrivals and sample_every must be >= 1")
+    if n_clouds < 2:
+        raise ValueError("n_clouds must be >= 2: at least one MMC and "
+                         "the backend")
     model = MmcBackendCostModel(K=n_clouds, capacity=5.0,
                                 backend_local_rate=3.0,
                                 backend_migration_rate=3.0)
@@ -278,6 +285,7 @@ def synthetic_ratio_experiment(n_arrivals: int = 4000, seeds=range(1, 21),
         events = generate_synthetic(n_arrivals, rng)
         running: list[tuple[float, int]] = []    # (demand, cloud)
         y = np.zeros(n_clouds + 1)
+        totals = []                              # total demand per sample
         for m, ev in enumerate(events, start=1):
             if ev.depart_index is not None and running:
                 demand, cloud = running.pop(ev.depart_index)
@@ -294,8 +302,10 @@ def synthetic_ratio_experiment(n_arrivals: int = 4000, seeds=range(1, 21),
                 total = float(sum(model.u(k, 1, float(y[k]))
                                   for k in range(1, n_clouds + 1)))
                 sums_int[m] += total
-                sums_frac[m] += fractional_lower_bound_single_slot(
-                    float(y[1:].sum()), model)
+                totals.append(float(y[1:].sum()))
+        fracs = fractional_lower_bound_single_slot(np.array(totals), model)
+        for m, frac in zip(samples, fracs.tolist()):
+            sums_frac[m] += frac
     n = len(seeds)
     ratio = {m: (sums_int[m] / n) / (sums_frac[m] / n) if sums_frac[m] > 0 else 1.0
              for m in samples}

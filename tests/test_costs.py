@@ -103,6 +103,29 @@ def test_mmc_array_forms_equal_the_scalar_forms_next_to_capacity(g):
     assert u[4, 3] == 3.0 * (Y + 1.0)                   # backend stays linear
 
 
+def test_inv_marginal_array_is_the_scalar_rule_per_entry():
+    """Each entry is the inverse marginal's scalar formula: an MMC takes
+    min(cap, Y(1 - 1/sqrt(mu))) from mu = 1 on, the backend and a linear
+    cloud all of cap once mu reaches their rate, else nothing."""
+    Y = 5.0
+    model = MmcBackendCostModel(K=3, capacity=Y, backend_local_rate=3.0,
+                                backend_migration_rate=3.0)
+    mus = [0.0, 0.5, 1.0, 2.0, 3.0, float(np.nextafter(3.0, 0.0)), 1e9]
+    cap = np.array([[4.0, 0.5, 7.0]] * len(mus))
+    got = model.inv_marginal_array(np.array(mus), cap)
+    for i, mu in enumerate(mus):
+        for k in (0, 1):
+            want = (0.0 if mu < 1.0 else
+                    min(cap[i, k], Y * (1.0 - 1.0 / math.sqrt(mu))))
+            assert got[i, k] == want
+        assert got[i, 2] == (7.0 if mu >= 3.0 else 0.0)
+    lin = linear2()                                # rates 3 and 1
+    got = lin.inv_marginal_array(np.array(mus), cap[:, :2])
+    for i, mu in enumerate(mus):
+        assert got[i].tolist() == [4.0 if mu >= 3.0 else 0.0,
+                                   0.5 if mu >= 1.0 else 0.0]
+
+
 def test_mmc_distance_terms():
     model = MmcBackendCostModel(K=3, capacity=5.0, backend_local_rate=3.0,
                                 backend_migration_rate=3.0,

@@ -1,9 +1,13 @@
-"""Golden outputs: every policy on the desk config, seeds 1-3.
+"""Golden outputs: every policy on the desk config, seeds 1-3, and the
+greedy-vs-fractional ratio curve.
 
 The per-slot rows of results.csv (actual cost, active and migrated
 instance counts) and the summary.csv average cost per policy are pinned
 in tests/golden/ at full float precision and checked at rel <= 1e-12, so
-a refactor that changes any placement decision shows up here.
+a refactor that changes any placement decision shows up here. The
+ratio.csv of `mmcplace ratio-curve --arrivals 200 --seeds 3
+--sample-every 10` is pinned byte for byte, which pins the greedy costs
+and the fractional lower bound at every sample.
 
 Regenerate after a deliberate behaviour change with
 
@@ -11,11 +15,14 @@ Regenerate after a deliberate behaviour change with
 """
 
 import csv
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from mmcplace.cli import main
 from mmcplace.config import parse_config
 from mmcplace.simulator import POLICIES, build_scenario, run_policy
 
@@ -24,6 +31,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DESK_INI = ROOT / "configs" / "desk.ini"
 SEEDS = (1, 2, 3)
 REL = 1e-12
+RATIO_ARGS = ["--arrivals", "200", "--seeds", "3", "--sample-every", "10"]
+RATIO_GOLDEN = GOLDEN / "ratio_a200_s3.csv"
 
 
 def _run(seed):
@@ -50,6 +59,11 @@ def _write(seed):
             fh.write(f"{res.policy},{res.avg_cost!r}\n")
 
 
+def _ratio_csv(out_dir):
+    assert main(["ratio-curve", *RATIO_ARGS, "--out-dir", str(out_dir)]) == 0
+    return Path(out_dir) / "ratio.csv"
+
+
 def _read(name):
     with open(GOLDEN / name, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -74,7 +88,13 @@ def test_desk_outputs_match_golden(seed):
                                              abs=0.0), res.policy
 
 
+def test_ratio_curve_matches_golden(tmp_path):
+    assert _ratio_csv(tmp_path).read_bytes() == RATIO_GOLDEN.read_bytes()
+
+
 if __name__ == "__main__":
     for s in SEEDS:
         _write(s)
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copyfile(_ratio_csv(tmp), RATIO_GOLDEN)
     sys.exit(0)

@@ -209,6 +209,30 @@ def test_fast_path_matches_generic_near_capacity(seed):
     assert fast[2] is gen[2] is False
 
 
+def test_fast_path_matches_generic_at_frozen_capacity():
+    """A frozen MMC load already at capacity: three unit instances on
+    clouds [2, 2, 3] over slots 1..3 fill cloud 2 in slots 1-2. Every
+    route costs inf; the capacity/backend model and a subclass of it
+    (which takes the generic DP) both report saturation and route the
+    arrival the same way, by the generic DP's tie rule."""
+    class Subclass(MmcBackendCostModel):
+        pass
+
+    def place(cls):
+        model = cls(K=4, capacity=3.0, backend_local_rate=3.0,
+                    backend_migration_rate=3.0)
+        insts = [ServiceInstance(id=j, arrival_slot=1) for j in range(1, 5)]
+        m = ConfigurationMatrix(Window(1, 3), [i.id for i in insts])
+        for j in (1, 2, 3):
+            for t, k in zip((1, 2, 3), (2, 2, 3)):
+                m.set(j, t, k)
+        out = place_on_arrival(insts[3], 1, m, insts, model)
+        return out.matrix.data[:, 3].tolist(), out.saturated
+
+    fast, generic = place(MmcBackendCostModel), place(Subclass)
+    assert fast == generic == ([1, 1, 1], True)
+
+
 def _per_step_reference(instance, t, t_e, ledger):
     """_fast_steps' inputs built one slot at a time: each boundary its own
     (K, K) matrix with its own frozen-migration correction, the carried

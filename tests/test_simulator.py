@@ -148,6 +148,22 @@ def test_ratio_experiment_bounds():
         synthetic_ratio_experiment(n_arrivals=60, seeds=[])
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(n_arrivals=0), dict(n_arrivals=-5), dict(sample_every=0),
+    dict(sample_every=-3), dict(n_clouds=1), dict(n_clouds=0)])
+def test_ratio_experiment_rejects_bad_arguments(kwargs):
+    """A negative sample_every once sampled only arrivals 1 and n."""
+    args = dict(n_arrivals=20, seeds=[1], sample_every=5) | kwargs
+    with pytest.raises(ValueError):
+        synthetic_ratio_experiment(**args)
+
+
+def test_ratio_experiment_smallest_arguments():
+    samples, ints, fracs, ratio = synthetic_ratio_experiment(
+        n_arrivals=1, seeds=[1], n_clouds=2, sample_every=1)
+    assert samples == [1] and ratio[1] >= 1.0 - 1e-9
+
+
 def test_csv_writers_deterministic(tmp_path):
     scn = build_scenario(small_config(horizon=12), 1)
     results = [run_policy(scn, p) for p in ("a", "c")]
