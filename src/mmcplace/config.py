@@ -46,8 +46,6 @@ class ScenarioConfig:
     # error
     beta: float = 0.4
     alpha: float = 1.1
-    noise_shape: str = "uniform"         # uniform | truncated-gaussian
-    noise_spread: int = 3
     # window
     gamma: float = 1.5
     sigma: float = 2.0
@@ -65,7 +63,7 @@ _SECTIONS = {
              "distance_local_weight", "distance_migration_weight"],
     "demand": ["mean_on_slots", "mean_off_slots", "local_demand",
                "migration_demand", "lifetime"],
-    "error": ["beta", "alpha", "noise_shape", "noise_spread"],
+    "error": ["beta", "alpha"],
     "window": ["gamma", "sigma", "window_T", "T_max"],
     "seeds": ["master_seed"],
 }
@@ -129,7 +127,7 @@ _AT_LEAST = {"n_cells": 1, "horizon": 1, "staleness_seconds": 0,
              "backend_migration_rate": 0, "distance_local_weight": 0,
              "distance_migration_weight": 0, "mean_on_slots": 0,
              "mean_off_slots": 0, "local_demand": 0, "migration_demand": 0,
-             "lifetime": 1, "beta": 0, "noise_spread": 1, "gamma": 1,
+             "lifetime": 1, "beta": 0, "gamma": 1,
              "sigma": 0, "window_T": 0, "T_max": 1, "master_seed": 0}
 _ABOVE = {"spacing_m": 0, "slot_seconds": 0, "capacity": 0, "alpha": 1}
 
@@ -150,5 +148,3 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"field 'mobility': unknown mode {cfg.mobility!r}")
     if cfg.mobility == "trace" and not cfg.trace_file:
         raise ConfigError("field 'trace_file': required for trace mobility")
-    if cfg.noise_shape not in ("uniform", "truncated-gaussian"):
-        raise ConfigError(f"field 'noise_shape': unknown {cfg.noise_shape!r}")

@@ -101,7 +101,6 @@ class CostModel:
     """Abstract cost family: per-cloud local cost u and pair migration cost w."""
 
     K: int
-    convex_nondecreasing: bool = False
 
     def u(self, k: int, t: int, y: float, r: float = 0.0) -> float:
         raise NotImplementedError
@@ -153,8 +152,6 @@ class CostModel:
 
 class LinearCostModel(CostModel):
     """u = gamma_k * y; w = kappa1_kl*y_from + kappa2_kl*y_to + kappa3_kl*z."""
-
-    convex_nondecreasing = True
 
     def __init__(self, gamma, kappa1, kappa2, kappa3):
         gamma = np.asarray(gamma, dtype=float)
@@ -229,7 +226,6 @@ class PolynomialCostModel(CostModel):
         if not any(p1 == 0 and p2 == 0 and p3 == 1 and c > 0
                    for p1, p2, p3, c in self.wterms):
             raise ValueError("need a positive pure-z linear migration term")
-        self.convex_nondecreasing = True
 
     def order(self) -> int:
         o = 0
@@ -275,8 +271,6 @@ class MmcBackendCostModel(CostModel):
     z*(R(y_from) + R(y_to)) + h*s; any pair touching the backend costs
     backend_migration_rate * z.
     """
-
-    convex_nondecreasing = True
 
     def __init__(self, K, capacity, backend_local_rate, backend_migration_rate,
                  distance_local_weight=0.0, distance_migration_weight=0.0):
@@ -360,7 +354,6 @@ class PerturbedCostModel(CostModel):
     def __init__(self, base: CostModel, offsets: dict[int, np.ndarray]):
         self.base = base
         self.K = base.K
-        self.convex_nondecreasing = False
         self.offsets = offsets
 
     def u(self, k, t, y, r=0.0):

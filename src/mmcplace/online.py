@@ -28,7 +28,8 @@ u_from_R), one stacked R over the arrival's loads without and with its
 own, and has no copy of those formulas. A step
 is a (K, K) matrix in (to, from) layout: hop(q)[l, k] is the cost of
 k -> l, so _min_path adds the predecessor costs along the contiguous
-axis and takes each destination's argmin along it.
+axis and takes each destination's argmin along it. place_on_arrival
+chooses one provider per arrival before routing, and runs one DP.
 
 Every arrival, whatever the cost family, is placed through a
 WindowLedger, which owns the window's placements, slot t0-1 included:
@@ -59,7 +60,6 @@ those moves leave or enter.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -68,8 +68,6 @@ import numpy as np
 from .core import ConfigurationMatrix, ServiceInstance, Window
 from .costs import (CostModel, DistanceContext, MmcBackendCostModel,
                     PerturbedCostModel, WindowCostEvaluator, charge_placements)
-
-log = logging.getLogger(__name__)
 
 # Size of one block of boundary matrices in _fast_steps: the boundaries of
 # max(1, HOP_BLOCK_BYTES // (8 K^2)) consecutive slots are built as one
@@ -495,10 +493,10 @@ def _fast_steps(instance, t, t_e, ledger):
 
 
 def _frozen_overload(ledger, t, t_e) -> bool:
-    """Whether the frozen load of an MMC is at or over capacity in a
-    ledger row that the arrival at t..t_e reads (slots t-1..t_e+1)."""
+    """Whether an MMC's frozen load (clouds 1..backend-1) is at or over
+    capacity in a ledger row the arrival at t..t_e reads (t-1..t_e+1)."""
     i = t - ledger.window.t0 + 1
-    rows = ledger.y[i - 1:i + t_e - t + 2, ledger.is_mmc]
+    rows = ledger.y[i - 1:i + t_e - t + 2, 1:ledger.base.backend]
     return bool((rows >= ledger.base.capacity).any())
 
 
@@ -523,12 +521,12 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     to the smallest final cloud, then the smallest predecessor at each
     boundary going back (see _min_path).
 
-    When every route costs inf (saturated) and a frozen MMC load in the
-    rows the arrival reads is already at or over capacity, the
-    capacity/backend family is routed again by the generic DP, which
-    prices every joint state of such a slot as inf; the fast deltas
-    there are inf - inf. So both DPs return the same path in that case,
-    and the check costs nothing on an unsaturated arrival.
+    The step provider is chosen once, before routing: _generic_steps
+    for a model outside the capacity/backend family, or when a frozen
+    MMC load in the ledger rows the arrival reads (slots t-1..t_e+1) is
+    already at or over capacity, where the generic DP prices every joint
+    state of such a slot as inf and the fast deltas would be inf - inf;
+    _fast_steps otherwise.
 
     ledger, when given, must describe `matrix` (run_online keeps one per
     window) and be built for `model` (else ValueError), and the matrix
@@ -565,16 +563,14 @@ def place_on_arrival(instance: ServiceInstance, t: int,
 
     ev = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        if ledger.base is not None:
-            path, relax, saturated = _min_path(
-                *_fast_steps(instance, t, t_e, ledger))
         # at a frozen MMC at capacity the fast deltas are inf - inf = NaN,
         # which argmin would take as the minimum: route as the generic DP
-        if ledger.base is None or (saturated and _frozen_overload(
-                ledger, t, t_e)):
+        if ledger.base is None or _frozen_overload(ledger, t, t_e):
             ev = evaluator()
-            path, relax, saturated = _min_path(
-                *_generic_steps(t, t_e, ledger, ev, j))
+            steps = _generic_steps(t, t_e, ledger, ev, j)
+        else:
+            steps = _fast_steps(instance, t, t_e, ledger)
+        path, relax, saturated = _min_path(*steps)
 
     ledger.write(j, t, path)
     total = math.nan
@@ -588,24 +584,22 @@ def place_on_arrival(instance: ServiceInstance, t: int,
 
 def handle_departure(instance_id: int, t: int,
                      matrix: ConfigurationMatrix, *,
-                     ledger: WindowLedger | None = None) -> ConfigurationMatrix:
+                     ledger: WindowLedger) -> ConfigurationMatrix:
     """Zero an instance's column strictly after slot t (departure at end of t).
 
-    ledger, when given, owns `matrix`: the column is cleared in place, the
-    ledger is refreshed for the slots that change and `matrix` itself is
-    returned. Without one, a cleared copy is returned.
+    ledger owns `matrix` (run_online keeps one per window): the column is
+    cleared in place, the ledger is refreshed for the slots that change
+    and `matrix` itself is returned. Raises ValueError when the matrix has
+    no column for the instance.
     """
-    out = matrix if ledger is not None else matrix.copy()
-    if instance_id not in out._col:
-        log.warning(
-            "departure for unknown instance %d ignored", instance_id)
-        return out
-    q = out.window.index_of(t)
-    cleared = np.flatnonzero(out.data[q + 1:, out._col[instance_id]])
-    out.zero_after(instance_id, t)
-    if ledger is not None and cleared.size:
+    if instance_id not in matrix._col:
+        raise ValueError("matrix has no column for the departing instance")
+    q = matrix.window.index_of(t)
+    cleared = np.flatnonzero(matrix.data[q + 1:, matrix._col[instance_id]])
+    matrix.zero_after(instance_id, t)
+    if cleared.size:
         ledger.refresh(t + 1, t + 1 + int(cleared[-1]))
-    return out
+    return matrix
 
 
 @dataclass

@@ -59,10 +59,6 @@ def brute_force_offline(window: Window, instances: list[ServiceInstance],
     ev = WindowCostEvaluator(window, instances, model, prev_config, distance)
     best = None
     count = 0
-    if not instances:
-        matrix = ConfigurationMatrix(window, [])
-        cost = ev.path_cost([() for _ in window.slots])
-        return BruteForceSolution(matrix, cost, 1)
     for combo in itertools.product(*seq_sets):
         # combo[j][q] is instance j's cloud at window slot q
         path = [tuple(col[q] for col in combo) for q in range(window.T)]
@@ -84,13 +80,11 @@ def fractional_lower_bound_single_slot(total_demand, model: CostModel):
     demands (an array of bounds). Water-filling on a shared marginal mu:
     each cloud absorbs load until its slot-1 marginal cost reaches mu, as
     the model's inv_marginal_array says; bisection drives the total
-    allocation to the demand. Requires a convex model with
-    inv_marginal_array; a cloud whose cost is infinite at the demand is
-    capped just below the model's capacity wall. A demand <= 0 costs 0,
-    +inf costs inf, and NaN raises ValueError.
+    allocation to the demand. Requires inv_marginal_array (the convex
+    linear and capacity/backend families); a cloud whose cost is
+    infinite at the demand is capped just below the model's capacity
+    wall. A demand <= 0 costs 0, +inf costs inf, NaN raises ValueError.
     """
-    if not getattr(model, "convex_nondecreasing", False):
-        raise ValueError("fractional bound needs a convex cost model")
     if not hasattr(model, "inv_marginal_array"):
         raise ValueError("fractional bound needs an inv_marginal_array")
     demand = np.asarray(total_demand, dtype=float)

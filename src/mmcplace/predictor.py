@@ -81,39 +81,29 @@ ZERO_BOUND = TabulatedErrorBound((0.0,))
 class CostOracle:
     """Actual cost model plus deterministic bounded prediction noise.
 
-    Offsets for slot t, generated at window start t0, are a sparse signed
-    per-cloud vector with sum(|offset|) <= epsilon(t - t0). Slots before
-    t0 are never perturbed (the past is known). The sign/cloud pattern is
-    drawn once per window (it depends only on (seed, t0)) and its
-    magnitude scales with epsilon as the lookahead grows, so a cloud that
-    looks too cheap at the window start stays wrongly cheap for the whole
-    window; errors accumulate instead of cancelling. Regenerating a
-    window is reproducible and two windows never share noise.
+    Offsets for slot t, generated at window start t0, are a signed vector
+    on at most 3 clouds with sum(|offset|) = scale * epsilon(t - t0), the
+    scale uniform in [0.5, 1). Slots before t0 are never perturbed (the
+    past is known). The pattern is drawn once per window (it depends only
+    on (seed, t0)) and its magnitude scales with epsilon as the lookahead
+    grows, so a cloud that looks too cheap at the window start stays
+    wrongly cheap for the whole window; errors accumulate instead of
+    cancelling. Regenerating a window is reproducible and two windows
+    never share noise.
     """
 
-    def __init__(self, actual: CostModel, bound: ErrorBound, seed: int = 0,
-                 noise_shape: str = "uniform", spread: int = 3):
-        if noise_shape not in ("uniform", "truncated-gaussian"):
-            raise ValueError(f"unknown noise shape: {noise_shape}")
-        if spread < 1:
-            raise ValueError(f"noise spread must be >= 1, got {spread}")
+    def __init__(self, actual: CostModel, bound: ErrorBound, seed: int = 0):
         self.actual = actual
         self.bound = bound
         self.seed = int(seed)
-        self.noise_shape = noise_shape
-        self.spread = int(spread)
 
     def _pattern(self, t0: int):
         """The window's noise pattern: (scale, clouds, signs * weights)."""
         K = self.actual.K
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[self.seed, t0]))
-        if self.noise_shape == "uniform":
-            scale = rng.uniform(0.5, 1.0)
-        else:
-            # |N(0, 1/2)| clipped to [0, 1]
-            scale = min(abs(rng.normal(0.0, 0.5)), 1.0)
-        m = min(self.spread, K)
+        scale = rng.uniform(0.5, 1.0)
+        m = min(3, K)
         clouds = rng.choice(np.arange(1, K + 1), size=m, replace=False)
         weights = rng.dirichlet(np.ones(m))
         signs = rng.choice((-1.0, 1.0), size=m)

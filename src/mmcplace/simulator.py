@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,8 @@ class PolicyResult:
     num_migrations: dict[int, int]
     runtime_ms: float
     window_T: int | None = None
-    flags: list[str] = field(default_factory=list)
+    overflows: int = 0           # a/b placements that found no MMC with room
+    saturated: int = 0           # d/e arrivals whose every route cost inf
 
     @property
     def avg_cost(self) -> float:
@@ -133,35 +134,33 @@ def _active_by_slot(instances, horizon) -> list[list]:
 
 
 def _nearest_with_capacity(scn: BuiltScenario, user_cell: int,
-                           load: np.ndarray, demand: float,
-                           flags: list[str]) -> int:
+                           load: np.ndarray, demand: float) -> int:
     """Closest cell to the user with room; overflow to next-nearest, then
-    to the backend (flagged). An active instance's user always has a cell:
-    its stay ends before the first slot without one."""
+    to the backend. An active instance's user always has a cell: its stay
+    ends before the first slot without one."""
     topo = scn.topology
     for cid in topo.nearest[user_cell]:
         if load[cid] + demand < scn.config.capacity:
             return cid
-    flags.append("overflow-to-backend")
     return topo.backend
 
 
 def _charged(scn: BuiltScenario, policy: str,
              placements: dict[int, dict[int, int]],
-             flags: list[str]) -> PolicyResult:
+             overflows: int = 0) -> PolicyResult:
     """Policy result charged by the shared accounting path."""
     costs, moved = charge_placements(scn.model, placements, scn.instances,
                                      scn.distance)
     return PolicyResult(policy, costs,
                         {t: len(placed) for t, placed in placements.items()},
-                        moved, 0.0, flags=flags)
+                        moved, 0.0, overflows=overflows)
 
 
 def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
     """Policies a (stay put) and b (always follow)."""
     assigned: dict[int, int] = {}        # instance -> cell chosen at arrival (a)
     placements: dict[int, dict[int, int]] = {}
-    flags: list[str] = []
+    overflows = 0
     active_at = _active_by_slot(scn.instances, scn.config.horizon)
     for t in range(1, scn.config.horizon + 1):
         active = active_at[t]
@@ -175,13 +174,14 @@ def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
             if inst.id not in placed:
                 cell = _nearest_with_capacity(
                     scn, scn.distance.user_cell_of(inst.id, t), load,
-                    inst.local_demand, flags)
+                    inst.local_demand)
+                overflows += cell == scn.topology.backend
                 placed[inst.id] = cell
                 load[cell] += inst.local_demand
         if policy == "a":
             assigned.update(placed)
         placements[t] = placed
-    return _charged(scn, policy, placements, flags)
+    return _charged(scn, policy, placements, overflows)
 
 
 def _run_backend_policy(scn: BuiltScenario) -> PolicyResult:
@@ -189,7 +189,7 @@ def _run_backend_policy(scn: BuiltScenario) -> PolicyResult:
     active_at = _active_by_slot(scn.instances, scn.config.horizon)
     placements = {t: {i.id: backend for i in active_at[t]}
                   for t in range(1, scn.config.horizon + 1)}
-    return _charged(scn, "c", placements, [])
+    return _charged(scn, "c", placements)
 
 
 def _run_online_policy(scn: BuiltScenario, policy: str,
@@ -207,17 +207,13 @@ def _run_online_policy(scn: BuiltScenario, policy: str,
         T = window_T if window_T else pick_window(config, beta)
         bound = (PowerLawErrorBound(beta, config.alpha) if beta > 0
                  else ZERO_BOUND)
-        oracle = CostOracle(scn.model, bound, seed=scn.seed,
-                            noise_shape=config.noise_shape,
-                            spread=config.noise_spread)
+        oracle = CostOracle(scn.model, bound, seed=scn.seed)
         run = run_online(config.horizon, T, scn.instances, oracle,
                          scn.distance)
-    result = PolicyResult(policy, run.actual_by_slot,
-                          {t: len(p) for t, p in run.placements.items()},
-                          run.migrations_by_slot, 0.0, window_T=T)
-    if run.saturated_events:
-        result.flags.append(f"saturated-placements={run.saturated_events}")
-    return result
+    return PolicyResult(policy, run.actual_by_slot,
+                        {t: len(p) for t, p in run.placements.items()},
+                        run.migrations_by_slot, 0.0, window_T=T,
+                        saturated=run.saturated_events)
 
 
 def run_policy(scn: BuiltScenario, policy: str,

@@ -54,11 +54,15 @@ def test_sweep_window_csv(tmp_path):
 
 
 def test_oracle_check_ok(tmp_path, capsys):
+    """The reported largest gap - epsilon is below 0: the noise scale is
+    < 1, so every sampled gap stays strictly inside the bound."""
     cfg = small_ini(tmp_path)
     rc = main(["oracle-check", "--config", cfg, "--seed", "2",
                "--samples", "50"])
     assert rc == 0
-    assert "within the bound" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "within the bound" in out
+    assert float(out.rsplit("epsilon", 1)[1].strip(" )\n")) < 0
 
 
 def test_config_error_exit_code(tmp_path):
@@ -160,10 +164,12 @@ def test_ratio_curve_rows_equal_the_experiment(tmp_path, capsys):
     (["sweep-window", "--seeds", "0"], None),
     (["simulate"], "[demand]\nmean_on_slots = -1\n"),
     (["simulate"], "[demand]\nmean_on_slots = 0\nmean_off_slots = 0\n"),
+    (["simulate"], "[error]\nnoise_shape = uniform\n"),
 ])
 def test_invalid_input_exits_2_before_writing(tmp_path, capsys, argv, ini):
     """Bad values from the command line or the config file are
-    configuration errors: exit code 2 and no output directory."""
+    configuration errors: exit code 2, the config's first field named,
+    and no output directory."""
     config = small_ini(tmp_path)
     if ini is not None:
         config = str(tmp_path / "bad.ini")
@@ -175,7 +181,10 @@ def test_invalid_input_exits_2_before_writing(tmp_path, capsys, argv, ini):
     if argv[0] != "oracle-check":
         argv = argv + ["--out-dir", str(out)]
     assert main(argv) == 2
-    assert "configuration error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    if ini is not None:
+        assert ini.splitlines()[1].split(" = ")[0] in err
     assert not out.exists()
 
 

@@ -48,7 +48,6 @@ def test_validation_rules():
     for bad in (ScenarioConfig(alpha=1.0), ScenarioConfig(gamma=0.5),
                 ScenarioConfig(mobility="trace"),
                 ScenarioConfig(capacity=0.0),
-                ScenarioConfig(noise_shape="square"),
                 ScenarioConfig(window_T=-4), ScenarioConfig(local_demand=-1.0),
                 ScenarioConfig(migration_demand=-1.0),
                 ScenarioConfig(lifetime=0),
@@ -64,8 +63,7 @@ def test_validation_rules():
                 ScenarioConfig(distance_local_weight=-0.1),
                 ScenarioConfig(distance_migration_weight=-0.1),
                 ScenarioConfig(spacing_m=0.0), ScenarioConfig(slot_seconds=0.0),
-                ScenarioConfig(staleness_seconds=-1.0),
-                ScenarioConfig(noise_spread=0)):
+                ScenarioConfig(staleness_seconds=-1.0)):
         with pytest.raises(ConfigError):
             validate_config(bad)
     validate_config(ScenarioConfig())

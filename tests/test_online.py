@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -210,27 +209,32 @@ def test_fast_path_matches_generic_near_capacity(seed):
 
 
 def test_fast_path_matches_generic_at_frozen_capacity():
-    """A frozen MMC load already at capacity: three unit instances on
-    clouds [2, 2, 3] over slots 1..3 fill cloud 2 in slots 1-2. Every
-    route costs inf; the capacity/backend model and a subclass of it
-    (which takes the generic DP) both report saturation and route the
-    arrival the same way, by the generic DP's tie rule."""
+    """A frozen MMC load already at capacity. Inside the window: three
+    unit instances on clouds [2, 2, 3] over slots 1..3 fill cloud 2 in
+    slots 1-2. Only in slot t0-1: three unit instances on cloud 2 (or 3)
+    there move to clouds 1, 2, 3 over Window(2, 3). Every route costs
+    inf; the capacity/backend model and a subclass of it (which takes the
+    generic DP) both report saturation and route the arrival the same
+    way, by the generic DP's tie rule."""
     class Subclass(MmcBackendCostModel):
         pass
 
-    def place(cls):
+    def place(cls, t0, clouds, prev_config):
         model = cls(K=4, capacity=3.0, backend_local_rate=3.0,
                     backend_migration_rate=3.0)
         insts = [ServiceInstance(id=j, arrival_slot=1) for j in range(1, 5)]
-        m = ConfigurationMatrix(Window(1, 3), [i.id for i in insts])
+        m = ConfigurationMatrix(Window(t0, 3), [i.id for i in insts])
         for j in (1, 2, 3):
-            for t, k in zip((1, 2, 3), (2, 2, 3)):
-                m.set(j, t, k)
-        out = place_on_arrival(insts[3], 1, m, insts, model)
+            for t in m.window.slots:
+                m.set(j, t, clouds(j, t - t0))
+        out = place_on_arrival(insts[3], t0, m, insts, model, prev_config)
         return out.matrix.data[:, 3].tolist(), out.saturated
 
-    fast, generic = place(MmcBackendCostModel), place(Subclass)
-    assert fast == generic == ([1, 1, 1], True)
+    cases = [(1, lambda j, q: (2, 2, 3)[q], None)]
+    cases += [(2, lambda j, q: j, {1: k, 2: k, 3: k}) for k in (2, 3)]
+    for case in cases:
+        assert (place(MmcBackendCostModel, *case) == place(Subclass, *case)
+                == ([1, 1, 1], True))
 
 
 def _per_step_reference(instance, t, t_e, ledger):
@@ -479,16 +483,22 @@ def test_arrival_outside_window_rejected():
             place_on_arrival(inst, t, m, [inst], model)
 
 
-def test_departure_unknown_id_warns(caplog):
+def test_departure_unknown_id_warns():
+    """A departure for an id without a column raises, as an arrival for
+    one does, and changes nothing; a known id is cleared after t."""
+    from mmcplace.online import WindowLedger
+
     w = Window(1, 3)
+    inst = ServiceInstance(id=1, arrival_slot=1)
     m = ConfigurationMatrix(w, [1])
     m.set_column(1, [1, 1, 1])
-    with caplog.at_level(logging.WARNING):
-        out = handle_departure(42, 1, m)
-    assert "unknown instance 42" in caplog.text
-    assert np.array_equal(out.data, m.data)
-    out = handle_departure(1, 2, m)
-    assert out.column(1).tolist() == [1, 1, 0]
+    ledger = WindowLedger(m, [inst], mmc())
+    with pytest.raises(ValueError):
+        handle_departure(42, 1, m, ledger=ledger)
+    assert m.column(1).tolist() == [1, 1, 1]
+    assert handle_departure(1, 2, m, ledger=ledger) is m
+    assert m.column(1).tolist() == [1, 1, 0]
+    assert ledger.y[1:, 1].tolist() == [1.0, 1.0, 0.0]
 
 
 def test_run_online_departure_frees_capacity():
@@ -876,8 +886,9 @@ def test_whole_run_with_ties_matches_per_arrival(seed, monkeypatch):
 
 def test_ledger_owns_the_matrix_it_is_given():
     """With a ledger, place_on_arrival and handle_departure write into the
-    window's matrix and hand it back; without one, they return a changed
-    copy and leave the caller's matrix as it was, its data array too."""
+    window's matrix and hand it back; without one, place_on_arrival
+    returns a changed copy and leaves the caller's matrix as it was, its
+    data array too."""
     from mmcplace.online import WindowLedger
 
     model, w, insts, prev, m, d = random_setup(
@@ -893,10 +904,8 @@ def test_ledger_owns_the_matrix_it_is_given():
     placed = place_on_arrival(inst, t, m, insts, model, prev, d,
                               ledger=ledger)
     assert placed.matrix is m and m == copied.matrix
-    departed = handle_departure(inst.id, t, m)
-    assert departed is not m and m == copied.matrix
     assert handle_departure(inst.id, t, m, ledger=ledger) is m
-    assert m == departed
+    assert m.column(inst.id)[t - w.t0 + 1:].tolist() == [0] * (w.end - t)
 
 
 def test_place_on_arrival_rejects_a_ledger_built_for_another_model():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mmcplace.core import ServiceInstance, Window
 from mmcplace.costs import (LinearCostModel, MmcBackendCostModel,
-                            PolynomialCostModel)
+                            PerturbedCostModel, PolynomialCostModel)
 from mmcplace.oracle import (EnumerationBudgetExceeded, brute_force_offline,
                              fractional_lower_bound_single_slot, gap_constants,
                              grad_window_cost, loads_from_matrix,
@@ -78,19 +78,17 @@ def test_fractional_bound_linear_model():
 
 
 def test_fractional_bound_rejects_nonconvex():
-    """Also a convex model without an inverse marginal inv_marginal, such
-    as the polynomial family, which has only du."""
-    class Odd:
-        K = 1
-        convex_nondecreasing = False
-    with pytest.raises(ValueError):
-        fractional_lower_bound_single_slot(1.0, Odd())
-
+    """A model without inv_marginal_array: a bare one, the predicted
+    (perturbed) family, and the convex polynomial family, which has only
+    du."""
     class NoMarginal:
         K = 1
-        convex_nondecreasing = True
     with pytest.raises(ValueError):
         fractional_lower_bound_single_slot(1.0, NoMarginal())
+
+    perturbed = PerturbedCostModel(mmc(K=3), {1: np.array([0, 1.0, 0, 0])})
+    with pytest.raises(ValueError):
+        fractional_lower_bound_single_slot(1.0, perturbed)
 
     poly = PolynomialCostModel(np.array([[0, 0], [0, 1.0]]), [(0, 0, 1, 1.0)])
     with pytest.raises(ValueError):

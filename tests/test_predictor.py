@@ -87,23 +87,11 @@ def test_prediction_gap_within_bound_random_states(seed):
         assert gap <= bound.epsilon(t - t0) + 1e-9
 
 
-def test_oracle_rejects_unknown_shape_and_small_spread():
-    bound = PowerLawErrorBound(0.4, 1.1)
-    with pytest.raises(ValueError):
-        CostOracle(_model(K=20), bound, noise_shape="square")
-    for spread in (0, -2):
-        with pytest.raises(ValueError):
-            CostOracle(_model(K=20), bound, spread=spread)
-    assert CostOracle(_model(K=20), bound, spread=1).spread == 1
-
-
-@pytest.mark.parametrize("shape", ["uniform", "truncated-gaussian"])
-def test_predicted_model_offsets_equal_offsets(shape):
+def test_predicted_model_offsets_equal_offsets():
     """The per-window draw gives offsets(t0, t) bit for bit, every slot."""
     bound = PowerLawErrorBound(0.4, 1.1)
     for seed in (1, 7):
-        oracle = CostOracle(_model(K=20), bound, seed=seed,
-                            noise_shape=shape)
+        oracle = CostOracle(_model(K=20), bound, seed=seed)
         for t0 in range(1, 30, 3):
             window = Window(t0, 30)
             predicted = oracle.predicted_model(t0, window)

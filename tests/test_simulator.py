@@ -261,6 +261,30 @@ def test_edge_demand_at_capacity_goes_to_backend():
         for t, n in res.num_active.items():
             assert res.slot_costs[t] == pytest.approx(
                 cfg.backend_local_rate * cfg.local_demand * n)
-    flags = {res.policy: set(res.flags) for res in results}
-    assert flags["a"] == flags["b"] == {"overflow-to-backend"}
-    assert not (flags["c"] | flags["d"] | flags["e"])
+    # a places each instance once, b every instance in every slot
+    overflows = {res.policy: res.overflows for res in results}
+    slots = sum(results[0].num_active.values())
+    assert overflows == {"a": len(scn.instances), "b": slots,
+                         "c": 0, "d": 0, "e": 0}
+    assert slots > len(scn.instances) > 0
+    assert all(res.saturated == 0 for res in results)
+
+
+@pytest.mark.parametrize("cfg, seed", [
+    (small_config(), 1), (small_config(), 2), (small_config(), 3),
+    (small_config(local_demand=5.0, capacity=5.0), 1)])
+def test_capacity_backend_runs_never_take_the_generic_dp(cfg, seed,
+                                                         monkeypatch):
+    """Policies d and e route every arrival of a scenario by the fast DP:
+    their windows never hold a frozen MMC load at capacity, so choosing
+    the DP before routing leaves their placements as they were."""
+    from mmcplace import online
+
+    def generic_steps(*args):
+        raise AssertionError("an arrival took the generic DP")
+
+    monkeypatch.setattr(online, "_generic_steps", generic_steps)
+    scn = build_scenario(cfg, seed)
+    assert scn.instances
+    for policy in ("d", "e"):
+        run_policy(scn, policy)
