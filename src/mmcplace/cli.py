@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -75,7 +76,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _parse_list(spec: str, kind, name: str, least) -> list:
-    """'lo:hi' (integers) or a comma list; nonempty, every value >= least."""
+    """'lo:hi' (integers) or a comma list; nonempty, every value finite
+    and >= least."""
     try:
         if ":" in spec:
             lo, hi = spec.split(":", 1)
@@ -84,8 +86,9 @@ def _parse_list(spec: str, kind, name: str, least) -> list:
             values = [kind(x) for x in spec.split(",") if x]
     except ValueError:
         values = []
-    if not values or min(values) < least:
-        raise ConfigError(f"{name}: need numbers >= {least}, got {spec!r}")
+    if not values or not all(least <= v < math.inf for v in values):
+        raise ConfigError(
+            f"{name}: need finite numbers >= {least}, got {spec!r}")
     return values
 
 

@@ -120,8 +120,9 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return "\n".join(lines)
 
 
-# each numeric field's least allowed value (_AT_LEAST) or the bound it must
-# exceed (_ABOVE)
+# every float field but lifetime (inf: no cap) must be finite; each numeric
+# field's least allowed value (_AT_LEAST) or the bound it must exceed
+# (_ABOVE)
 _AT_LEAST = {"n_cells": 1, "horizon": 1, "staleness_seconds": 0,
              "n_users": 0, "move_prob": 0, "backend_local_rate": 0,
              "backend_migration_rate": 0, "distance_local_weight": 0,
@@ -133,6 +134,10 @@ _ABOVE = {"spacing_m": 0, "slot_seconds": 0, "capacity": 0, "alpha": 1}
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
+    for name, kind in _TYPES.items():
+        if (kind == "float" and name != "lifetime"
+                and not math.isfinite(getattr(cfg, name))):
+            raise ConfigError(f"field '{name}': must be finite")
     for name, least in _AT_LEAST.items():
         if not getattr(cfg, name) >= least:
             raise ConfigError(f"field '{name}': must be >= {least}")

@@ -42,13 +42,12 @@ each user's cell id looked up once per window (from the instance's
 arrival on), the DistanceContext's hop tables and the capacity/backend
 constants (h times the pair hops, per-slot offsets).
 Every ledger sum runs in instance order, so it always equals a fresh
-WindowCostEvaluator aggregation bit for bit. A placed column that was
-empty over its slots and has no later nonzero column there is appended:
-its load is the last term of each row's sum, and so is each MMC-to-MMC
-move it makes in its (k, l) pair; a new pair is added to zout/zin as it
-stands, a known one has its boundary regrouped. In run_online ids rise
-with arrival order, so every placement is such an append. Other writes
-and every departure rebuild the touched rows from the whole placement.
+rebuild bit for bit. A placed column that was empty over its slots and
+has no later nonzero column there is appended: its load, and each
+MMC-to-MMC move it makes, is the last term of each row's sum. In
+run_online ids rise with arrival order, so every placement is such an
+append. Other writes and every departure rebuild the touched rows from
+the whole placement.
 _fast_steps builds no joint state tuple and calls no cost function per
 cloud; an arrival's (K, K) boundary matrices are built in blocks of
 consecutive slots, up to HOP_BLOCK_BYTES each. The frozen-migration
@@ -59,7 +58,6 @@ those moves leave or enter.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -105,31 +103,28 @@ class WindowLedger:
     slot's joint state, and y[0] that of the evaluator's prior: the whole
     slot t0-1 map (r[0] stays zero; no cost reads it). zout[i] / zin[i]
     hold, per MMC, the migration load that leaves / enters it in
-    MMC-to-MMC moves over the boundary into slot i, summed per (k, l) pair
-    first and then per cloud in first-seen pair order, as transition_loads
-    groups them; moves[i] flags a nonzero zout[i], a frozen move over that
-    boundary. cell_row holds each column's user cell ids, 0 when
-    unknown, looked up once for the slots from max(arrival slot, t0) to
-    min(planned_end, window end), a column's only placeable slots; a
+    MMC-to-MMC moves over the boundary into slot i, the per-cloud totals
+    of transition_loads' per-pair z (equal up to rounding: the pairs are
+    summed first there); moves[i] flags a nonzero zout[i], a frozen move
+    over that boundary. cell_row holds each column's user cell ids, 0
+    when unknown, looked up once for the slots from max(arrival slot, t0)
+    to min(planned_end, window end), a column's only placeable slots; a
     column whose planned end is before t0 is not looked up. The ledger
     serves one cost model, `model`, of any family (with no backend, every
     cloud 1..K counts as an MMC); hD, off and the backend mask are the
     constants of `base`, the capacity/backend model behind it, taken once
     (hD and off are None without one).
 
-    Every sum runs in instance order, so it matches a fresh aggregation
-    bit for bit. write() decides, before it writes, whether a placed
-    column is an append: the column was empty over the slots it fills and
-    no later column holds a cloud there. Its load is then the last term
-    of each instance-order sum, added to the row as it stands. Each
-    MMC-to-MMC move it makes (its entry move included) is the last term
-    of its (k, l) pair and, for a pair no earlier column makes over that
-    boundary, the last pair in first-seen order: the demand is added to
-    zout[k] and zin[l]. Where the pair is there already, that boundary is
-    regrouped. A write into a column that held clouds there or that has a
-    later nonzero column there, the first build of a matrix that holds
-    placements and every departure (refresh) rebuild the touched rows
-    from the whole placement; an empty matrix starts from zero rows.
+    Every sum runs in instance order, so it matches a fresh refresh bit
+    for bit. write() decides, before it writes, whether a placed column
+    is an append: the column was empty over the slots it fills and no
+    later column holds a cloud there. Its load, and each MMC-to-MMC move
+    it makes (its entry move included), is then the last term of each
+    sum, added to the row as it stands. A write into a column that held
+    clouds there or that has a later nonzero column there, the first
+    build of a matrix that holds placements and every departure
+    (refresh) rebuild the touched rows from the whole placement; an empty
+    matrix starts from zero rows.
     """
 
     def __init__(self, matrix: ConfigurationMatrix,
@@ -215,14 +210,7 @@ class WindowLedger:
         seq = self.place[a - 1:c, j].tolist()
         mmc, mig = self.mmc, self.mig[j]
         for row, (f, g) in enumerate(zip(seq, seq[1:]), start=a):
-            if not (mmc[f] and mmc[g] and f != g):
-                continue
-            # our move is the last term of its (f, g) pair: a new pair adds
-            # last to zout[f] and zin[g], a known one regroups the boundary
-            frm, to = self.place[row - 1, :j], self.place[row, :j]
-            if ((frm == f) & (to == g)).any():
-                self._migrations(row, row + 1)
-            else:
+            if mmc[f] and mmc[g] and f != g:
                 self.zout[row, f] += mig
                 self.zin[row, g] += mig
                 self.moves[row] |= bool(self.zout[row, f])
@@ -230,11 +218,7 @@ class WindowLedger:
     def refresh(self, lo: int, hi: int) -> None:
         """Rebuild slots lo..hi and the boundaries into lo..hi+1."""
         a, b = lo - self.window.t0 + 1, hi - self.window.t0 + 2
-        self._occupancy(a, b)
-        self._migrations(a, min(b + 1, self.window.T + 1))
-
-    def _occupancy(self, a: int, b: int) -> None:
-        """y and r of ledger rows [a, b), summed in instance order."""
+        c = min(b + 1, self.window.T + 1)         # boundaries into [a, c)
         K1, n = self.K + 1, b - a
         q, j = np.nonzero(self.place[a:b])       # row-major: instance order
         k = self.place[a + q, j]
@@ -243,37 +227,14 @@ class WindowLedger:
         self.r[a:b] = np.bincount(
             bins, self.hops[self.cell_row[a - 1 + q, j], k],
             n * K1).reshape(n, K1)
-
-    def _migrations(self, a: int, c: int) -> None:
-        """zout and zin over the boundaries into ledger rows [a, c)."""
-        K1, n = self.K + 1, c - a
         frm, to = self.place[a - 1:c - 1], self.place[a:c]
-        moved = self.is_mmc[to] & self.is_mmc[frm] & (frm != to)
-        self.zout[a:c] = 0.0
-        self.zin[a:c] = 0.0
-        self.moves[a:c] = False
-        q, j = np.nonzero(moved)                 # row-major: instance order
-        if not q.size:
-            return
-        pair = (q * K1 + frm[q, j]) * K1 + to[q, j]
-        keys, first = np.unique(pair, return_index=True)
-        z = np.bincount(np.searchsorted(keys, pair), self.mig[j], keys.size)
-        seen = np.argsort(first, kind="stable")
-        keys, z = keys[seen], z[seen]
-        row = keys // (K1 * K1)
-        self.zout[a:c] = np.bincount(
-            row * K1 + keys // K1 % K1, z, n * K1).reshape(n, K1)
-        self.zin[a:c] = np.bincount(
-            row * K1 + keys % K1, z, n * K1).reshape(n, K1)
+        q, j = np.nonzero(self.is_mmc[to] & self.is_mmc[frm] & (frm != to))
+        n = c - a
+        self.zout[a:c] = np.bincount(q * K1 + frm[q, j], self.mig[j],
+                                     n * K1).reshape(n, K1)
+        self.zin[a:c] = np.bincount(q * K1 + to[q, j], self.mig[j],
+                                    n * K1).reshape(n, K1)
         self.moves[a:c] = self.zout[a:c].any(axis=1)
-
-
-@functools.cache
-def _columns(K: int) -> np.ndarray:
-    """np.arange(K), read-only, made once per K."""
-    out = np.arange(K)
-    out.flags.writeable = False
-    return out
 
 
 def _min_path(first, local, hop, tail):
@@ -295,7 +256,7 @@ def _min_path(first, local, hop, tail):
     """
     nu = first
     K = nu.shape[0]
-    columns = _columns(K)
+    columns = np.arange(K)
     back: list[np.ndarray] = []
     for q in range(1, len(local)):
         # cand[l, k]: reach k by slot t+q-1, then hop k -> l into slot t+q

@@ -10,6 +10,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,10 @@ class PowerLawErrorBound(ErrorBound):
     alpha: float
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.alpha <= 1:
-            raise ValueError("alpha must be > 1")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
+        if not 1 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 1")
 
     def F(self, T: int) -> float:
         if T < 0:
@@ -63,8 +64,8 @@ class TabulatedErrorBound(ErrorBound):
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("need at least one epsilon value")
-        if any(v < 0 for v in vals):
-            raise ValueError("epsilon must be nonnegative")
+        if not all(0 <= v < math.inf for v in vals):
+            raise ValueError("epsilon must be finite and nonnegative")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValueError("epsilon must be non-decreasing in lookahead")
         object.__setattr__(self, "values", vals)

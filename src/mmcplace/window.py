@@ -22,10 +22,10 @@ class WindowObjective:
     bound: ErrorBound
 
     def __post_init__(self):
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 1 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 1")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
 
 
 def theta(obj: WindowObjective, T: int) -> float:

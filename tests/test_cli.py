@@ -165,6 +165,9 @@ def test_ratio_curve_rows_equal_the_experiment(tmp_path, capsys):
     (["simulate"], "[demand]\nmean_on_slots = -1\n"),
     (["simulate"], "[demand]\nmean_on_slots = 0\nmean_off_slots = 0\n"),
     (["simulate"], "[error]\nnoise_shape = uniform\n"),
+    (["simulate"], "[error]\nbeta = inf\n"),
+    (["sweep-window", "--beta-list", "nan"], None),
+    (["sweep-window", "--beta-list", "inf"], None),
 ])
 def test_invalid_input_exits_2_before_writing(tmp_path, capsys, argv, ini):
     """Bad values from the command line or the config file are

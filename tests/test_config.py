@@ -63,7 +63,10 @@ def test_validation_rules():
                 ScenarioConfig(distance_local_weight=-0.1),
                 ScenarioConfig(distance_migration_weight=-0.1),
                 ScenarioConfig(spacing_m=0.0), ScenarioConfig(slot_seconds=0.0),
-                ScenarioConfig(staleness_seconds=-1.0)):
+                ScenarioConfig(staleness_seconds=-1.0),
+                ScenarioConfig(beta=math.inf), ScenarioConfig(alpha=math.inf),
+                ScenarioConfig(sigma=math.inf),
+                ScenarioConfig(anchor_lat=math.nan)):
         with pytest.raises(ConfigError):
             validate_config(bad)
     validate_config(ScenarioConfig())

@@ -775,9 +775,11 @@ def tie_free_distance(K):
 
 
 def _fresh_rows(matrix, instances, model, prev_config, distance):
-    """Ledger rows rebuilt from state_loads / transition_loads. A model
-    outside the capacity/backend family has no backend: every move
-    between two clouds counts."""
+    """Ledger rows rebuilt from the slot states: y and r from state_loads,
+    zout / zin summed per cloud in instance order over the MMC-to-MMC
+    moves. Those must also match, to rounding, the per-cloud totals of
+    transition_loads' per-pair z. A model outside the capacity/backend
+    family has no backend: every move between two clouds counts."""
     from mmcplace.online import _fast_base
 
     backend = getattr(_fast_base(model), "backend", None)
@@ -793,10 +795,17 @@ def _fresh_rows(matrix, instances, model, prev_config, distance):
         loads = ev.state_loads(t, state)
         ev.transition_loads(t, prev_state, loads, state)
         out, into = zero.copy(), zero.copy()
+        for inst, k, l in zip(ev.instances, prev_state, state):
+            if 0 not in (k, l) and backend not in (k, l) and k != l:
+                out[k] += inst.migration_demand
+                into[l] += inst.migration_demand
+        pair_out, pair_in = zero.copy(), zero.copy()
         for (k, l), zv in loads.z.items():
             if backend not in (k, l):
-                out[k] += zv
-                into[l] += zv
+                pair_out[k] += zv
+                pair_in[l] += zv
+        assert np.allclose(out, pair_out, rtol=1e-12, atol=0)
+        assert np.allclose(into, pair_in, rtol=1e-12, atol=0)
         y.append(loads.y)
         r.append(loads.r)
         zout.append(out)
@@ -882,6 +891,54 @@ def test_whole_run_with_ties_matches_per_arrival(seed, monkeypatch):
     horizon, T, insts, oracle = _whole_run_case(seed)
     _checked_fast_run(monkeypatch, horizon, T, insts, oracle,
                       grid_distance(oracle.actual.K))
+
+
+_DEMANDS = (0.1, 0.2, 0.4, 0.7, 1.0)
+
+
+@st.composite
+def _tiny_run(draw):
+    """A tiny whole run with non-integer demands, where sums in instance
+    order and per (k, l) pair first can round differently: K 2..6 on the
+    capacity/backend family with distance terms, 1..8 instances, a
+    horizon of at most 12 slots, windows of 1..horizon slots, finite and
+    infinite lifetimes. Instance 1 departs inside the horizon, so every
+    run has a departure."""
+    K = draw(st.integers(2, 6))
+    horizon = draw(st.integers(1, 12))
+    insts = []
+    for j in range(1, draw(st.integers(1, 8)) + 1):
+        arrival = draw(st.integers(1, horizon))
+        leaves = st.integers(arrival, horizon)
+        insts.append(ServiceInstance(
+            id=j, arrival_slot=arrival,
+            max_lifetime=draw(st.just(math.inf) | st.integers(1, horizon)),
+            actual_departure_slot=draw(leaves if j == 1
+                                       else st.none() | leaves),
+            local_demand=draw(st.sampled_from(_DEMANDS)),
+            migration_demand=draw(st.sampled_from(_DEMANDS))))
+    capacity = draw(st.sampled_from((1.0, 2.0, 3.5)))
+    model = MmcBackendCostModel(K=K, capacity=capacity,
+                                backend_local_rate=3.0,
+                                backend_migration_rate=3.0,
+                                distance_local_weight=0.2,
+                                distance_migration_weight=0.1)
+    bound = draw(st.sampled_from((ZERO_BOUND, PowerLawErrorBound(0.3, 1.1))))
+    oracle = CostOracle(model, bound, seed=draw(st.integers(0, 2 ** 16)))
+    return horizon, draw(st.integers(1, horizon)), insts, oracle
+
+
+@given(_tiny_run())
+@settings(max_examples=100, deadline=None)
+def test_whole_run_ledger_stays_fresh_on_non_integer_demands(case):
+    """On demands like 0.1 and 0.4 the ledger's instance-order migration
+    sums may differ in the last bit from transition_loads' per-pair ones:
+    through whole runs the rows still equal a fresh rebuild bit for bit,
+    and every arrival costs what the generic DP finds for it."""
+    horizon, T, insts, oracle = case
+    with pytest.MonkeyPatch.context() as mp:
+        _checked_fast_run(mp, horizon, T, insts, oracle,
+                          grid_distance(oracle.actual.K))
 
 
 def test_ledger_owns_the_matrix_it_is_given():
@@ -1002,11 +1059,11 @@ def test_place_on_arrival_rejects_an_instance_already_placed(generic):
     assert placed == before
 
 
-def test_ledger_sums_migrations_per_pair_first():
+def test_ledger_sums_migrations_in_instance_order():
     """Two frozen moves share a (k, l) pair and a third leaves the same k
-    (or enters the same l) between them. transition_loads sums per pair
-    before per cloud, which rounds differently from instance order here:
-    (0.1 + 0.4) + 0.1 != (0.1 + 0.1) + 0.4. The ledger must match it."""
+    (or enters the same l) between them. The ledger sums every cloud's
+    moves in instance order, (0.1 + 0.1) + 0.4, which rounds differently
+    from transition_loads' per-pair grouping (0.1 + 0.4) + 0.1."""
     from mmcplace.online import WindowLedger
 
     mig = (0.1, 0.1, 0.4)
@@ -1027,8 +1084,8 @@ def test_ledger_sums_migrations_per_pair_first():
     want = _fresh_rows(m, insts, model, prev, grid_distance(model.K))
     for name, rows in want.items():
         assert np.array_equal(getattr(ledger, name), np.array(rows)), name
-    assert ledger.zout[1, 1] == (mig[0] + mig[2]) + mig[1]
-    assert ledger.zin[3, 1] == (mig[0] + mig[2]) + mig[1]
+    assert ledger.zout[1, 1] == (mig[0] + mig[1]) + mig[2]
+    assert ledger.zin[3, 1] == (mig[0] + mig[1]) + mig[2]
 
 
 def _written_ledger(frozen, j, t, path):
@@ -1079,15 +1136,15 @@ def test_ledger_rewrite_of_a_placed_last_column_replaces_its_load():
     assert ledger.y[2, 1] == 0.1 + 0.1 and ledger.y[2, 2] == 0.4
 
 
-def test_ledger_append_regroups_a_shared_migration_pair():
+def test_ledger_append_sums_a_shared_migration_pair_in_instance_order():
     """The appended column 3 (0.4) moves 1 -> 2 into slot 3, as frozen
-    column 1 (0.1) does, and column 2 (0.1) moves 1 -> 3 between them: the
-    pair (1, 2) is summed first, (0.1 + 0.4) + 0.1, not in instance order
-    (0.1 + 0.1) + 0.4, as transition_loads groups them."""
+    column 1 (0.1) does, and column 2 (0.1) moves 1 -> 3 between them:
+    zout[1] is summed in instance order, (0.1 + 0.1) + 0.4, not per pair
+    first, (0.1 + 0.4) + 0.1."""
     ledger, want = _written_ledger({1: [1, 2, 2], 2: [1, 3, 3]}, 2, 2,
                                    (1, 2, 2))
     _assert_rows(ledger, want)
-    assert ledger.zout[2, 1] == (0.1 + 0.4) + 0.1
+    assert ledger.zout[2, 1] == (0.1 + 0.1) + 0.4
     assert ledger.zin[2, 2] == 0.1 + 0.4
 
 
@@ -1095,29 +1152,29 @@ def test_ledger_append_adds_a_new_pair_and_regroups_a_shared_one(
         monkeypatch):
     """The appended column 3 (0.4) moves 1 -> 2 into slot 3, a pair that
     column 1 (0.1) opened there, and 2 -> 3 into slot 4, a pair no other
-    column has there, after column 1's 2 -> 4. Only the first boundary is
-    regrouped; at the second the move is added last to zout and zin. Both
-    equal a fresh _migrations bit for bit."""
+    column has there, after column 1's 2 -> 4. Both moves are the last
+    terms of their clouds' sums and are added to zout and zin as they
+    stand, with no rebuild; the rows equal a fresh refresh bit for bit."""
     from mmcplace.online import WindowLedger
 
-    regrouped = []
-    migrations = WindowLedger._migrations
+    refreshed = []
+    refresh = WindowLedger.refresh
 
-    def spied(self, a, c):
-        regrouped.append((a, c))
-        migrations(self, a, c)
+    def spied(self, lo, hi):
+        refreshed.append((lo, hi))
+        refresh(self, lo, hi)
 
-    monkeypatch.setattr(WindowLedger, "_migrations", spied)
+    monkeypatch.setattr(WindowLedger, "refresh", spied)
     ledger, want = _written_ledger({1: [1, 2, 4], 2: [1, 3, 3]}, 2, 2,
                                    (1, 2, 3))
-    assert regrouped == [(1, 4), (2, 3)]      # the build, then the write
+    assert refreshed == [(2, 4)]              # the build; the write is none
     _assert_rows(ledger, want)
     written = {name: getattr(ledger, name).copy()
-               for name in ("zout", "zin", "moves")}
-    migrations(ledger, 1, ledger.window.T + 1)
+               for name in ("y", "r", "zout", "zin", "moves")}
+    refresh(ledger, ledger.window.t0, ledger.window.end)
     for name, rows in written.items():
         assert np.array_equal(getattr(ledger, name), rows), name
-    assert ledger.zout[2, 1] == (0.1 + 0.4) + 0.1
+    assert ledger.zout[2, 1] == (0.1 + 0.1) + 0.4
     assert ledger.zout[3, 2] == 0.1 + 0.4 and ledger.zin[3, 3] == 0.4
     assert ledger.moves.tolist() == [False, False, True, True]
 

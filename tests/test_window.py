@@ -20,6 +20,23 @@ def test_theta_definition():
         theta(obj, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bounds_and_objective_reject_non_finite_values(bad):
+    """NaN passes every `x < 0` check, so each constructor tests the
+    allowed range itself: a non-finite beta, alpha, epsilon, gamma or
+    sigma raises."""
+    bound = PowerLawErrorBound(0.4, 1.1)
+    for build in (lambda: PowerLawErrorBound(bad, 1.1),
+                  lambda: PowerLawErrorBound(0.4, bad),
+                  lambda: TabulatedErrorBound((0.1, bad)),
+                  lambda: TabulatedErrorBound((bad,)),
+                  lambda: WindowObjective(bad, 2.0, bound),
+                  lambda: WindowObjective(1.5, bad, bound)):
+        with pytest.raises(ValueError):
+            build()
+    WindowObjective(1.5, 2.0, TabulatedErrorBound((0.0, 0.1)))
+
+
 def test_phi_sign_change_brackets_minimum():
     obj = WindowObjective(1.5, 2.0, PowerLawErrorBound(0.4, 1.1))
     Tstar = scan_argmin(obj, 200)
