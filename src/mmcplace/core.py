@@ -69,9 +69,11 @@ class ServiceInstance:
             raise ValueError("instance ids are positive integers")
         if self.arrival_slot < 1:
             raise ValueError("arrival slots are numbered from 1")
-        if self.local_demand < 0 or self.migration_demand < 0:
-            raise ValueError("demands must be nonnegative")
-        if self.max_lifetime < 1:
+        # written so that NaN fails each check
+        for name in ("local_demand", "migration_demand"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
+        if not self.max_lifetime >= 1:
             raise ValueError("max_lifetime must be >= 1 slot")
         if (self.actual_departure_slot is not None
                 and self.actual_departure_slot < self.arrival_slot):

@@ -274,6 +274,16 @@ class MmcBackendCostModel(CostModel):
 
     def __init__(self, K, capacity, backend_local_rate, backend_migration_rate,
                  distance_local_weight=0.0, distance_migration_weight=0.0):
+        # written so that NaN fails each check
+        if not capacity > 0:
+            raise ValueError("capacity must be positive")
+        for name, value in (("backend_local_rate", backend_local_rate),
+                            ("backend_migration_rate", backend_migration_rate),
+                            ("distance_local_weight", distance_local_weight),
+                            ("distance_migration_weight",
+                             distance_migration_weight)):
+            if not value >= 0:
+                raise ValueError(f"{name} must be nonnegative")
         self.K = K
         self.capacity = float(capacity)
         self.backend = K
@@ -435,8 +445,9 @@ def charge_placements(model: CostModel,
     y and r per (slot, cloud) are bincounts in entry order; U sums u over
     the loaded clouds in cloud order; z and the move count per (slot, k, l)
     pair are bincounts in entry order, and W sums w over the pairs in
-    first-seen order. Every per-slot sum is a cumsum along a row, which
-    adds in order, as the scalar loops do.
+    first-seen order. U is a cumsum along each slot's row and W a bincount
+    over the slot's pairs; both add in order from 0.0, as the scalar loops
+    do.
     """
     slots = sorted(placements)
     n, K1 = len(slots), model.K + 1
@@ -469,28 +480,21 @@ def charge_placements(model: CostModel,
     moving = (to != 0) & (frm != 0) & (frm != to)
     moved = np.bincount(row[moving], minlength=n)
     pair = (row[moving] * K1 + frm[moving]) * K1 + to[moving]
-    keys, first = np.unique(pair, return_index=True)
-    of = np.searchsorted(keys, pair)
+    keys, first, of = np.unique(pair, return_index=True, return_inverse=True)
     z = np.bincount(of, mig[moving], keys.size)
     count = np.bincount(of, minlength=keys.size)
     seen = np.argsort(first, kind="stable")
     seen = seen[z[seen] > 0]
     keys, z, count = keys[seen], z[seen], count[seen]
     q, k, l = keys // (K1 * K1), keys // K1 % K1, keys % K1
-    s = np.zeros(keys.size)
-    if distance is not None:
-        mm = (k != distance.backend) & (l != distance.backend)
-        s[mm] = distance.pair_hops[k[mm], l[mm]] * count[mm]
+    s = (np.zeros(keys.size) if distance is None  # pair_hops: 0 at the backend
+         else distance.pair_hops[k, l] * count)
     # y(t-1) is the y of the run's slot t-1, zero when it has none
     y_prev = np.zeros((n, K1))
     follows = np.flatnonzero(slot[1:] - 1 == slot[:-1]) + 1
     y_prev[follows] = y[follows - 1]
     w = model.w_array(slot[q], k, l, y_prev[q, k], y[q, l], z, s)
-    # each slot's pairs in one row, in order, after a leading 0.0
-    rank = np.arange(q.size) - np.searchsorted(q, q)
-    per_slot = np.zeros((n, 2 + rank.max(initial=0)))
-    per_slot[q, 1 + rank] = w
-    migration = np.cumsum(per_slot, axis=1)[:, -1]
+    migration = np.bincount(q, w, n)         # each slot's pairs, in order
     migration[slot <= 1] = 0.0
     cost = local + migration
     return (dict(zip(slots, cost.tolist())),

@@ -28,8 +28,9 @@ u_from_R), one stacked R over the arrival's loads without and with its
 own, and has no copy of those formulas. A step
 is a (K, K) matrix in (to, from) layout: hop(q)[l, k] is the cost of
 k -> l, so _min_path adds the predecessor costs along the contiguous
-axis and takes each destination's argmin along it. place_on_arrival
-chooses one provider per arrival before routing, and runs one DP.
+axis and takes each destination's argmin along it. Both providers take
+(instance, t, t_e, ledger); place_on_arrival chooses one per arrival
+before routing, runs one DP and returns no cost.
 
 Every arrival, whatever the cost family, is placed through a
 WindowLedger, which owns the window's placements, slot t0-1 included:
@@ -77,7 +78,6 @@ HOP_BLOCK_BYTES = 256 * 1024
 @dataclass
 class PlacementOutcome:
     matrix: ConfigurationMatrix
-    predicted_cost: float      # full window cost after the placement
     relaxations: int
     saturated: bool            # True when every route carried infinite cost
 
@@ -113,7 +113,8 @@ class WindowLedger:
     serves one cost model, `model`, of any family (with no backend, every
     cloud 1..K counts as an MMC); hD, off and the backend mask are the
     constants of `base`, the capacity/backend model behind it, taken once
-    (hD and off are None without one).
+    (hD and off are None without one). cols, the instances in column
+    order, and distance are kept for _generic_steps.
 
     Every sum runs in instance order, so it matches a fresh refresh bit
     for bit. write() decides, before it writes, whether a placed column
@@ -135,9 +136,9 @@ class WindowLedger:
         self.window = window
         self.model, self.base = model, _fast_base(model)
         self.K = K = model.K
-        self.col = matrix._col
+        self.col, self.distance = matrix._col, distance
         by_id = {i.id: i for i in instances}
-        cols = [by_id[iid] for iid in matrix.instance_ids]
+        self.cols = cols = [by_id[iid] for iid in matrix.instance_ids]
         self.loc = np.array([i.local_demand for i in cols], dtype=float)
         self.mig = np.array([i.migration_demand for i in cols], dtype=float)
         prev_config = prev_config or {}
@@ -279,14 +280,17 @@ def _min_path(first, local, hop, tail):
     return tuple(k + 1 for k in path), relax, saturated
 
 
-def _generic_steps(t, t_e, ledger, ev, j):
+def _generic_steps(instance, t, t_e, ledger):
     """_min_path's inputs for any cost model, from full joint states.
 
     The frozen joint states are the ledger's placement rows (row 0 is slot
-    t0-1, the evaluator's prior). rows[q][k - 1], slot t+q's row with
-    cloud k in column j, is built once; every step is priced by the
-    evaluator.
+    t0-1). rows[q][k - 1], slot t+q's row with cloud k in the instance's
+    column, is built once; every step is priced by an evaluator over the
+    ledger's columns, model and distances.
     """
+    ev = WindowCostEvaluator(ledger.window, ledger.cols, ledger.model,
+                             distance=ledger.distance)
+    j = ledger.col[instance.id]
     i, K = t - ledger.window.t0 + 1, ledger.K    # ledger row of slot t
     joint = np.repeat(ledger.place[i:i + t_e - t + 1, None], K, axis=1)
     joint[:, :, j] = np.arange(1, K + 1)
@@ -467,7 +471,7 @@ def place_on_arrival(instance: ServiceInstance, t: int,
                      model: CostModel,
                      prev_config: dict[int, int] | None = None,
                      distance: DistanceContext | None = None,
-                     want_cost: bool = True, *,
+                     want_cost: bool = False, *,
                      ledger: WindowLedger | None = None) -> PlacementOutcome:
     """Fill one instance's column over [t, t_e] optimally, others frozen.
 
@@ -494,7 +498,9 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     then belongs to it. Without one, a throwaway ledger is built on a
     copy, and the caller's matrix is left as it was, its data array
     included. Every family writes the column through the ledger
-    (WindowLedger.write); outcome.matrix is the ledger's matrix.
+    (WindowLedger.write); outcome.matrix is the ledger's matrix. No cost
+    is reported: want_cost must be False (True raises ValueError), and
+    costs.window_cost prices outcome.matrix.
     """
     window = matrix.window
     if not (window.t0 <= t <= window.end):
@@ -509,38 +515,22 @@ def place_on_arrival(instance: ServiceInstance, t: int,
         raise ValueError("the arriving instance is already placed")
     if ledger is not None and ledger.model is not model:
         raise ValueError("ledger was built for another cost model")
+    if want_cost:         # kept only for perfbench's calls, as --jobs 1 is
+        raise ValueError("no window cost here: use costs.window_cost")
     t_e = int(min(instance.planned_end, window.end))
 
     out = matrix if ledger is not None else matrix.copy()
     ledger = ledger or WindowLedger(out, instances, model, prev_config,
                                     distance)
-    j = ledger.col[instance.id]
-
-    def evaluator():
-        by_id = {i.id: i for i in instances}
-        return WindowCostEvaluator(window,
-                                   [by_id[iid] for iid in matrix.instance_ids],
-                                   model, prev_config, distance)
-
-    ev = None
+    # at a frozen MMC at capacity the fast deltas are inf - inf = NaN,
+    # which argmin would take as the minimum: route as the generic DP
+    generic = ledger.base is None or _frozen_overload(ledger, t, t_e)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # at a frozen MMC at capacity the fast deltas are inf - inf = NaN,
-        # which argmin would take as the minimum: route as the generic DP
-        if ledger.base is None or _frozen_overload(ledger, t, t_e):
-            ev = evaluator()
-            steps = _generic_steps(t, t_e, ledger, ev, j)
-        else:
-            steps = _fast_steps(instance, t, t_e, ledger)
+        steps = (_generic_steps if generic else _fast_steps)(
+            instance, t, t_e, ledger)
         path, relax, saturated = _min_path(*steps)
-
-    ledger.write(j, t, path)
-    total = math.nan
-    if want_cost:
-        if ev is None:
-            ev = evaluator()
-        total = ev.path_cost([out.slot_state(s) for s in window.slots])
-    return PlacementOutcome(matrix=out, predicted_cost=total,
-                            relaxations=relax, saturated=saturated)
+    ledger.write(ledger.col[instance.id], t, path)
+    return PlacementOutcome(out, relax, saturated)
 
 
 def handle_departure(instance_id: int, t: int,
@@ -646,7 +636,7 @@ def run_online(horizon: int, window_size: int,
             for inst in arrive.get(t, ()):
                 outcome = place_on_arrival(inst, t, matrix, columns, model,
                                            prev_config, distance,
-                                           want_cost=False, ledger=ledger)
+                                           ledger=ledger)
                 run.relaxations_per_arrival.append(outcome.relaxations)
                 run.saturated_events += outcome.saturated
             for iid in depart.get(t, ()):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,13 @@ def test_instance_validation():
         ServiceInstance(id=1, arrival_slot=1, max_lifetime=0)
     with pytest.raises(ValueError):
         ServiceInstance(id=1, arrival_slot=0)      # slots count from 1
+    # NaN fails every range check, and the error names the parameter
+    for name, value in (("local_demand", math.nan), ("local_demand", -1.0),
+                        ("migration_demand", math.nan),
+                        ("migration_demand", -1.0),
+                        ("max_lifetime", math.nan)):
+        with pytest.raises(ValueError, match=name):
+            ServiceInstance(id=1, arrival_slot=1, **{name: value})
 
 
 def test_active_span_truncation():

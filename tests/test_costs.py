@@ -80,6 +80,25 @@ def test_mmc_capacity_sentinel():
     assert model.w(1, 3, 2, 1.0, 100.0, 2.0) == 6.0
 
 
+@pytest.mark.parametrize("name, value", [
+    ("capacity", math.nan), ("capacity", 0.0), ("capacity", -1.0),
+    ("backend_local_rate", math.nan), ("backend_migration_rate", math.nan),
+    ("distance_local_weight", math.nan), ("distance_local_weight", -0.1),
+    ("distance_migration_weight", math.nan),
+    ("distance_migration_weight", -0.1)])
+def test_mmc_constructor_rejects_nan_and_non_positive_parameters(name,
+                                                                 value):
+    """A capacity of NaN, 0 or -1 once built a model whose u(1, 1, 1.0)
+    was nan, inf or inf; NaN rates and negative weights were accepted
+    too. Each now raises, naming the parameter."""
+    args = dict(K=4, capacity=5.0, backend_local_rate=3.0,
+                backend_migration_rate=3.0, distance_local_weight=0.2,
+                distance_migration_weight=0.1)
+    args[name] = value
+    with pytest.raises(ValueError, match=name):
+        MmcBackendCostModel(**args)
+
+
 @pytest.mark.parametrize("g", [0.0, 0.2])
 def test_mmc_array_forms_equal_the_scalar_forms_next_to_capacity(g):
     """R_array and u_array equal R and u entry for entry, the backend

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mmcplace.core import ConfigurationMatrix, ServiceInstance, Window
 from mmcplace.costs import (CostModel, DistanceContext, LinearCostModel,
                             MmcBackendCostModel, PerturbedCostModel,
-                            WindowCostEvaluator)
+                            WindowCostEvaluator, window_cost)
 from mmcplace.online import (_min_path, handle_departure, place_on_arrival,
                              run_online)
 from mmcplace.predictor import ZERO_BOUND, CostOracle, PowerLawErrorBound
@@ -100,7 +100,8 @@ def test_single_column_dp_is_optimal(seed, use_distance, use_perturb):
     out = place_on_arrival(inst, t, m, insts, model, prev, d)
     cost, _states, _m2 = enumerate_best(inst, t, m, insts, model, prev, d)
     if math.isfinite(cost):
-        assert out.predicted_cost == pytest.approx(cost, rel=1e-9, abs=1e-9)
+        assert window_cost(model, out.matrix, insts, prev, d) == pytest.approx(
+            cost, rel=1e-9, abs=1e-9)
     else:
         assert out.saturated
 
@@ -128,12 +129,11 @@ def test_fast_path_matches_generic(seed):
     t = inst.arrival_slot
     insts_sorted = sorted(insts, key=lambda i: i.id)
     ev = WindowCostEvaluator(w, insts_sorted, model, prev, d)
-    j = next(i for i, x in enumerate(insts_sorted) if x.id == inst.id)
     t_e = int(min(t + inst.max_lifetime - 1, w.end))
     assert _fast_base(model) is not None
     ledger = WindowLedger(m, insts_sorted, model, prev, d)
     fast = _fast_path(inst, t, t_e, ledger)
-    gen = _min_path(*_generic_steps(t, t_e, ledger, ev, j))
+    gen = _min_path(*_generic_steps(inst, t, t_e, ledger))
 
     def path_cost(path):
         m2 = m.copy()
@@ -195,7 +195,7 @@ def test_fast_path_matches_generic_near_capacity(seed):
     t_e = int(min(t + life - 1, w.end))
     ledger = WindowLedger(m, insts, model, prev, d)
     fast = _fast_path(inst, t, t_e, ledger)
-    gen = _min_path(*_generic_steps(t, t_e, ledger, ev, 5))
+    gen = _min_path(*_generic_steps(inst, t, t_e, ledger))
 
     def path_cost(path):
         m2 = m.copy()
@@ -833,7 +833,7 @@ def _checked_fast_run(monkeypatch, horizon, T, insts, oracle, distance):
     place, depart = online.place_on_arrival, online.handle_departure
 
     def checked_place(instance, t, matrix, instances, model, prev_config,
-                      distance, want_cost=True, *, ledger=None):
+                      distance, want_cost=False, *, ledger=None):
         # under a ledger, place fills the column into `matrix` itself
         before = matrix.copy()
         out = place(instance, t, matrix, instances, model, prev_config,
@@ -842,10 +842,13 @@ def _checked_fast_run(monkeypatch, horizon, T, insts, oracle, distance):
             context["args"] = (instances, model, prev_config, distance)
             assert_fresh(ledger, out.matrix)
             checked["place"] += 1
-            ours = place(instance, t, before, instances, model, prev_config,
-                         distance).predicted_cost
-            ref = place(instance, t, before, instances, _Delegating(model),
-                        prev_config, distance).predicted_cost
+            ours = window_cost(model, place(
+                instance, t, before, instances, model, prev_config,
+                distance).matrix, instances, prev_config, distance)
+            ref = window_cost(model, place(
+                instance, t, before, instances, _Delegating(model),
+                prev_config, distance).matrix, instances, prev_config,
+                distance)
             if math.isfinite(ref):
                 assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
             else:
@@ -897,13 +900,14 @@ _DEMANDS = (0.1, 0.2, 0.4, 0.7, 1.0)
 
 
 @st.composite
-def _tiny_run(draw):
+def _tiny_run(draw, linear=False):
     """A tiny whole run with non-integer demands, where sums in instance
     order and per (k, l) pair first can round differently: K 2..6 on the
-    capacity/backend family with distance terms, 1..8 instances, a
-    horizon of at most 12 slots, windows of 1..horizon slots, finite and
-    infinite lifetimes. Instance 1 departs inside the horizon, so every
-    run has a departure."""
+    capacity/backend family with distance terms (on LinearCostModel with
+    small rates when `linear`), 1..8 instances, a horizon of at most 12
+    slots, windows of 1..horizon slots, finite and infinite lifetimes.
+    Instance 1 departs inside the horizon, so every run has a
+    departure."""
     K = draw(st.integers(2, 6))
     horizon = draw(st.integers(1, 12))
     insts = []
@@ -917,12 +921,18 @@ def _tiny_run(draw):
                                        else st.none() | leaves),
             local_demand=draw(st.sampled_from(_DEMANDS)),
             migration_demand=draw(st.sampled_from(_DEMANDS))))
-    capacity = draw(st.sampled_from((1.0, 2.0, 3.5)))
-    model = MmcBackendCostModel(K=K, capacity=capacity,
-                                backend_local_rate=3.0,
-                                backend_migration_rate=3.0,
-                                distance_local_weight=0.2,
-                                distance_migration_weight=0.1)
+    if linear:
+        rate = st.sampled_from((0.5, 1.0, 2.0))
+        model = LinearCostModel([0.0] + [draw(rate) for _ in range(K)],
+                                draw(st.sampled_from((0.0, 0.5))),
+                                draw(st.sampled_from((0.0, 0.5))), draw(rate))
+    else:
+        capacity = draw(st.sampled_from((1.0, 2.0, 3.5)))
+        model = MmcBackendCostModel(K=K, capacity=capacity,
+                                    backend_local_rate=3.0,
+                                    backend_migration_rate=3.0,
+                                    distance_local_weight=0.2,
+                                    distance_migration_weight=0.1)
     bound = draw(st.sampled_from((ZERO_BOUND, PowerLawErrorBound(0.3, 1.1))))
     oracle = CostOracle(model, bound, seed=draw(st.integers(0, 2 ** 16)))
     return horizon, draw(st.integers(1, horizon)), insts, oracle
@@ -939,6 +949,36 @@ def test_whole_run_ledger_stays_fresh_on_non_integer_demands(case):
     with pytest.MonkeyPatch.context() as mp:
         _checked_fast_run(mp, horizon, T, insts, oracle,
                           grid_distance(oracle.actual.K))
+
+
+@given(_tiny_run(linear=True))
+@settings(max_examples=200, deadline=None)
+def test_whole_run_ledger_stays_fresh_on_the_linear_family(case):
+    """On LinearCostModel, which has no backend (every cloud counts as an
+    MMC), every arrival takes _generic_steps: through whole runs the
+    ledger rows still equal a fresh rebuild bit for bit after every
+    placement and departure, and every arrival costs what the generic DP
+    of a plain CostModel finds for it."""
+    from mmcplace import online
+
+    def fast_steps(*args):
+        raise AssertionError("a linear-family arrival took the fast DP")
+
+    horizon, T, insts, oracle = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(online, "_fast_steps", fast_steps)
+        _checked_fast_run(mp, horizon, T, insts, oracle,
+                          grid_distance(oracle.actual.K))
+
+
+def test_want_cost_true_is_rejected():
+    """place_on_arrival reports no window cost: want_cost=True raises and
+    points to costs.window_cost."""
+    model, w, insts, prev, m, d = random_setup(np.random.default_rng(1))
+    inst = insts[-1]
+    with pytest.raises(ValueError, match="window_cost"):
+        place_on_arrival(inst, inst.arrival_slot, m, insts, model, prev, d,
+                         want_cost=True)
 
 
 def test_ledger_owns_the_matrix_it_is_given():
@@ -1211,7 +1251,7 @@ def test_generic_dp_matches_instances_to_columns_by_id(columns):
     """The frozen instance 1 fills cloud 1 (u = y + y^2), so instance 2 is
     cheaper on cloud 2 (u = 3y), whatever the order of the matrix
     columns: window cost 6 + 6 + 1.5 + 1.5 = 15, not 2 x 8.75 = 17.5."""
-    from mmcplace.costs import PolynomialCostModel, window_cost
+    from mmcplace.costs import PolynomialCostModel
 
     model = PolynomialCostModel([[0, 0, 0], [0, 1, 1], [0, 3, 0]],
                                 [(0, 0, 1, 1.0)])
@@ -1222,7 +1262,6 @@ def test_generic_dp_matches_instances_to_columns_by_id(columns):
     m.set_column(1, [1, 1])
     out = place_on_arrival(insts[1], 1, m, insts, model)
     assert out.matrix.column(2).tolist() == [2, 2]
-    assert out.predicted_cost == 15.0
     assert window_cost(model, out.matrix, insts) == 15.0
 
 
@@ -1278,7 +1317,7 @@ def test_tie_break_is_min_cost_then_reversed_path():
     assert (min(paths), _reversed_min(paths)) == ((2, 2, 2), (3, 1, 1))
     out = place_on_arrival(inst, 2, m, insts, model, prev)
     assert tuple(out.matrix.column(1).tolist()) == (3, 1, 1)
-    assert out.predicted_cost == cost
+    assert window_cost(model, out.matrix, insts, prev) == cost
 
 
 def test_tie_break_matches_enumeration_on_integer_costs():
@@ -1302,7 +1341,7 @@ def test_tie_break_matches_enumeration_on_integer_costs():
         discriminating += min(paths) != _reversed_min(paths)
         out = place_on_arrival(inst, 2, m, insts, model, prev)
         assert tuple(out.matrix.column(1).tolist()) == _reversed_min(paths)
-        assert out.predicted_cost == cost
+        assert window_cost(model, out.matrix, insts, prev) == cost
     assert discriminating > 0
 
 
