@@ -167,10 +167,13 @@ class LinearCostModel(CostModel):
         self.kappa1 = pairify(kappa1)
         self.kappa2 = pairify(kappa2)
         self.kappa3 = pairify(kappa3)
-        if np.any(gamma[1:] <= 0) or np.any(self.kappa3 <= 0):
-            raise ValueError("gamma and kappa3 must be positive")
-        if np.any(self.kappa1 < 0) or np.any(self.kappa2 < 0):
-            raise ValueError("kappa1/kappa2 must be nonnegative")
+        # written so that NaN fails each check
+        for name, ok, want in (("gamma", gamma[1:] > 0, "positive"),
+                               ("kappa1", self.kappa1 >= 0, "nonnegative"),
+                               ("kappa2", self.kappa2 >= 0, "nonnegative"),
+                               ("kappa3", self.kappa3 > 0, "positive")):
+            if not ok.all():
+                raise ValueError(f"{name} must be {want}")
 
     def u(self, k, t, y, r=0.0):
         return self.gamma[k] * y
@@ -210,18 +213,19 @@ class PolynomialCostModel(CostModel):
         if ucoeffs.ndim != 2:
             raise ValueError("ucoeffs must be (K+1, max_order+1)")
         self.K = ucoeffs.shape[0] - 1
-        if np.any(ucoeffs < 0):
-            raise ValueError("polynomial coefficients must be nonnegative")
+        # written so that NaN fails each check
+        if not (ucoeffs >= 0).all():
+            raise ValueError("ucoeffs: coefficients must be nonnegative")
         if ucoeffs.shape[1] > 0 and np.any(ucoeffs[:, 0] != 0):
             raise ValueError("constant term would violate u(0)=0")
         self.ucoeffs = ucoeffs
         self.wterms = [(int(p1), int(p2), int(p3), float(c)) for p1, p2, p3, c in wterms]
         for p1, p2, p3, c in self.wterms:
-            if c < 0:
-                raise ValueError("polynomial coefficients must be nonnegative")
+            if not c >= 0:
+                raise ValueError("wterms: coefficients must be nonnegative")
             if p3 < 1:
                 raise ValueError("migration terms need z degree >= 1 (w(.,.,0)=0)")
-        if ucoeffs.shape[1] < 2 or np.any(ucoeffs[1:, 1] <= 0):
+        if ucoeffs.shape[1] < 2 or not (ucoeffs[1:, 1] > 0).all():
             raise ValueError("need positive linear y term in every u_k")
         if not any(p1 == 0 and p2 == 0 and p3 == 1 and c > 0
                    for p1, p2, p3, c in self.wterms):

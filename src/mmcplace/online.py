@@ -1,5 +1,6 @@
 """Greedy per-instance placement under arrivals and departures, and the
-window loop that the online and offline solvers share.
+window loop that every solver shares: online, offline and the one-slot
+windows of simulator's policies a, b and c.
 
 run_windows tiles the horizon into look-ahead windows. Each window's
 solver gets the oracle's predicted model, prev_config (the whole placement
@@ -174,9 +175,14 @@ class WindowLedger:
         # of window slot t0 + i, None on the base model
         self.is_mmc = np.ones(K + 1, dtype=bool)
         self.is_mmc[0] = False
-        self.hD = self.off = None
+        self.hD = self.off = self.block = None
         if self.base is not None:
             self.is_mmc[self.base.backend] = False
+            # _fast_steps' boundary blocks, no more than the window's slots:
+            # a block allocated per build (203 KB at K = 92, over malloc's
+            # mmap threshold) took its time from what the heap held before
+            self.block = np.empty((min(max(1, HOP_BLOCK_BYTES // (8 * K * K)),
+                                       window.T), K, K))
             self.hD = np.ascontiguousarray(
                 (self.base.h * self.pairD[1:, 1:]).T)
             if model is not self.base:
@@ -357,7 +363,8 @@ def _fast_steps(instance, t, t_e, ledger):
     nonzero: rows l with in_l != 0 are rebuilt whole as entry + (in_l +
     out_k), and the other rows get entry + out_k in the columns k with
     out_k != 0. No entry is -0.0, so adding a zero would change nothing.
-    A carried instance's entry is built as one vector by the same rules.
+    A carried instance's entry is its column of hop(0), the boundary into
+    slot t, built in the first block.
     """
     a = instance.local_demand
     b = instance.migration_demand
@@ -407,9 +414,11 @@ def _fast_steps(instance, t, t_e, ledger):
             fix_cols = (moved[m], frm, out_shift[m, frm, None])
 
     def boundary(R_from, R_to):
-        """Hop costs over len(R_from) boundaries, an (n, K, K) array with
-        [., l, k] for k -> l; R_from, R_to are (n, K)."""
-        cand = R_to[:, :, None] + R_from[:, None, :]
+        """Hop costs over len(R_from) boundaries, an (n, K, K) view of the
+        ledger's block buffer with [., l, k] for k -> l; R_from, R_to are
+        (n, K)."""
+        cand = np.add(R_to[:, :, None], R_from[:, None, :],
+                      out=ledger.block[:len(R_from)])
         if b != 1.0:
             cand *= b
         cand += hD
@@ -418,7 +427,7 @@ def _fast_steps(instance, t, t_e, ledger):
         cand.reshape(len(cand), -1)[:, ::K + 1] = 0.0       # k -> k is free
         return cand
 
-    n = max(1, HOP_BLOCK_BYTES // (8 * K * K))
+    n = len(ledger.block)
     block, q0 = (), 0
 
     def hop(q):
@@ -438,17 +447,10 @@ def _fast_steps(instance, t, t_e, ledger):
         k = ledger.prev[j] - 1 if t == window.t0 else -1
         if k >= 0:
             # carried instance: its load already sits in the pre-window
-            # profile at cloud k+1, so no +a on that side
-            if k == b0:
-                entry = np.full(K, hop_backend)
-            else:
-                entry = R_now[0, k] + R_plus[1]
-                if b != 1.0:
-                    entry *= b
-                entry += hD[:, k]
-                entry[b0] = hop_backend
-            entry[k] = 0.0
-            first = first + entry
+            # profile at cloud k+1, so no +a on that side of hop(0), the
+            # boundary into slot t (no other step reads R_plus[0])
+            R_plus[0] = R_now[0]
+            first = first + hop(0)[:, k]
     # leaving a congested cloud after the column ends still shifts frozen
     # migrations over the next boundary
     tail = None
@@ -493,14 +495,13 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     state of such a slot as inf and the fast deltas would be inf - inf;
     _fast_steps otherwise.
 
-    ledger, when given, must describe `matrix` (run_online keeps one per
-    window) and be built for `model` (else ValueError), and the matrix
-    then belongs to it. Without one, a throwaway ledger is built on a
-    copy, and the caller's matrix is left as it was, its data array
-    included. Every family writes the column through the ledger
-    (WindowLedger.write); outcome.matrix is the ledger's matrix. No cost
-    is reported: want_cost must be False (True raises ValueError), and
-    costs.window_cost prices outcome.matrix.
+    ledger, when given, must own `matrix` (run_online keeps one per
+    window) and be built for `model` (else ValueError). Without one, a
+    throwaway ledger is built on a copy, and the caller's matrix is left
+    as it was, its data array included. Every family writes the column
+    through the ledger (WindowLedger.write); outcome.matrix is the
+    ledger's matrix. No cost is reported: want_cost must be False (True
+    raises ValueError), and costs.window_cost prices outcome.matrix.
     """
     window = matrix.window
     if not (window.t0 <= t <= window.end):
@@ -513,6 +514,8 @@ def place_on_arrival(instance: ServiceInstance, t: int,
         raise ValueError("matrix has no column for the arriving instance")
     if matrix.data[:, matrix._col[instance.id]].any():
         raise ValueError("the arriving instance is already placed")
+    if ledger is not None and matrix.data.base is not ledger.place:
+        raise ValueError("ledger does not own the matrix")
     if ledger is not None and ledger.model is not model:
         raise ValueError("ledger was built for another cost model")
     if want_cost:         # kept only for perfbench's calls, as --jobs 1 is
@@ -541,10 +544,12 @@ def handle_departure(instance_id: int, t: int,
     ledger owns `matrix` (run_online keeps one per window): the column is
     cleared in place, the ledger is refreshed for the slots that change
     and `matrix` itself is returned. Raises ValueError when the matrix has
-    no column for the instance.
+    no column for the instance or the ledger does not own it.
     """
     if instance_id not in matrix._col:
         raise ValueError("matrix has no column for the departing instance")
+    if matrix.data.base is not ledger.place:
+        raise ValueError("ledger does not own the matrix")
     q = matrix.window.index_of(t)
     cleared = np.flatnonzero(matrix.data[q + 1:, matrix._col[instance_id]])
     matrix.zero_after(instance_id, t)
@@ -569,7 +574,8 @@ class OnlineRun:
 def run_windows(horizon: int, window_size: int,
                 instances: list[ServiceInstance], oracle,
                 distance: DistanceContext | None, solve):
-    """The window loop of run_online and offline.run_offline.
+    """The window loop of run_online, offline.run_offline and the
+    simulator's one-slot policies a, b and c.
 
     Tiles [1, horizon] into windows of window_size slots (the last one may
     be shorter) and calls solve(window, model, prev_config, columns) on

@@ -8,10 +8,12 @@ Policies:
      declares its true stay as its lifetime, so planned_end = last_slot
   e  online placement with predicted costs and the optimized window
 
-Every policy produces per-slot placement maps {instance id: cloud}, and
-all five are charged the actual (unperturbed) per-slot costs from those
-maps by costs.charge_placements; num_active and num_migrations come from
-the same maps. Results keep the counts, not the maps.
+Every policy is a solver of online.run_windows: a, b and c place one-slot
+windows on the actual costs, d and e are run_online's look-ahead windows.
+run_windows records each slot's placement map {instance id: cloud} and
+charges all five the actual (unperturbed) per-slot costs from those maps
+by costs.charge_placements; num_active and num_migrations come from the
+same maps. Results keep the counts, not the maps.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ScenarioConfig
-from .core import ServiceInstance
-from .costs import DistanceContext, MmcBackendCostModel, charge_placements
-from .online import run_online
+from .core import ConfigurationMatrix, ServiceInstance
+from .costs import DistanceContext, MmcBackendCostModel
+from .online import run_online, run_windows
 from .oracle import fractional_lower_bound_single_slot
 from .predictor import ZERO_BOUND, CostOracle, PowerLawErrorBound
 from .scenario import (HexTopology, generate_service_demand,
@@ -123,16 +125,6 @@ def pick_window(config: ScenarioConfig, beta: float | None = None) -> int:
     return optimal_window_binary_search(obj, config.T_max)
 
 
-def _active_by_slot(instances, horizon) -> list[list]:
-    """Instances present in each slot 0..horizon, in instance order."""
-    active = [[] for _ in range(horizon + 1)]
-    for inst in instances:
-        last = int(min(inst.last_slot, horizon))
-        for t in range(inst.arrival_slot, last + 1):
-            active[t].append(inst)
-    return active
-
-
 def _nearest_with_capacity(scn: BuiltScenario, user_cell: int,
                            load: np.ndarray, demand: float) -> int:
     """Closest cell to the user with room; overflow to next-nearest, then
@@ -145,75 +137,63 @@ def _nearest_with_capacity(scn: BuiltScenario, user_cell: int,
     return topo.backend
 
 
-def _charged(scn: BuiltScenario, policy: str,
-             placements: dict[int, dict[int, int]],
-             overflows: int = 0) -> PolicyResult:
-    """Policy result charged by the shared accounting path."""
-    costs, moved = charge_placements(scn.model, placements, scn.instances,
-                                     scn.distance)
-    return PolicyResult(policy, costs,
-                        {t: len(placed) for t, placed in placements.items()},
-                        moved, 0.0, overflows=overflows)
-
-
-def _run_greedy_cell_policy(scn: BuiltScenario, policy: str) -> PolicyResult:
-    """Policies a (stay put) and b (always follow)."""
-    assigned: dict[int, int] = {}        # instance -> cell chosen at arrival (a)
-    placements: dict[int, dict[int, int]] = {}
+def _run_cell_policy(scn: BuiltScenario, policy: str):
+    """Policies a (stay put), b (always follow) and c (backend) as
+    one-slot windows of run_windows on the actual costs. A column is
+    present while t <= last_slot. a keeps each present column's slot t-1
+    cloud, counting those loads first; every other present column, in id
+    order, goes to the backend (c) or to _nearest_with_capacity (a, b),
+    an overflow when that is the backend. Returns run_windows' output and
+    the overflow count."""
+    backend = scn.topology.backend
+    last = {i.id: i.last_slot for i in scn.instances}
     overflows = 0
-    active_at = _active_by_slot(scn.instances, scn.config.horizon)
-    for t in range(1, scn.config.horizon + 1):
-        active = active_at[t]
-        load = np.zeros(scn.model.K + 1)
-        placed: dict[int, int] = {}
-        for inst in active:                  # a's kept cells (empty for b)
-            if inst.id in assigned:
-                placed[inst.id] = assigned[inst.id]
-                load[assigned[inst.id]] += inst.local_demand
-        for inst in sorted(active, key=lambda i: i.id):
-            if inst.id not in placed:
-                cell = _nearest_with_capacity(
+
+    def solve(window, model, prev_config, columns):
+        nonlocal overflows
+        t, load = window.t0, np.zeros(model.K + 1)
+        present = [j for j, i in enumerate(columns) if last[i.id] >= t]
+        row = [0] * len(columns)
+        for j in present:
+            if policy == "a" and columns[j].id in prev_config:
+                row[j] = prev_config[columns[j].id]
+                load[row[j]] += columns[j].local_demand
+        for j in present:
+            inst = columns[j]
+            if policy == "c":
+                row[j] = backend
+            elif not row[j]:
+                row[j] = cell = _nearest_with_capacity(
                     scn, scn.distance.user_cell_of(inst.id, t), load,
                     inst.local_demand)
-                overflows += cell == scn.topology.backend
-                placed[inst.id] = cell
+                overflows += cell == backend
                 load[cell] += inst.local_demand
-        if policy == "a":
-            assigned.update(placed)
-        placements[t] = placed
-    return _charged(scn, policy, placements, overflows)
+        matrix = ConfigurationMatrix(window, [i.id for i in columns])
+        matrix.data[0] = row
+        return matrix
 
-
-def _run_backend_policy(scn: BuiltScenario) -> PolicyResult:
-    backend = scn.topology.backend
-    active_at = _active_by_slot(scn.instances, scn.config.horizon)
-    placements = {t: {i.id: backend for i in active_at[t]}
-                  for t in range(1, scn.config.horizon + 1)}
-    return _charged(scn, "c", placements)
+    out = run_windows(scn.config.horizon, 1, scn.instances,
+                      CostOracle(scn.model, ZERO_BOUND), scn.distance, solve)
+    return out, {"overflows": overflows}
 
 
 def _run_online_policy(scn: BuiltScenario, policy: str,
                        window_T: int | None = None,
-                       beta: float | None = None) -> PolicyResult:
-    config = scn.config
+                       beta: float | None = None):
+    config, instances = scn.config, scn.instances
     if policy == "d":
-        oracle = CostOracle(scn.model, ZERO_BOUND, seed=scn.seed)
-        T = config.horizon
-        exact = [replace(i, max_lifetime=i.last_slot - i.arrival_slot + 1)
-                 for i in scn.instances]
-        run = run_online(config.horizon, T, exact, oracle, scn.distance)
+        T, bound = config.horizon, ZERO_BOUND
+        instances = [replace(i, max_lifetime=i.last_slot - i.arrival_slot + 1)
+                     for i in instances]
     else:
         beta = config.beta if beta is None else beta
         T = window_T if window_T else pick_window(config, beta)
         bound = (PowerLawErrorBound(beta, config.alpha) if beta > 0
                  else ZERO_BOUND)
-        oracle = CostOracle(scn.model, bound, seed=scn.seed)
-        run = run_online(config.horizon, T, scn.instances, oracle,
-                         scn.distance)
-    return PolicyResult(policy, run.actual_by_slot,
-                        {t: len(p) for t, p in run.placements.items()},
-                        run.migrations_by_slot, 0.0, window_T=T,
-                        saturated=run.saturated_events)
+    run = run_online(config.horizon, T, instances,
+                     CostOracle(scn.model, bound, seed=scn.seed), scn.distance)
+    return ((run.placements, run.actual_by_slot, run.migrations_by_slot),
+            {"window_T": T, "saturated": run.saturated_events})
 
 
 def run_policy(scn: BuiltScenario, policy: str,
@@ -223,14 +203,14 @@ def run_policy(scn: BuiltScenario, policy: str,
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     start = time.perf_counter()
-    if policy in ("a", "b"):
-        result = _run_greedy_cell_policy(scn, policy)
-    elif policy == "c":
-        result = _run_backend_policy(scn)
+    if policy in ("a", "b", "c"):
+        (placements, costs, moved), counts = _run_cell_policy(scn, policy)
     else:
-        result = _run_online_policy(scn, policy, window_T, beta)
-    result.runtime_ms = (time.perf_counter() - start) * 1e3
-    return result
+        (placements, costs, moved), counts = _run_online_policy(
+            scn, policy, window_T, beta)
+    return PolicyResult(policy, costs,
+                        {t: len(placed) for t, placed in placements.items()},
+                        moved, (time.perf_counter() - start) * 1e3, **counts)
 
 
 def sweep_window(config: ScenarioConfig, T_values, beta_values, seeds):

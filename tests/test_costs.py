@@ -99,6 +99,26 @@ def test_mmc_constructor_rejects_nan_and_non_positive_parameters(name,
         MmcBackendCostModel(**args)
 
 
+_NAN_MODELS = {
+    "gamma": lambda: LinearCostModel([0, math.nan, 1.0], 0.0, 0.0, 1.0),
+    "kappa1": lambda: LinearCostModel([0, 2.0, 1.0], math.nan, 0.0, 1.0),
+    "kappa2": lambda: LinearCostModel([0, 2.0, 1.0], 0.0, math.nan, 1.0),
+    "kappa3": lambda: LinearCostModel([0, 2.0, 1.0], 0.0, 0.0, math.nan),
+    "ucoeffs": lambda: PolynomialCostModel([[0, 0], [0, math.nan]],
+                                           [(0, 0, 1, 1.0)]),
+    "wterms": lambda: PolynomialCostModel([[0, 0], [0, 1.0]],
+                                          [(0, 0, 1, 1.0),
+                                           (1, 0, 1, math.nan)])}
+
+
+@pytest.mark.parametrize("name", _NAN_MODELS)
+def test_linear_and_polynomial_constructors_reject_nan(name):
+    """Each of these once constructed and priced u or w as nan. Each now
+    raises, naming the parameter."""
+    with pytest.raises(ValueError, match=name):
+        _NAN_MODELS[name]()
+
+
 @pytest.mark.parametrize("g", [0.0, 0.2])
 def test_mmc_array_forms_equal_the_scalar_forms_next_to_capacity(g):
     """R_array and u_array equal R and u entry for entry, the backend
@@ -294,8 +314,9 @@ def _assert_charge_matches_reference(model, placements, instances,
 
 
 def _recorded_charges(monkeypatch, run):
-    """The arguments of every charge_placements call that run() makes."""
-    from mmcplace import online, simulator
+    """The arguments of every charge_placements call that run() makes,
+    all of them in online.run_windows."""
+    from mmcplace import online
 
     seen = []
 
@@ -303,8 +324,7 @@ def _recorded_charges(monkeypatch, run):
         seen.append(args)
         return charge_placements(*args)
 
-    for module in (simulator, online):
-        monkeypatch.setattr(module, "charge_placements", recording)
+    monkeypatch.setattr(online, "charge_placements", recording)
     run()
     monkeypatch.undo()
     return seen

@@ -1028,6 +1028,27 @@ def test_place_on_arrival_rejects_a_ledger_built_for_another_model():
     assert placed.matrix is m and m != before
 
 
+def test_a_ledger_that_does_not_own_the_matrix_is_rejected():
+    """Handed a matrix that its ledger does not own, an equal copy
+    included, place_on_arrival and handle_departure raise and write
+    nothing: before, the placement went to the ledger's rows while the
+    other matrix came back unchanged."""
+    from mmcplace.online import WindowLedger
+
+    model, w, insts, prev, m, d = random_setup(
+        np.random.default_rng(5), distance=True, dist_weights=(0.2, 0.1))
+    ledger = WindowLedger(m, insts, model, prev, d)
+    inst, before = insts[-1], m.copy()
+    rows = ledger.place.copy()
+    for other in (ConfigurationMatrix(w, m.instance_ids), m.copy()):
+        with pytest.raises(ValueError, match="does not own"):
+            place_on_arrival(inst, inst.arrival_slot, other, insts, model,
+                             prev, d, ledger=ledger)
+        with pytest.raises(ValueError, match="does not own"):
+            handle_departure(insts[0].id, w.t0, other, ledger=ledger)
+    assert m == before and np.array_equal(ledger.place, rows)
+
+
 def test_fast_run_copies_no_matrix(monkeypatch):
     """run_online, on the capacity/backend DP and on the generic one,
     keeps each window's matrix in its ledger and updates it in place: no

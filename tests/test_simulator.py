@@ -48,8 +48,9 @@ def test_stay_put_policy_never_migrates():
 
 
 def _charged_maps(monkeypatch):
-    """Record the placement maps every policy hands to the charger."""
-    from mmcplace import costs, online, simulator
+    """Record the placement maps every policy hands to the charger, whose
+    one call site is online.run_windows."""
+    from mmcplace import costs, online
 
     seen = []
 
@@ -57,7 +58,6 @@ def _charged_maps(monkeypatch):
         seen.append(placements)
         return costs.charge_placements(model, placements, instances, distance)
 
-    monkeypatch.setattr(simulator, "charge_placements", recording)
     monkeypatch.setattr(online, "charge_placements", recording)
     return seen
 
