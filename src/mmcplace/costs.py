@@ -12,8 +12,9 @@ run from its per-slot placement maps (every policy and control loop goes
 through it) in one array pass, with the same sums in the same order as
 placement_loads, local_total and migration_total slot by slot;
 WindowCostEvaluator prices joint states inside one window for the
-solvers, each state once per solver call. online.WindowLedger keeps a
-vectorized mirror for the fast DP.
+solvers, each state once per solver call and each pair of states on
+plain floats. online.WindowLedger keeps a vectorized mirror for the fast
+DP.
 
 Every family has scalar u and w, and array forms u_array and w_array for
 the charge, by default the scalar ones applied per entry.
@@ -116,14 +117,16 @@ class CostModel:
                 total += self.u(k, t, float(loads.y[k]), float(loads.r[k]))
         return total
 
-    def migration_total(self, t: int, y_prev: np.ndarray, loads: SlotLoads) -> float:
+    def migration_total(self, t: int, y_prev, y, z: dict, s: dict) -> float:
+        """W(t): w over z's pairs with z > 0, in z's order. y_prev and y
+        are per-cloud loads at t-1 and t, z and s per-(k, l) floats."""
         if t <= 1:
             return 0.0
         total = 0.0
-        for (k, l), zv in loads.z.items():
+        for (k, l), zv in z.items():
             if zv > 0:
-                total += self.w(k, l, t, float(y_prev[k]), float(loads.y[l]),
-                                float(zv), float(loads.s.get((k, l), 0.0)))
+                total += self.w(k, l, t, y_prev[k], y[l], zv,
+                                s.get((k, l), 0.0))
         return total
 
     # Array forms, for charge_placements: by default the scalar u and w
@@ -242,14 +245,25 @@ class PolynomialCostModel(CostModel):
                 o = max(o, p1 + p2 + p3)
         return o
 
+    @cached_property
+    def _horner(self) -> list[list[float]]:
+        """Per cloud, u's coefficients highest degree first: u runs
+        np.polyval's Horner steps over them, from 0.0, on floats."""
+        return [row[::-1].tolist() for row in self.ucoeffs]
+
     def u(self, k, t, y, r=0.0):
-        return float(np.polyval(self.ucoeffs[k][::-1], y))
+        out = 0.0
+        for c in self._horner[k]:
+            out = out * y + c
+        return float(out)
 
     def w(self, k, l, t, y_from, y_to, z, s=0.0):
         if z <= 0:
             return 0.0
-        return sum(c * y_from ** p1 * y_to ** p2 * z ** p3
-                   for p1, p2, p3, c in self.wterms)
+        total = 0                            # from int 0, as sum() adds
+        for p1, p2, p3, c in self.wterms:
+            total += c * y_from ** p1 * y_to ** p2 * z ** p3
+        return total
 
     def du(self, k, t, y):
         c = self.ucoeffs[k]
@@ -422,12 +436,13 @@ def _moves(instances, clouds, before, K, distance):
     for inst, l, k in zip(instances, clouds, before):
         if l == 0 or k == 0 or k == l:
             continue
-        z[(k, l)] = z.get((k, l), 0.0) + inst.migration_demand
-        count[(k, l)] = count.get((k, l), 0) + 1
+        key = (k, l)
+        z[key] = z.get(key, 0.0) + inst.migration_demand
+        count[key] = count.get(key, 0) + 1
     s: dict = {}
     if distance is not None:
         pair = distance.pair_hops
-        s = {(k, l): pair[k, l] * n for (k, l), n in count.items()
+        s = {(k, l): float(pair[k, l]) * n for (k, l), n in count.items()
              if k != distance.backend and l != distance.backend}
     return z, s, sum(count.values())
 
@@ -528,13 +543,14 @@ class WindowCostEvaluator:
     Loads come from placement_loads' two halves.
 
     Each joint state is priced once: a private table maps (t, state) to
-    its y, r and local cost, filled on first use and kept for the life of
-    the evaluator, which is one solver call. Its arrays are read-only;
-    state_loads hands out copies. transition reads both ends' y from the
-    table and aggregates only the boundary (z, s, moved), so a state's
-    loads are not recounted per neighbour. Nothing is kept per (t, prev,
-    state) pair: a DP relaxes each pair once, and a layer of n states has
-    n^2 of them.
+    its y and r, as tuples of floats, and its local cost, filled on first
+    use and kept for the life of the evaluator, which is one solver call;
+    state_loads builds fresh arrays from them. transition reads both
+    ends' y from the table, aggregates only the boundary (z, s) with
+    _moves and prices it with one migration_total call, so a state's
+    loads are not recounted per neighbour and no array or SlotLoads is
+    made per pair. Nothing is kept per (t, prev, state) pair: a DP relaxes
+    each pair once, and a layer of n states has n^2 of them.
     """
 
     def __init__(self, window: Window, instances: list[ServiceInstance],
@@ -555,15 +571,14 @@ class WindowCostEvaluator:
         if entry is None:
             y, r = _occupancy(t, self.instances, state, self.model.K,
                               self.distance)
-            y.flags.writeable = False
-            r.flags.writeable = False
+            y, r = tuple(y.tolist()), tuple(r.tolist())
             entry = (y, r, self.model.local_total(t, SlotLoads(y=y, r=r)))
             self._priced[(t, state)] = entry
         return entry
 
     def state_loads(self, t: int, state: tuple[int, ...]) -> SlotLoads:
         y, r, _local = self._price(t, state)
-        return SlotLoads(y=y.copy(), r=r.copy())
+        return SlotLoads(y=np.array(y), r=np.array(r))
 
     def transition_loads(self, t: int, prev_state: tuple[int, ...],
                          loads: SlotLoads, state: tuple[int, ...]) -> None:
@@ -580,11 +595,11 @@ class WindowCostEvaluator:
         """Migration cost W(t) between the states at t-1 and t."""
         if t <= 1:
             return 0.0
-        y, r, _local = self._price(t, state)
+        y = self._price(t, state)[0]
         z, s, _moved = _moves(self.instances, state, prev_state, self.model.K,
                               self.distance)
-        return self.model.migration_total(t, self._price(t - 1, prev_state)[0],
-                                          SlotLoads(y=y, r=r, z=z, s=s))
+        return self.model.migration_total(
+            t, self._price(t - 1, prev_state)[0], y, z, s)
 
     def path_cost(self, states: list[tuple[int, ...]]) -> float:
         """Window cost of a full per-slot state path (length T), from prior."""

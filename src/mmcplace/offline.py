@@ -21,12 +21,14 @@ from .costs import CostModel, DistanceContext, WindowCostEvaluator
 from .online import run_windows
 
 DEFAULT_STATE_BUDGET = 200_000
+RELAXATION_BUDGET = 10_000_000   # pairs of consecutive states per window
 
 
 class StateBudgetExceeded(Exception):
-    def __init__(self, required: int, budget: int):
+    def __init__(self, required: int, budget: int,
+                 what: str = "states per slot"):
         super().__init__(
-            f"joint state space needs {required} states per slot, "
+            f"joint state space needs {required} {what}, "
             f"budget is {budget}; use the online solver instead")
         self.required = required
         self.budget = budget
@@ -63,14 +65,19 @@ def solve_window_offline(window: Window, instances: list[ServiceInstance],
     """Minimum-cost placement matrix for one window, exactly.
 
     Ties in total cost resolve to the lexicographically smallest per-slot
-    state path. Raises StateBudgetExceeded before doing exponential work.
+    state path. Raises StateBudgetExceeded before doing exponential work:
+    above state_budget joint states in a slot, or above RELAXATION_BUDGET
+    relaxations (|L_1| + sum of |L_q-1| |L_q|, the count it reports).
     """
     instances = sorted(instances, key=lambda i: i.id)
     K = model.K
     active = _active_flags(window, instances)
-    widest = max(K ** sum(flags) for flags in active)
-    if widest > state_budget:
-        raise StateBudgetExceeded(widest, state_budget)
+    sizes = [K ** sum(flags) for flags in active]
+    if max(sizes) > state_budget:
+        raise StateBudgetExceeded(max(sizes), state_budget)
+    pairs = sum(a * b for a, b in zip([1] + sizes, sizes))
+    if pairs > RELAXATION_BUDGET:
+        raise StateBudgetExceeded(pairs, RELAXATION_BUDGET, "relaxations")
     layers = _slot_states(active, K)
 
     ev = WindowCostEvaluator(window, instances, model, prev_config, distance)

@@ -204,18 +204,19 @@ def grad_window_cost(model: CostModel, window: Window, y, z, y_before=None):
 def window_cost_from_loads(model: CostModel, window: Window, y, z,
                            y_before=None) -> float:
     """Window cost evaluated directly on load arrays (same layout as above),
-    priced per slot by the model's local_total and migration_total with no
-    distance terms."""
+    priced per slot by the model's local_total and migration_total, on the
+    rows as float lists, with no distance terms."""
     zero = np.zeros(model.K + 1)
     if y_before is None:
         y_before = zero
     total = 0.0
     for q in range(window.T):
         t = window.t0 + q
-        loads = SlotLoads(y=y[q], r=zero, z=z[q])
+        loads = SlotLoads(y=y[q], r=zero)
         total += model.local_total(t, loads)
-        total += model.migration_total(t, y[q - 1] if q > 0 else y_before,
-                                       loads)
+        y_prev = np.asarray(y[q - 1] if q > 0 else y_before)
+        total += model.migration_total(t, y_prev.tolist(), y[q].tolist(),
+                                       z[q], {})
     return total
 
 

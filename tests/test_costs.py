@@ -296,7 +296,8 @@ def _charge_reference(model, placements, instances, distance=None):
             y_prev = placement_loads(t - 1, [by_id[iid] for iid in before],
                                      before.values(), model.K).y
         cost[t] = (model.local_total(t, loads)
-                   + model.migration_total(t, y_prev, loads))
+                   + model.migration_total(t, y_prev.tolist(),
+                                           loads.y.tolist(), loads.z, loads.s))
         moved[t] = loads.moved
         prev_t, y_prev = t, loads.y
     return cost, moved
@@ -465,3 +466,110 @@ def test_charge_puts_no_migration_cost_on_slot_1():
     assert moved == {0: 0, 1: 1, 2: 1}
     local = charge_placements(model, {1: placements[1]}, insts)[0][1]
     assert cost[1] == local < cost[2]
+
+
+# --- the scalar formulas, bit for bit against the numpy forms -------------
+
+_LOADS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.0 ** -1074 * 3, 1e-300, 1e6]),
+    st.floats(1e-300, 1e6))
+
+
+@given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4),
+       st.floats(1e-3, 1e3), st.one_of(_LOADS, st.integers(0, 10 ** 6)),
+       st.sampled_from([float, int, np.float64]))
+@settings(max_examples=300, deadline=None)
+def test_polynomial_u_is_polyval_bit_for_bit(higher, linear, load, kind):
+    """u runs np.polyval's Horner steps on plain floats: orders 1 to 4,
+    loads from 0 through subnormals to 1e6, given as float, int or
+    np.float64, priced equal in float.hex, and always a Python float."""
+    row = [0.0, linear] + higher[:-1]
+    model = PolynomialCostModel([[0.0] * len(row), row], [(0, 0, 1, 1.0)])
+    y = kind(load)
+    got = model.u(1, 1, y)
+    assert type(got) is float
+    assert got.hex() == float(np.polyval(model.ucoeffs[1][::-1], y)).hex()
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                          st.integers(1, 3), st.floats(0.0, 10.0)),
+                max_size=4),
+       _LOADS, _LOADS, st.one_of(_LOADS, st.just(-1.0)))
+@settings(max_examples=300, deadline=None)
+def test_polynomial_w_is_the_sum_form_bit_for_bit(terms, y_from, y_to, z):
+    """w adds its terms in a loop from int 0, as sum() over the term
+    generator does."""
+    model = PolynomialCostModel([[0.0, 0.0], [0.0, 1.0]],
+                                [(0, 0, 1, 0.5)] + terms)
+    want = 0.0 if z <= 0 else sum(c * y_from ** p1 * y_to ** p2 * z ** p3
+                                  for p1, p2, p3, c in model.wterms)
+    assert float(model.w(1, 1, 2, y_from, y_to, z)).hex() == want.hex()
+
+
+def _numpy_transition(ev, t, prev_state, state):
+    """W(t) as migration_total once priced it: numpy y from
+    placement_loads, a SlotLoads, and every argument of w through
+    float()."""
+    if t <= 1:
+        return 0.0
+    model = ev.model
+    y_prev = placement_loads(t - 1, ev.instances, prev_state, model.K,
+                             ev.distance).y
+    loads = placement_loads(t, ev.instances, state, model.K, ev.distance,
+                            prev_state)
+    total = 0.0
+    for (k, l), zv in loads.z.items():
+        if zv > 0:
+            total += model.w(k, l, t, float(y_prev[k]), float(loads.y[l]),
+                             float(zv), float(loads.s.get((k, l), 0.0)))
+    return total
+
+
+def _family(name, rng, K):
+    if name == "linear":
+        return LinearCostModel(np.r_[0.0, rng.uniform(0.5, 2.0, K)],
+                               0.3, 0.2, 0.9)
+    if name == "backend":
+        return MmcBackendCostModel(K=K, capacity=3.0, backend_local_rate=3.0,
+                                   backend_migration_rate=2.0,
+                                   distance_local_weight=0.2,
+                                   distance_migration_weight=0.1)
+    ucoeffs = np.zeros((K + 1, 4))
+    ucoeffs[1:, 1:] = rng.uniform(0.1, 1.0, (K, 3))
+    model = PolynomialCostModel(ucoeffs, [(0, 0, 1, 0.6), (1, 1, 1, 0.2),
+                                          (2, 0, 2, 0.1)])
+    if name == "perturbed":
+        model = PerturbedCostModel(model, {3: rng.uniform(-0.5, 0.5, K + 1)})
+    return model
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["linear", "polynomial", "backend", "perturbed"]),
+       st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_transition_equals_the_numpy_formula_bit_for_bit(seed, family,
+                                                         with_distance):
+    """transition prices random pairs of joint states (clouds 0..K, 0 =
+    not running) as the numpy-load formula does, in float.hex, for every
+    cost family, with and without distances."""
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(2, 5))
+    model = _family(family, rng, K)
+    distance = None
+    if with_distance:
+        distance = DistanceContext(
+            user_cell_of=lambda iid, t: 1 + (iid + t) % (K - 1),
+            cloud_cell_distance=lambda k, c: abs(k - c) + 1,
+            cloud_pair_distance=lambda k, l: abs(k - l), backend=K)
+    insts = [ServiceInstance(id=j, arrival_slot=1,
+                             local_demand=float(rng.uniform(0.1, 1.5)),
+                             migration_demand=float(rng.uniform(0.1, 1.5)))
+             for j in range(1, int(rng.integers(1, 6)) + 1)]
+    ev = WindowCostEvaluator(Window(2, 3), insts, model, None, distance)
+    for _ in range(10):
+        t = int(rng.integers(1, 5))
+        prev_state, state = (tuple(rng.integers(0, K + 1, len(insts)).tolist())
+                             for _ in range(2))
+        got = ev.transition(t, prev_state, state)
+        want = _numpy_transition(ev, t, prev_state, state)
+        assert float(got).hex() == float(want).hex()

@@ -1,6 +1,7 @@
 """Golden outputs: every policy on the desk config, seeds 1-3, on the
 fullscale config (K = 92) over its first 40 slots at seed 1, and the
-greedy-vs-fractional ratio curve.
+greedy-vs-fractional ratio curve, and the exact solvers on seeded
+windows of every cost family.
 
 The per-slot rows of results.csv (actual cost, active and migrated
 instance counts) and the summary.csv average cost per policy are pinned
@@ -8,7 +9,13 @@ in tests/golden/ at full float precision and checked at rel <= 1e-12, so
 a refactor that changes any placement decision shows up here. The
 ratio.csv of `mmcplace ratio-curve --arrivals 200 --seeds 3
 --sample-every 10` is pinned byte for byte, which pins the greedy costs
-and the fractional lower bound at every sample.
+and the fractional lower bound at every sample. exact_paths.csv pins,
+in float.hex and checked for equality, the offline DP's and the brute
+force's cost, matrix and work count on a few seeded windows per cost
+family (linear, polynomial, capacity/backend with distances, perturbed
+polynomial), and the per-slot and total cost of run_online on the
+generic per-arrival DP (polynomial and linear costs under prediction
+noise).
 
 Regenerate after a deliberate behaviour change with
 
@@ -16,15 +23,25 @@ Regenerate after a deliberate behaviour change with
 """
 
 import csv
+import math
 import shutil
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mmcplace.cli import main
 from mmcplace.config import parse_config
+from mmcplace.core import ServiceInstance, Window
+from mmcplace.costs import (DistanceContext, LinearCostModel,
+                            MmcBackendCostModel, PerturbedCostModel,
+                            PolynomialCostModel)
+from mmcplace.offline import solve_window_offline
+from mmcplace.online import run_online
+from mmcplace.oracle import brute_force_offline
+from mmcplace.predictor import CostOracle, PowerLawErrorBound
 from mmcplace.simulator import POLICIES, build_scenario, run_policy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +57,9 @@ CASES[f"fullscale_seed1_s{FULLSCALE_SLOTS}"] = (FULLSCALE_INI, 1,
 REL = 1e-12
 RATIO_ARGS = ["--arrivals", "200", "--seeds", "3", "--sample-every", "10"]
 RATIO_GOLDEN = GOLDEN / "ratio_a200_s3.csv"
+EXACT_GOLDEN = GOLDEN / "exact_paths.csv"
+EXACT_FAMILIES = ("linear", "polynomial", "backend", "perturbed")
+EXACT_SEEDS = (1, 2, 3)
 
 
 def _run(name):
@@ -73,6 +93,96 @@ def _write(name):
 def _ratio_csv(out_dir):
     assert main(["ratio-curve", *RATIO_ARGS, "--out-dir", str(out_dir)]) == 0
     return Path(out_dir) / "ratio.csv"
+
+
+def _exact_model(family, rng, K):
+    """A seeded model of one family over clouds 1..K, with the distance
+    context it is priced with (None but for the capacity/backend one)."""
+    if family == "linear":
+        return LinearCostModel(np.r_[0.0, rng.uniform(0.5, 2.0, K)],
+                               float(rng.uniform(0.0, 0.5)),
+                               float(rng.uniform(0.0, 0.5)),
+                               float(rng.uniform(0.2, 1.0))), None
+    if family == "backend":
+        model = MmcBackendCostModel(K=K, capacity=2.5, backend_local_rate=3.0,
+                                    backend_migration_rate=2.0,
+                                    distance_local_weight=0.3,
+                                    distance_migration_weight=0.2)
+        return model, DistanceContext(
+            user_cell_of=lambda iid, t: 1 + (iid + t) % (K - 1),
+            cloud_cell_distance=lambda k, c: abs(k - c),
+            cloud_pair_distance=lambda k, l: abs(k - l), backend=K)
+    ucoeffs = np.zeros((K + 1, 4))
+    ucoeffs[1:, 1] = rng.uniform(0.2, 2.0, K)
+    ucoeffs[1:, 2] = rng.uniform(0.0, 1.0, K)
+    ucoeffs[1:, 3] = rng.uniform(0.0, 0.3, K)
+    model = PolynomialCostModel(ucoeffs, [(0, 0, 1, 0.6), (1, 0, 1, 0.2),
+                                          (0, 1, 2, 0.1)])
+    if family == "perturbed":
+        model = PerturbedCostModel(model, {t: rng.uniform(-0.3, 0.3, K + 1)
+                                           for t in range(1, 6)})
+    return model, None
+
+
+def _matrix_text(matrix):
+    return "|".join(".".join(map(str, row)) for row in matrix.data.tolist())
+
+
+def _exact_rows():
+    """(case, quantity, value) of every pinned exact-solver output."""
+    rows = []
+    for family in EXACT_FAMILIES:
+        for seed in EXACT_SEEDS:
+            rng = np.random.default_rng([seed, 23])
+            K = 3
+            model, distance = _exact_model(family, rng, K)
+            t0, T = int(rng.integers(1, 3)), int(rng.integers(2, 4))
+            w = Window(t0, T)
+            insts = [ServiceInstance(
+                id=j, arrival_slot=int(rng.integers(1, t0 + 2)),
+                max_lifetime=int(rng.integers(1, T + 2)),
+                local_demand=float(rng.uniform(0.3, 1.2)),
+                migration_demand=float(rng.uniform(0.3, 1.2)))
+                for j in range(1, 4)]
+            prev = {i.id: int(rng.integers(1, K + 1)) for i in insts
+                    if i.arrival_slot < t0}
+            dp = solve_window_offline(w, insts, prev, model, distance)
+            bf = brute_force_offline(w, insts, prev, model, distance)
+            case = f"{family}_seed{seed}"
+            rows += [(case, "dp.cost", dp.cost.hex()),
+                     (case, "dp.matrix", _matrix_text(dp.matrix)),
+                     (case, "dp.relaxations", str(dp.relaxations)),
+                     (case, "bf.cost", bf.cost.hex()),
+                     (case, "bf.matrix", _matrix_text(bf.matrix)),
+                     (case, "bf.evaluated", str(bf.evaluated))]
+    for family in ("polynomial", "linear"):
+        rng = np.random.default_rng([7, 23])
+        model, _ = _exact_model(family, rng, 4)
+        insts = []
+        for j in range(1, 13):
+            arrival = int(rng.integers(1, 13))
+            life = int(rng.integers(2, 8)) if rng.random() < 0.4 else math.inf
+            leave = (min(12, arrival + int(rng.integers(0, 6)))
+                     if rng.random() < 0.5 else None)
+            insts.append(ServiceInstance(
+                id=j, arrival_slot=arrival, max_lifetime=life,
+                local_demand=float(rng.uniform(0.3, 1.0)),
+                migration_demand=float(rng.uniform(0.3, 1.0)),
+                actual_departure_slot=leave))
+        run = run_online(12, 4, insts, CostOracle(
+            model, PowerLawErrorBound(0.2, 1.1), seed=5))
+        case = f"online_{family}"
+        rows += [(case, f"slot{t}", run.actual_by_slot[t].hex())
+                 for t in sorted(run.actual_by_slot)]
+        rows.append((case, "total", run.total_cost.hex()))
+    return rows
+
+
+def _write_exact():
+    with open(EXACT_GOLDEN, "w", newline="") as fh:
+        fh.write("case,quantity,value\n")
+        for row in _exact_rows():
+            fh.write(",".join(row) + "\n")
 
 
 def _read(name):
@@ -111,9 +221,17 @@ def test_ratio_curve_matches_golden(tmp_path):
     assert _ratio_csv(tmp_path).read_bytes() == RATIO_GOLDEN.read_bytes()
 
 
+def test_exact_solvers_match_golden():
+    """Offline DP, brute force and the generic online DP, bit for bit."""
+    want = [(row["case"], row["quantity"], row["value"])
+            for row in _read(EXACT_GOLDEN.name)]
+    assert _exact_rows() == want
+
+
 if __name__ == "__main__":
     for case in CASES:
         _write(case)
+    _write_exact()
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copyfile(_ratio_csv(tmp), RATIO_GOLDEN)
     sys.exit(0)

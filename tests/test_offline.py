@@ -1,16 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmcplace.core import ServiceInstance, Window
-from mmcplace.costs import (LinearCostModel, MmcBackendCostModel,
+from mmcplace.costs import (DistanceContext, LinearCostModel,
+                            MmcBackendCostModel,
                             PerturbedCostModel, PolynomialCostModel,
                             window_cost)
 from mmcplace.offline import (StateBudgetExceeded, run_offline,
                               solve_window_offline)
 from mmcplace.oracle import EnumerationBudgetExceeded, brute_force_offline
-from mmcplace.predictor import ZERO_BOUND, CostOracle
+from mmcplace.predictor import ZERO_BOUND, CostOracle, PowerLawErrorBound
 
 
 def mmc(K=3, Y=5.0):
@@ -210,3 +213,111 @@ def test_budget_guards_raise_before_enumerating(monkeypatch):
     assert info.value.required == 10 ** 7
     with pytest.raises(EnumerationBudgetExceeded):
         brute_force_offline(w, crowd, None, mmc(K=10))
+
+
+def test_relaxation_guard_raises_before_enumerating(monkeypatch):
+    """The state guard bounds one slot, but the DP relaxes every pair of
+    consecutive joint states. Four instances over two slots at K = 10
+    hold 10^4 states per slot, under the state budget, yet need
+    10^4 + 10^8 relaxations (minutes of work); five over three slots need
+    about 2 * 10^10. Both raise from the layer sizes alone, naming
+    relaxations; 10^3 + 10^6 relaxations pass the guard."""
+    from mmcplace import offline
+
+    class Enumerated(Exception):
+        pass
+
+    def enumerated(*_args, **_kwargs):
+        raise Enumerated
+
+    monkeypatch.setattr(offline, "_slot_states", enumerated)
+    for M, T, want in ((4, 2, 10 ** 4 + 10 ** 8),
+                       (5, 3, 10 ** 5 + 2 * 10 ** 10)):
+        insts = [ServiceInstance(id=j, arrival_slot=1) for j in range(1, M + 1)]
+        with pytest.raises(StateBudgetExceeded, match="relaxations") as info:
+            solve_window_offline(Window(1, T), insts, None, mmc(K=10))
+        assert (info.value.required, info.value.budget) == (
+            want, offline.RELAXATION_BUDGET)
+    insts = [ServiceInstance(id=j, arrival_slot=1) for j in (1, 2, 3)]
+    with pytest.raises(Enumerated):
+        solve_window_offline(Window(1, 2), insts, None, mmc(K=10))
+
+
+_RUN_CAP = 2000      # candidate matrices per window for the brute force
+
+
+def _window_combos(insts, horizon, T, K):
+    """Largest brute-force candidate count over run_offline's windows."""
+    worst = 1
+    for t0 in range(1, horizon + 1, T):
+        w = Window(t0, min(T, horizon - t0 + 1))
+        n = 1
+        for inst in insts:
+            span = inst.active_span(w)
+            n *= 1 if span is None else K ** (span[1] - span[0] + 1)
+        worst = max(worst, n)
+    return worst
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["polynomial",
+                                                     "backend"]))
+@settings(max_examples=80, deadline=None)
+def test_run_offline_windows_equal_enumeration(seed, family):
+    """A whole run_offline, window by window: each window's DP solution
+    equals brute_force_offline on the same window, model, columns and
+    t0-1 placements, cost in float.hex and matrix. Tiny runs: K 2-4,
+    1-4 instances with finite and infinite lifetimes, horizon up to 6,
+    any window size, polynomial costs or the capacity/backend family
+    with distances, under prediction noise."""
+    from mmcplace import offline
+
+    rng = np.random.default_rng(seed)
+    K, M = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+    horizon = int(rng.integers(1, 7))
+    insts = []
+    for j in range(1, M + 1):
+        arrival = int(rng.integers(1, horizon + 1))
+        insts.append(ServiceInstance(
+            id=j, arrival_slot=arrival,
+            max_lifetime=(math.inf if rng.random() < 0.4
+                          else int(rng.integers(1, horizon + 1))),
+            local_demand=float(rng.uniform(0.3, 1.5)),
+            migration_demand=float(rng.uniform(0.3, 1.5)),
+            actual_departure_slot=(int(rng.integers(arrival, horizon + 1))
+                                   if rng.random() < 0.3 else None)))
+    T = int(rng.integers(1, horizon + 1))
+    while _window_combos(insts, horizon, T, K) > _RUN_CAP:
+        T -= 1
+    distance = None
+    if family == "polynomial":
+        ucoeffs = np.zeros((K + 1, 3))
+        ucoeffs[1:, 1:] = rng.uniform(0.2, 1.5, (K, 2))
+        model = PolynomialCostModel(ucoeffs, [(0, 0, 1, 0.5), (1, 0, 1, 0.2)])
+    else:
+        model = MmcBackendCostModel(K=K, capacity=2.0, backend_local_rate=3.0,
+                                    backend_migration_rate=2.0,
+                                    distance_local_weight=0.3,
+                                    distance_migration_weight=0.2)
+        distance = DistanceContext(
+            user_cell_of=lambda iid, t: 1 + (iid * 7 + t) % max(1, K - 1),
+            cloud_cell_distance=lambda k, c: abs(k - c) + 1,
+            cloud_pair_distance=lambda k, l: abs(k - l), backend=K)
+    solve = offline.solve_window_offline
+    checked = []
+
+    def against_enumeration(window, columns, prev_config, model_, dist):
+        dp = solve(window, columns, prev_config, model_, dist)
+        bf = brute_force_offline(window, columns, prev_config, model_, dist)
+        assert float(dp.cost).hex() == float(bf.cost).hex()
+        assert dp.matrix == bf.matrix
+        checked.append(window)
+        return dp
+
+    oracle = CostOracle(model, PowerLawErrorBound(0.2, 1.1), seed=seed)
+    try:
+        offline.solve_window_offline = against_enumeration
+        sols, actual = run_offline(horizon, T, insts, oracle, distance)
+    finally:
+        offline.solve_window_offline = solve
+    assert len(checked) == len(sols) == -(-horizon // T)
+    assert sorted(actual) == list(range(1, horizon + 1))
