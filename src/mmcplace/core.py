@@ -7,6 +7,7 @@ instance; each column is nonzero on at most one contiguous block of slots.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -114,14 +115,17 @@ class ConfigurationMatrix:
     def __init__(self, window: Window, instance_ids: list[int]):
         self.window = window
         self.instance_ids = list(instance_ids)
-        self._col = {iid: j for j, iid in enumerate(self.instance_ids)}
         self.data = np.zeros((window.T, len(self.instance_ids)), dtype=np.int64)
+
+    @functools.cached_property
+    def _col(self) -> dict[int, int]:
+        """Column of each instance id, built on first use."""
+        return dict(zip(self.instance_ids, range(len(self.instance_ids))))
 
     def copy(self) -> "ConfigurationMatrix":
         out = object.__new__(ConfigurationMatrix)
         out.window = self.window
         out.instance_ids = list(self.instance_ids)
-        out._col = dict(self._col)
         out.data = self.data.copy()
         return out
 

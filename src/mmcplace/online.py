@@ -51,8 +51,12 @@ run_online ids rise with arrival order, so every placement is such an
 append. Other writes and every departure rebuild the touched rows from
 the whole placement.
 _fast_steps builds no joint state tuple and calls no cost function per
-cloud; an arrival's (K, K) boundary matrices are built in blocks of
-consecutive slots, up to HOP_BLOCK_BYTES each. The frozen-migration
+cloud; an arrival's (K, K) boundary matrices are built in blocks of up
+to HOP_BLOCK_BYTES each. When its steps do not fit in one block, it
+builds only the distinct ones: a step whose two R rows equal the
+previous step's byte for byte, with no frozen move on either, reuses
+that step's matrix, handed out as a copy where _min_path would otherwise
+add into it before the next step reads it. The frozen-migration
 corrections are built only when the ledger flags a frozen move in the
 arrival's rows, and added only to the rows and columns of the clouds
 those moves leave or enter.
@@ -69,10 +73,10 @@ from .core import ConfigurationMatrix, ServiceInstance, Window
 from .costs import (CostModel, DistanceContext, MmcBackendCostModel,
                     PerturbedCostModel, WindowCostEvaluator, charge_placements)
 
-# Size of one block of boundary matrices in _fast_steps: the boundaries of
-# max(1, HOP_BLOCK_BYTES // (8 K^2)) consecutive slots are built as one
-# array, a whole desk span at K = 20 and 3 slots at K = 92. A 1 MiB block
-# raised fullscale-sim's peak memory 42.6 -> 45.2 MB.
+# Size of one block of boundary matrices in _fast_steps: max(1,
+# HOP_BLOCK_BYTES // (8 K^2)) slabs, one distinct boundary each, are built
+# as one array, a whole desk span at K = 20 and 3 slabs at K = 92. A 1 MiB
+# block raised fullscale-sim's peak memory 42.6 -> 45.2 MB.
 HOP_BLOCK_BYTES = 256 * 1024
 
 
@@ -175,14 +179,16 @@ class WindowLedger:
         # of window slot t0 + i, None on the base model
         self.is_mmc = np.ones(K + 1, dtype=bool)
         self.is_mmc[0] = False
-        self.hD = self.off = self.block = None
+        self.hD = self.off = self.block = self.spare = None
         if self.base is not None:
             self.is_mmc[self.base.backend] = False
-            # _fast_steps' boundary blocks, no more than the window's slots:
-            # a block allocated per build (203 KB at K = 92, over malloc's
-            # mmap threshold) took its time from what the heap held before
+            # _fast_steps' boundary blocks, no more than the window's slots,
+            # and one spare boundary: a block allocated per build (203 KB at
+            # K = 92, over malloc's mmap threshold) took its time from what
+            # the heap held before
             self.block = np.empty((min(max(1, HOP_BLOCK_BYTES // (8 * K * K)),
                                        window.T), K, K))
+            self.spare = np.empty((K, K))
             self.hD = np.ascontiguousarray(
                 (self.base.h * self.pairD[1:, 1:]).T)
             if model is not self.base:
@@ -331,19 +337,38 @@ def _shift(diff, weight):
     return np.where(weight > 0, diff * weight, 0.0)
 
 
-def _correct(block, q0, q1, fix_rows, fix_cols):
-    """Add the nonzero frozen-migration corrections of steps q0..q1-1 to
-    their boundaries in `block` (block[q - q0] is step q's): rows of
-    fix_rows are rebuilt from the plain entries, then fix_cols' columns
-    get out_k in every other row."""
-    q, to, add = fix_rows
-    lo, hi = q.searchsorted((q0, q1))
-    rows = (q[lo:hi] - q0, to[lo:hi])
+def _correct(block, s0, s1, fix_rows, fix_cols):
+    """Add the nonzero frozen-migration corrections of slabs s0..s1-1 to
+    `block` (block[s - s0] is slab s): rows of fix_rows are rebuilt from
+    the plain entries, then fix_cols' columns get out_k in every other
+    row. Each is (slab, cloud, add), sorted by slab; a corrected slab is
+    one step's own."""
+    s, to, add = fix_rows
+    lo, hi = s.searchsorted((s0, s1))
+    rows = (s[lo:hi] - s0, to[lo:hi])
     fixed = block[rows] + add[lo:hi]
-    q, frm, add = fix_cols
-    lo, hi = q.searchsorted((q0, q1))
-    block[q[lo:hi] - q0, :, frm[lo:hi]] += add[lo:hi]
+    s, frm, add = fix_cols
+    lo, hi = s.searchsorted((s0, s1))
+    block[s[lo:hi] - s0, :, frm[lo:hi]] += add[lo:hi]
     block[rows] = fixed
+
+
+def _boundaries(out, R_from, R_to, b, hD, hop_backend, b0):
+    """Hop costs over len(R_from) boundaries, an (n, K, K) view of `out`
+    with [., l, k] for k -> l; R_from, R_to are (n, K). The outer sum is
+    R_from broadcast, then R_to added in place: the same IEEE additions
+    as R_to + R_from."""
+    K = out.shape[1]
+    cand = out[:len(R_from)]
+    cand[...] = R_from[:, None, :]
+    cand += R_to[:, :, None]
+    if b != 1.0:
+        cand *= b
+    cand += hD
+    cand[:, b0] = hop_backend
+    cand[:, :, b0] = hop_backend
+    cand.reshape(len(cand), -1)[:, ::K + 1] = 0.0       # k -> k is free
+    return cand
 
 
 def _fast_steps(instance, t, t_e, ledger):
@@ -358,13 +383,20 @@ def _fast_steps(instance, t, t_e, ledger):
     loads without and with a, stacked, and u from those R.
 
     hop(q) hands out one (K, K) matrix, [l, k] for k -> l, of a block of
-    consecutive boundaries built as one array of HOP_BLOCK_BYTES at most.
+    slabs built as one array of HOP_BLOCK_BYTES at most. The steps are q
+    = q_lo..span-1, q_lo 0 for a carried instance (its entry is its
+    column of hop(0), the boundary into slot t) and 1 otherwise. When
+    they fit in one block, each step is its own slab. When they do not,
+    a step shares the previous step's slab if its two R rows, R_plus[q]
+    and R_plus[q+1], equal that step's byte for byte and neither step has
+    a frozen move: a boundary is a pure function of those rows, b, hD and
+    the backend constants. _min_path adds in place, so a step whose slab
+    the next step reads too gets a copy in the ledger's spare buffer.
+
     A boundary's correction in_l + out_k is added only where it is
     nonzero: rows l with in_l != 0 are rebuilt whole as entry + (in_l +
     out_k), and the other rows get entry + out_k in the columns k with
     out_k != 0. No entry is -0.0, so adding a zero would change nothing.
-    A carried instance's entry is its column of hop(0), the boundary into
-    slot t, built in the first block.
     """
     a = instance.local_demand
     b = instance.migration_demand
@@ -374,6 +406,9 @@ def _fast_steps(instance, t, t_e, ledger):
     j = ledger.col[instance.id]
     i, i_e = t - window.t0 + 1, t_e - window.t0 + 1   # ledger rows of t, t_e
     span = i_e - i + 1
+    # a carried instance held cloud k+1 at t0-1
+    k = ledger.prev[j] - 1 if t == window.t0 > 1 else -1
+    q_lo = 0 if k >= 0 else 1
 
     # ledger rows i-1..i_e, clouds 1..K: loads without and with ours added,
     # their congestion, and the local cost of rows i..i_e
@@ -382,6 +417,11 @@ def _fast_steps(instance, t, t_e, ledger):
     np.add(y2[0], a, out=y2[1])
     R2 = base.R_array(y2)
     R_now, R_plus = R2
+    if k >= 0:
+        # carried instance: its load already sits in the pre-window profile
+        # at cloud k+1, so no +a on that side of hop(0), the boundary into
+        # slot t (no other step and no cost below reads R_plus[0])
+        R_plus[0] = R_now[0]
     r2 = np.empty((2, span, K))
     r2[0] = ledger.r[i:i_e + 1, 1:]
     np.add(r2[0], ledger.hops[ledger.cell_row[i - 1:i_e, j], 1:], out=r2[1])
@@ -398,7 +438,24 @@ def _fast_steps(instance, t, t_e, ledger):
     # i..i_e+1, which feel our load on their clouds (a boundary's zout and
     # zin are nonzero together: both sum the same nonnegative moves)
     moves = ledger.moves[i:i_e + 2]
-    fix_rows = fix_cols = None        # nonzero hop corrections, by step q
+
+    n = len(ledger.block)
+    slab = None                       # one block: step q is slab q
+    R_from, R_to, slabs = R_plus, R_plus[1:], span
+    if span - q_lo > n:
+        # own[q]: R_plus[q+1] differs from R_plus[q] or step q has a
+        # frozen move; step q needs its own slab, new[q - q_lo], when
+        # own[q] or own[q-1] holds, and the first step always does
+        bits = R_plus.view(np.int64)
+        own = (bits[1:] != bits[:-1]).any(axis=1) | moves[:span]
+        new = np.empty(span - q_lo, dtype=bool)
+        new[0] = True
+        np.logical_or(own[q_lo + 1:], own[q_lo:-1], out=new[1:])
+        slab = np.cumsum(new) - 1
+        firsts = np.flatnonzero(new) + q_lo     # each slab's first step
+        R_from, R_to, slabs = R_plus[firsts], R_plus[firsts + 1], len(firsts)
+
+    fix_rows = fix_cols = None        # nonzero hop corrections, by slab
     if moves.any():
         zout = ledger.zout[i:i_e + 2, 1:]
         zin = ledger.zin[i:i_e + 2, 1:]
@@ -407,50 +464,45 @@ def _fast_steps(instance, t, t_e, ledger):
         if moved.size:
             out_shift = _shift(diff[moved], zout[moved])
             in_shift = _shift(diff[moved + 1], zin[moved])
-            # (q, l, in_l + out_k over every k) and (q, k, out_k)
+            at = moved if slab is None else slab[moved - q_lo]
+            # (slab, l, in_l + out_k over every k) and (slab, k, out_k)
             m, to = in_shift.nonzero()
-            fix_rows = (moved[m], to, in_shift[m, to, None] + out_shift[m])
+            fix_rows = (at[m], to, in_shift[m, to, None] + out_shift[m])
             m, frm = out_shift.nonzero()
-            fix_cols = (moved[m], frm, out_shift[m, frm, None])
+            fix_cols = (at[m], frm, out_shift[m, frm, None])
 
-    def boundary(R_from, R_to):
-        """Hop costs over len(R_from) boundaries, an (n, K, K) view of the
-        ledger's block buffer with [., l, k] for k -> l; R_from, R_to are
-        (n, K)."""
-        cand = np.add(R_to[:, :, None], R_from[:, None, :],
-                      out=ledger.block[:len(R_from)])
-        if b != 1.0:
-            cand *= b
-        cand += hD
-        cand[:, b0] = hop_backend
-        cand[:, :, b0] = hop_backend
-        cand.reshape(len(cand), -1)[:, ::K + 1] = 0.0       # k -> k is free
-        return cand
+    block, s0 = (), 0
 
-    n = len(ledger.block)
-    block, q0 = (), 0
-
-    def hop(q):
-        # boundary into slot t+q (ledger row i+q)
-        nonlocal block, q0
-        if not q0 <= q < q0 + len(block):
-            q0, q1 = q, min(q + n, span)
-            block = boundary(R_plus[q0:q1], R_plus[q0 + 1:q1 + 1])
+    def slab_at(s):
+        # slab s, built in one block with up to n - 1 slabs after it
+        nonlocal block, s0
+        if not s0 <= s < s0 + len(block):
+            s0, s1 = s, min(s + n, slabs)
+            block = _boundaries(ledger.block, R_from[s0:s1], R_to[s0:s1], b,
+                                hD, hop_backend, b0)
             if fix_rows is not None:
-                _correct(block, q0, q1, fix_rows, fix_cols)
-        return block[q - q0]
+                _correct(block, s0, s1, fix_rows, fix_cols)
+        return block[s - s0]
+
+    # hop(q): the boundary into slot t+q (ledger row i+q), slab q when
+    # the steps fit in one block
+    hop = slab_at
+    if slab is not None:
+        slab_of = slab.tolist() + [-1]
+
+        def hop(q):
+            s = slab_of[q - q_lo]
+            if slab_of[q - q_lo + 1] != s:
+                return slab_at(s)
+            # the next step reads this slab too, and _min_path adds in place
+            ledger.spare[...] = slab_at(s)
+            return ledger.spare
 
     first = ld[0]                     # _min_path never writes into it
-    if t > 1:
-        if moves[0]:
-            first = first + _shift(diff[1], zin[0])
-        k = ledger.prev[j] - 1 if t == window.t0 else -1
-        if k >= 0:
-            # carried instance: its load already sits in the pre-window
-            # profile at cloud k+1, so no +a on that side of hop(0), the
-            # boundary into slot t (no other step reads R_plus[0])
-            R_plus[0] = R_now[0]
-            first = first + hop(0)[:, k]
+    if t > 1 and moves[0]:
+        first = first + _shift(diff[1], zin[0])
+    if k >= 0:
+        first = first + hop(0)[:, k]
     # leaving a congested cloud after the column ends still shifts frozen
     # migrations over the next boundary
     tail = None
@@ -588,23 +640,26 @@ def run_windows(horizon: int, window_size: int,
     placed.
     """
     by_id = {inst.id: inst for inst in instances}
-    arrivals_at: dict[int, list[ServiceInstance]] = {}
+    arrivals_at: dict[int, list[int]] = {}
     for inst in instances:
-        arrivals_at.setdefault(inst.arrival_slot, []).append(inst)
+        arrivals_at.setdefault(inst.arrival_slot, []).append(inst.id)
     placements: dict[int, dict[int, int]] = {}
     prev_config: dict[int, int] = {}
     t0 = 1
     while t0 <= horizon:
         window = Window(t0, min(window_size, horizon - t0 + 1))
-        columns = [by_id[iid] for iid in prev_config]
-        columns += [i for t in window.slots for i in arrivals_at.get(t, ())]
-        columns.sort(key=lambda i: i.id)
+        ids = list(prev_config)
+        for t in window.slots:
+            ids += arrivals_at.get(t, ())
+        ids.sort()
+        columns = [by_id[iid] for iid in ids]
         matrix = solve(window, oracle.predicted_model(t0, window),
                        prev_config, columns)
-        ids = np.array(matrix.instance_ids, dtype=np.int64)
+        column_id = matrix.instance_ids.__getitem__
         for t, row in zip(window.slots, matrix.data):
-            on = np.flatnonzero(row)
-            placements[t] = dict(zip(ids[on].tolist(), row[on].tolist()))
+            on = row.nonzero()[0]
+            placements[t] = dict(zip(map(column_id, on.tolist()),
+                                     row[on].tolist()))
         prev_config = placements[window.end]
         t0 += window.T
     actual, moved = charge_placements(oracle.actual, placements, instances,

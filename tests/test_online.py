@@ -425,6 +425,93 @@ def _assert_steps_match_reference(args, fast_steps=None):
     return want_first, want_local, want_hops, want_tail
 
 
+def _stretch_case(k_prev, t, life):
+    """Window [2, 19] on K = 5 (backend 5), capacity 3: instance 1 moves
+    MMC 1 -> 2 into slot 5 and back into slot 12, instance 3 leaves MMC 4
+    after slot 8, and instances 2 and 5, of equal demand, swap MMCs 3 and
+    4 into slot 16, a frozen move that leaves every load as it was. No
+    frozen load changes in between, so the boundaries into slots 4, 7-8,
+    11, 14-15 and 18-19 equal the boundary before them. Instance 4
+    arrives at t, carried from k_prev when k_prev > 0."""
+    from mmcplace.online import WindowLedger
+
+    K = 5
+    model = MmcBackendCostModel(K=K, capacity=3.0, backend_local_rate=3.0,
+                                backend_migration_rate=3.0,
+                                distance_local_weight=0.2,
+                                distance_migration_weight=0.1)
+    w = Window(2, 18)
+    ours = ServiceInstance(id=4, arrival_slot=1 if k_prev else t,
+                           local_demand=1.0, migration_demand=1.5,
+                           max_lifetime=life)
+    insts = [ServiceInstance(id=1, arrival_slot=1, local_demand=1.2,
+                             migration_demand=0.7),
+             ServiceInstance(id=2, arrival_slot=1, local_demand=1.1,
+                             migration_demand=1.1),
+             ServiceInstance(id=3, arrival_slot=1, local_demand=0.4,
+                             migration_demand=0.9, actual_departure_slot=8),
+             ours,
+             ServiceInstance(id=5, arrival_slot=1, local_demand=1.1,
+                             migration_demand=0.6)]
+    m = ConfigurationMatrix(w, [1, 2, 3, 4, 5])
+    m.set_column(1, [1] * 3 + [2] * 7 + [1] * 8)
+    m.set_column(2, [3] * 14 + [4] * 4)
+    m.set_column(3, [4] * 7 + [0] * 11)
+    m.set_column(5, [4] * 14 + [3] * 4)
+    prev = {1: 1, 2: 3, 3: 4, 5: 4}
+    if k_prev:
+        prev[4] = k_prev
+    ledger = WindowLedger(m, insts, model, prev, grid_distance(K))
+    t_e = int(min(t + life - 1, w.end))
+    return ours, t, t_e, ledger
+
+
+@pytest.mark.parametrize("block_slots", [1, 3])
+@pytest.mark.parametrize("k_prev, t, life, slabs", [
+    (0, 2, math.inf, 9), (1, 2, math.inf, 10), (5, 2, math.inf, 10),
+    (0, 6, math.inf, 7), (1, 2, 5, 4), (0, 3, 6, 3), (0, 13, 5, 3)])
+def test_repeated_boundaries_are_built_once(block_slots, k_prev, t, life,
+                                            slabs, monkeypatch):
+    """When an arrival's steps do not fit in one block, a step whose two
+    R rows equal the previous step's, with no frozen move on either,
+    reuses its slab: the slabs built number the distinct boundaries (the
+    reference's steps q >= 1 that differ from step q-1, plus a carried
+    entry), every output still equals the per-step reference bit for bit,
+    and a step whose slab the next step reads gets a copy, so _min_path's
+    in-place add leaves the slab as it was."""
+    from mmcplace import online
+
+    monkeypatch.setattr(online, "HOP_BLOCK_BYTES", 8 * 5 * 5 * block_slots)
+    args = _stretch_case(k_prev, t, life)
+    ledger = args[3]
+    # the swap into slot 16 (ledger row 15) moves no load
+    assert ledger.moves[15] and (ledger.y[15] == ledger.y[14]).all()
+    want_hops = _assert_steps_match_reference(args)[2]
+    repeats = [want_hops[q].tobytes() == want_hops[q - 1].tobytes()
+               for q in range(1, len(want_hops))]
+    distinct = len(want_hops) - sum(repeats) + (k_prev > 0)
+    assert distinct == slabs < len(want_hops) + (k_prev > 0)
+
+    built = []
+    boundaries = online._boundaries
+
+    def counted(out, R_from, *rest):
+        built.append(len(R_from))
+        return boundaries(out, R_from, *rest)
+
+    monkeypatch.setattr(online, "_boundaries", counted)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hop = online._fast_steps(*args)[2]
+        handed = []
+        for q, want in enumerate(want_hops, start=1):
+            got = hop(q)
+            assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
+            handed.append(got is ledger.spare)
+            got += 1.0                        # as _min_path's cand += nu
+    assert sum(built) == slabs and max(built) <= block_slots
+    assert handed == repeats + [False]
+
+
 @pytest.mark.parametrize("policy", ["d", "e"])
 def test_fullscale_run_steps_match_per_step_reference(policy, monkeypatch):
     """K = 92: every arrival of a policy d or e run on fullscale.ini (20
@@ -567,9 +654,10 @@ def test_window_loop_gives_each_window_the_offline_column_rule(window_size):
     every active column on a fixed cloud. Each window gets the oracle's
     model, the previous window's last slot map as prev_config and, in id
     order, the columns run_offline chose by its own rule: placed in t0-1
-    or active in the window. Over the seeds, windows see carried
-    instances, instances that departed at t0-1 and (windows of 2 slots or
-    more) arrivals after t0."""
+    or active in the window; every slot's map lists its ids in that
+    order, though ids do not rise with arrival. Over the seeds, windows
+    see carried instances, instances that departed at t0-1 and (windows
+    of 2 slots or more) arrivals after t0."""
     from collections import Counter
 
     from mmcplace.online import run_windows
@@ -622,6 +710,8 @@ def test_window_loop_gives_each_window_the_offline_column_rule(window_size):
             t: {i.id: 1 + i.id % K for i in sorted(insts, key=lambda i: i.id)
                 if i.arrival_slot <= t <= i.last_slot}
             for t in range(1, horizon + 1)}
+        # each map lists its ids in increasing order, as the columns
+        assert all(list(m) == sorted(m) for m in placements.values())
     assert seen["carried"] > 0 and seen["departed"] > 0
     assert (seen["mid-window"] > 0) == (window_size > 1)
 
@@ -947,6 +1037,23 @@ def test_whole_run_ledger_stays_fresh_on_non_integer_demands(case):
     and every arrival costs what the generic DP finds for it."""
     horizon, T, insts, oracle = case
     with pytest.MonkeyPatch.context() as mp:
+        _checked_fast_run(mp, horizon, T, insts, oracle,
+                          grid_distance(oracle.actual.K))
+
+
+@given(_tiny_run())
+@settings(max_examples=100, deadline=None)
+def test_whole_run_on_one_slab_blocks_stays_fresh(case):
+    """With blocks of one slab, every arrival with two steps or more
+    builds only its distinct boundaries and hands shared slabs out as
+    copies: through whole runs the ledger rows still equal a fresh
+    rebuild bit for bit, and every arrival costs what the generic DP
+    finds for it."""
+    from mmcplace import online
+
+    horizon, T, insts, oracle = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(online, "HOP_BLOCK_BYTES", 1)
         _checked_fast_run(mp, horizon, T, insts, oracle,
                           grid_distance(oracle.actual.K))
 
