@@ -110,11 +110,13 @@ class CostModel:
           z: float, s: float = 0.0) -> float:
         raise NotImplementedError
 
-    def local_total(self, t: int, loads: SlotLoads) -> float:
+    def local_total(self, t: int, y, r) -> float:
+        """U(t): u over the clouds with y > 0, in cloud order. y and r are
+        per-cloud loads and distance sums at t."""
         total = 0.0
         for k in range(1, self.K + 1):
-            if loads.y[k] > 0:
-                total += self.u(k, t, float(loads.y[k]), float(loads.r[k]))
+            if y[k] > 0:
+                total += self.u(k, t, float(y[k]), float(r[k]))
         return total
 
     def migration_total(self, t: int, y_prev, y, z: dict, s: dict) -> float:
@@ -572,7 +574,7 @@ class WindowCostEvaluator:
             y, r = _occupancy(t, self.instances, state, self.model.K,
                               self.distance)
             y, r = tuple(y.tolist()), tuple(r.tolist())
-            entry = (y, r, self.model.local_total(t, SlotLoads(y=y, r=r)))
+            entry = (y, r, self.model.local_total(t, y, r))
             self._priced[(t, state)] = entry
         return entry
 

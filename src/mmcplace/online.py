@@ -65,6 +65,7 @@ those moves leave or enter.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,6 +398,7 @@ def _fast_steps(instance, t, t_e, ledger):
     nonzero: rows l with in_l != 0 are rebuilt whole as entry + (in_l +
     out_k), and the other rows get entry + out_k in the columns k with
     out_k != 0. No entry is -0.0, so adding a zero would change nothing.
+    A block is corrected only when it holds a slab with a correction.
     """
     a = instance.local_demand
     b = instance.migration_demand
@@ -456,6 +458,7 @@ def _fast_steps(instance, t, t_e, ledger):
         R_from, R_to, slabs = R_plus[firsts], R_plus[firsts + 1], len(firsts)
 
     fix_rows = fix_cols = None        # nonzero hop corrections, by slab
+    fixed = []                        # the slabs they touch, sorted
     if moves.any():
         zout = ledger.zout[i:i_e + 2, 1:]
         zin = ledger.zin[i:i_e + 2, 1:]
@@ -470,6 +473,7 @@ def _fast_steps(instance, t, t_e, ledger):
             fix_rows = (at[m], to, in_shift[m, to, None] + out_shift[m])
             m, frm = out_shift.nonzero()
             fix_cols = (at[m], frm, out_shift[m, frm, None])
+            fixed = sorted({*fix_rows[0].tolist(), *fix_cols[0].tolist()})
 
     block, s0 = (), 0
 
@@ -480,7 +484,7 @@ def _fast_steps(instance, t, t_e, ledger):
             s0, s1 = s, min(s + n, slabs)
             block = _boundaries(ledger.block, R_from[s0:s1], R_to[s0:s1], b,
                                 hD, hop_backend, b0)
-            if fix_rows is not None:
+            if bisect_left(fixed, s0) < bisect_left(fixed, s1):
                 _correct(block, s0, s1, fix_rows, fix_cols)
         return block[s - s0]
 

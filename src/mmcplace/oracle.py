@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationMatrix, ServiceInstance, Window, feasible_sequences
-from .costs import (CostModel, DistanceContext, SlotLoads,
-                    WindowCostEvaluator, placement_loads)
+from .costs import (CostModel, DistanceContext, WindowCostEvaluator,
+                    placement_loads)
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -165,6 +165,14 @@ def _water_fill(d: np.ndarray, model: CostModel) -> np.ndarray:
     return cost
 
 
+def _stacked(model: CostModel, y, y_before):
+    """One load array for a window: row 0 is slot t0-1 (y_before, zero
+    when None) and row q + 1 is window slot q, so every slot's boundary
+    reads its previous row."""
+    return np.vstack([np.zeros(model.K + 1) if y_before is None
+                      else y_before, y])
+
+
 def grad_window_cost(model: CostModel, window: Window, y, z, y_before=None):
     """Analytic gradient of the window cost wrt loads.
 
@@ -176,29 +184,23 @@ def grad_window_cost(model: CostModel, window: Window, y, z, y_before=None):
     """
     if not hasattr(model, "du"):
         raise ValueError("gradients need a differentiable cost family")
-    T = window.T
-    K = model.K
-    if y_before is None:
-        y_before = np.zeros(K + 1)
-    dy = np.zeros((T, K + 1))
-    dz = [dict() for _ in range(T)]
-    for q in range(T):
-        t = window.t0 + q
-        for k in range(1, K + 1):
-            dy[q, k] = model.du(k, t, float(y[q, k]))
+    ys = _stacked(model, y, y_before)
+    dy = np.zeros(ys.shape)
+    dz = [dict() for _ in range(window.T)]
+    for q, t in enumerate(window.slots, start=1):
+        for k in range(1, model.K + 1):
+            dy[q, k] = model.du(k, t, float(ys[q, k]))
         if t <= 1:
             continue
-        for (k, l), zv in z[q].items():
+        for (k, l), zv in z[q - 1].items():
             if zv <= 0:
                 continue
-            y_from = float(y[q - 1, k]) if q > 0 else float(y_before[k])
-            d_from, d_to, d_z = model.dw(k, l, t, y_from, float(y[q, l]),
-                                         float(zv))
-            if q > 0:
-                dy[q - 1, k] += d_from
+            d_from, d_to, d_z = model.dw(k, l, t, float(ys[q - 1, k]),
+                                         float(ys[q, l]), float(zv))
+            dy[q - 1, k] += d_from
             dy[q, l] += d_to
-            dz[q][(k, l)] = d_z
-    return dy, dz
+            dz[q - 1][(k, l)] = d_z
+    return dy[1:], dz
 
 
 def window_cost_from_loads(model: CostModel, window: Window, y, z,
@@ -206,35 +208,22 @@ def window_cost_from_loads(model: CostModel, window: Window, y, z,
     """Window cost evaluated directly on load arrays (same layout as above),
     priced per slot by the model's local_total and migration_total, on the
     rows as float lists, with no distance terms."""
-    zero = np.zeros(model.K + 1)
-    if y_before is None:
-        y_before = zero
+    rows = _stacked(model, y, y_before).tolist()
+    zero = [0.0] * (model.K + 1)
     total = 0.0
-    for q in range(window.T):
-        t = window.t0 + q
-        loads = SlotLoads(y=y[q], r=zero)
-        total += model.local_total(t, loads)
-        y_prev = np.asarray(y[q - 1] if q > 0 else y_before)
-        total += model.migration_total(t, y_prev.tolist(), y[q].tolist(),
-                                       z[q], {})
+    for q, t in enumerate(window.slots, start=1):
+        total += model.local_total(t, rows[q], zero)
+        total += model.migration_total(t, rows[q - 1], rows[q], z[q - 1], {})
     return total
 
 
-def _sequence_load_delta(inst: ServiceInstance, seq, window: Window,
-                         prev_cloud: int, K: int):
-    """Load increments (a, b) a single instance/sequence contributes."""
-    T = window.T
-    a = np.zeros((T, K + 1))
-    b = [dict() for _ in range(T)]
-    prev = prev_cloud
-    for q in range(T):
-        k = seq[q]
-        if k:
-            a[q, k] += inst.local_demand
-            if prev and prev != k and window.t0 + q > 1:
-                b[q][(prev, k)] = b[q].get((prev, k), 0.0) + inst.migration_demand
-        prev = k if k else 0
-    return a, b
+def _dot(total: float, dz, z) -> float:
+    """total plus dz . z, added pair by pair in z's order (0 where dz
+    lacks the pair)."""
+    for dz_q, z_q in zip(dz, z):
+        for key, zv in z_q.items():
+            total += dz_q.get(key, 0.0) * zv
+    return total
 
 
 def gap_constants(model: CostModel, window: Window,
@@ -246,54 +235,51 @@ def gap_constants(model: CostModel, window: Window,
     phi is the worst ratio, over instances and their feasible sequences,
     of the cost gradient at the load maxima shifted by that sequence's
     demand against the gradient at the current loads, each dotted with the
-    sequence's demand increment. psi is grad . (y, z) / cost at the
-    current loads; None when the cost is zero. The window-start moves out
-    of prev_config are priced with the load of slot t0-1 that it places.
+    sequence's demand increment, which loads_from_matrix counts on the
+    sequence's own column. psi is grad . (y, z) / cost at the current
+    loads; None when the cost is zero. The window-start moves out of
+    prev_config are priced with the load of slot t0-1 that it places.
+    Raises EnumerationBudgetExceeded, before listing any sequence, when
+    the instances have more than DEFAULT_ENUM_BUDGET of them in all.
     """
-    prev_config = dict(prev_config or {})
+    prev_config = prev_config or {}
     K = model.K
-    placed = [i for i in sorted(instances, key=lambda i: i.id)
-              if i.id in prev_config]
+    instances = sorted(instances, key=lambda i: i.id)
+    spans = [i.active_span(window) for i in instances]
+    count = sum(K ** (s[1] - s[0] + 1) if s else 1 for s in spans)
+    if count > DEFAULT_ENUM_BUDGET:
+        raise EnumerationBudgetExceeded(
+            f"{count} sequences exceeds budget {DEFAULT_ENUM_BUDGET}")
+    placed = [i for i in instances if i.id in prev_config]
     y_before = placement_loads(window.t0 - 1, placed,
                                [prev_config[i.id] for i in placed], K).y
+    ys = _stacked(model, y, y_before)
     dy_cur, dz_cur = grad_window_cost(model, window, y, z, y_before)
     cost = window_cost_from_loads(model, window, y, z, y_before)
-    if cost > 0:
-        num = float((dy_cur * y).sum())
-        for q in range(window.T):
-            for key, zv in z[q].items():
-                num += dz_cur[q].get(key, 0.0) * zv
-        psi = num / cost
-    else:
-        psi = None
+    psi = (_dot(float((dy_cur * y).sum()), dz_cur, z) / cost if cost > 0
+           else None)
 
     phi = 1.0
-    for inst in sorted(instances, key=lambda i: i.id):
-        prev_cloud = prev_config.get(inst.id, 0)
+    for inst in instances:
+        column = ConfigurationMatrix(window, [inst.id])
         for seq in feasible_sequences(inst, window, K):
-            a, b = _sequence_load_delta(inst, seq, window, prev_cloud, K)
-            y_hi = y_max + a
-            z_hi = [dict(z_max[q]) for q in range(window.T)]
-            for q in range(window.T):
-                for key, bv in b[q].items():
-                    z_hi[q][key] = z_hi[q].get(key, 0.0) + bv
-            dy_hi, dz_hi = grad_window_cost(model, window, y_hi, z_hi,
+            column.set_column(inst.id, seq)
+            a, b = loads_from_matrix(model, column, [inst], prev_config)
+            z_hi = [z_q | {key: z_q.get(key, 0.0) + bv
+                           for key, bv in b_q.items()}
+                    for z_q, b_q in zip(z_max, b)]
+            dy_hi, dz_hi = grad_window_cost(model, window, y_max + a, z_hi,
                                             y_before)
-            num = float((dy_hi * a).sum())
+            num = _dot(float((dy_hi * a).sum()), dz_hi, b)
             den = float((dy_cur * a).sum())
-            for q in range(window.T):
-                for key, bv in b[q].items():
-                    num += dz_hi[q].get(key, 0.0) * bv
+            for q, t in enumerate(window.slots):
+                for (k, l), bv in b[q].items():
                     # current-state gradient may lack this migration term
-                    if key in dz_cur[q]:
-                        den += dz_cur[q][key] * bv
-                    else:
-                        y_from = float(y[q - 1, key[0]] if q > 0
-                                       else y_before[key[0]])
-                        d_from, d_to, d_z = model.dw(
-                            key[0], key[1], window.t0 + q,
-                            y_from, float(y[q, key[1]]), 0.0)
-                        den += d_z * bv
+                    d_z = dz_cur[q].get((k, l))
+                    if d_z is None:
+                        d_z = model.dw(k, l, t, float(ys[q, k]),
+                                       float(ys[q + 1, l]), 0.0)[2]
+                    den += d_z * bv
             if den > 0:
                 phi = max(phi, num / den)
     return phi, psi
@@ -302,11 +288,13 @@ def gap_constants(model: CostModel, window: Window,
 def loads_from_matrix(model: CostModel, matrix: ConfigurationMatrix,
                       instances: list[ServiceInstance],
                       prev_config: dict[int, int] | None = None):
-    """(y, z) arrays in the layout grad_window_cost expects."""
+    """(y, z) arrays in the layout grad_window_cost expects. No move into
+    slot 1 is listed: W(1) = 0."""
     by_id = {inst.id: inst for inst in instances}
     columns = [by_id[iid] for iid in matrix.instance_ids]
     prev_config = prev_config or {}
-    before = [prev_config.get(iid, 0) for iid in matrix.instance_ids]
+    before = ([prev_config.get(iid, 0) for iid in matrix.instance_ids]
+              if matrix.window.t0 > 1 else None)
     y = np.zeros((matrix.window.T, model.K + 1))
     z = []
     for q, t in enumerate(matrix.window.slots):

@@ -295,7 +295,7 @@ def _charge_reference(model, placements, instances, distance=None):
         if prev_t != t - 1:
             y_prev = placement_loads(t - 1, [by_id[iid] for iid in before],
                                      before.values(), model.K).y
-        cost[t] = (model.local_total(t, loads)
+        cost[t] = (model.local_total(t, loads.y, loads.r)
                    + model.migration_total(t, y_prev.tolist(),
                                            loads.y.tolist(), loads.z, loads.s))
         moved[t] = loads.moved

@@ -15,7 +15,11 @@ force's cost, matrix and work count on a few seeded windows per cost
 family (linear, polynomial, capacity/backend with distances, perturbed
 polynomial), and the per-slot and total cost of run_online on the
 generic per-arrival DP (polynomial and linear costs under prediction
-noise).
+noise). gap_constants.csv pins, in float.hex and checked for equality,
+phi, psi, the window cost with and without the slot t0-1 loads and every
+gradient entry of the gap-constant code on seeded windows (linear and
+polynomial costs, t0 = 1 to 3, with and without a prev_config, and load
+maxima of once and twice the loads).
 
 Regenerate after a deliberate behaviour change with
 
@@ -23,6 +27,7 @@ Regenerate after a deliberate behaviour change with
 """
 
 import csv
+import itertools
 import math
 import shutil
 import sys
@@ -34,13 +39,16 @@ import pytest
 
 from mmcplace.cli import main
 from mmcplace.config import parse_config
-from mmcplace.core import ServiceInstance, Window
+from mmcplace.core import (ConfigurationMatrix, ServiceInstance, Window,
+                           feasible_sequences)
 from mmcplace.costs import (DistanceContext, LinearCostModel,
                             MmcBackendCostModel, PerturbedCostModel,
-                            PolynomialCostModel)
+                            PolynomialCostModel, placement_loads)
 from mmcplace.offline import solve_window_offline
 from mmcplace.online import run_online
-from mmcplace.oracle import brute_force_offline
+from mmcplace.oracle import (brute_force_offline, gap_constants,
+                             grad_window_cost, loads_from_matrix,
+                             window_cost_from_loads)
 from mmcplace.predictor import CostOracle, PowerLawErrorBound
 from mmcplace.simulator import POLICIES, build_scenario, run_policy
 
@@ -60,6 +68,7 @@ RATIO_GOLDEN = GOLDEN / "ratio_a200_s3.csv"
 EXACT_GOLDEN = GOLDEN / "exact_paths.csv"
 EXACT_FAMILIES = ("linear", "polynomial", "backend", "perturbed")
 EXACT_SEEDS = (1, 2, 3)
+GAP_GOLDEN = GOLDEN / "gap_constants.csv"
 
 
 def _run(name):
@@ -185,6 +194,57 @@ def _write_exact():
             fh.write(",".join(row) + "\n")
 
 
+def _gap_rows():
+    """(case, quantity, value) of every pinned gap-constant output."""
+    rows = []
+    for family, t0, with_prev, scale in itertools.product(
+            ("linear", "polynomial"), (1, 2, 3), (False, True), (1.0, 2.0)):
+        case = f"{family}_t{t0}_{'prev' if with_prev else 'cold'}_x{scale:g}"
+        rng = np.random.default_rng([t0, with_prev, int(scale), 25])
+        K = 3
+        model, _ = _exact_model(family, rng, K)
+        w = Window(t0, int(rng.integers(2, 4)))
+        insts = [ServiceInstance(
+            id=j, arrival_slot=int(rng.integers(max(1, t0 - 1), t0 + 2)),
+            max_lifetime=int(rng.integers(2, w.T + 3)),
+            local_demand=float(rng.uniform(0.3, 1.2)),
+            migration_demand=float(rng.uniform(0.3, 1.2)))
+            for j in range(1, 4)]
+        # at t0 = 1 every instance present at slot 1 gets a cloud at slot 0
+        prev = ({i.id: int(rng.integers(1, K + 1)) for i in insts
+                 if i.arrival_slot < max(t0, 2)} if with_prev else None)
+        matrix = ConfigurationMatrix(w, [i.id for i in insts])
+        for inst in insts:
+            seqs = feasible_sequences(inst, w, K)
+            matrix.set_column(inst.id, seqs[int(rng.integers(len(seqs)))])
+        y, z = loads_from_matrix(model, matrix, insts, prev)
+        y_max = y * scale
+        z_max = [{key: v * scale for key, v in d.items()} for d in z]
+        placed = [i for i in insts if i.id in (prev or {})]
+        y_before = placement_loads(t0 - 1, placed,
+                                   [prev[i.id] for i in placed], K).y
+        phi, psi = gap_constants(model, w, insts, y, z, y_max, z_max, prev)
+        rows += [(case, "phi", phi.hex()),
+                 (case, "psi", "None" if psi is None else psi.hex()),
+                 (case, "cost", window_cost_from_loads(model, w, y, z).hex()),
+                 (case, "cost.before", window_cost_from_loads(
+                     model, w, y, z, y_before).hex())]
+        for name, yb in (("grad", None), ("grad.before", y_before)):
+            dy, dz = grad_window_cost(model, w, y_max, z_max, yb)
+            rows += [(case, f"{name}.dy{q}.{k}", float(dy[q, k]).hex())
+                     for q, k in itertools.product(range(w.T), range(K + 1))]
+            rows += [(case, f"{name}.dz{q}.{k}-{l}", v.hex())
+                     for q in range(w.T) for (k, l), v in dz[q].items()]
+    return rows
+
+
+def _write_gap():
+    with open(GAP_GOLDEN, "w", newline="") as fh:
+        fh.write("case,quantity,value\n")
+        for row in _gap_rows():
+            fh.write(",".join(row) + "\n")
+
+
 def _read(name):
     with open(GOLDEN / name, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -228,10 +288,18 @@ def test_exact_solvers_match_golden():
     assert _exact_rows() == want
 
 
+def test_gap_constants_match_golden():
+    """phi, psi, the window costs and every gradient entry, bit for bit."""
+    want = [(row["case"], row["quantity"], row["value"])
+            for row in _read(GAP_GOLDEN.name)]
+    assert _gap_rows() == want
+
+
 if __name__ == "__main__":
     for case in CASES:
         _write(case)
     _write_exact()
+    _write_gap()
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copyfile(_ratio_csv(tmp), RATIO_GOLDEN)
     sys.exit(0)

@@ -512,6 +512,33 @@ def test_repeated_boundaries_are_built_once(block_slots, k_prev, t, life,
     assert handed == repeats + [False]
 
 
+@pytest.mark.parametrize("block_slots", [1, 3])
+@pytest.mark.parametrize("k_prev, t, life", [
+    (0, 2, math.inf), (1, 2, math.inf), (5, 2, math.inf), (0, 6, math.inf),
+    (1, 2, 5), (0, 13, 5)])
+def test_only_blocks_with_corrected_slabs_are_corrected(block_slots, k_prev,
+                                                        t, life, monkeypatch):
+    """_correct is called for a block only when one of its slabs carries
+    a frozen-move correction, and every block that holds one gets it: the
+    steps still equal the per-step reference bit for bit."""
+    from mmcplace import online
+
+    monkeypatch.setattr(online, "HOP_BLOCK_BYTES", 8 * 5 * 5 * block_slots)
+    correct = online._correct
+    calls = []
+
+    def spy(block, s0, s1, fix_rows, fix_cols):
+        held = [s for fix in (fix_rows, fix_cols) for s in fix[0].tolist()
+                if s0 <= s < s1]
+        assert held, f"no correction in slabs {s0}..{s1 - 1}"
+        calls.append(s0)
+        return correct(block, s0, s1, fix_rows, fix_cols)
+
+    monkeypatch.setattr(online, "_correct", spy)
+    _assert_steps_match_reference(_stretch_case(k_prev, t, life))
+    assert calls                      # the frozen moves into 5, 12 and 16
+
+
 @pytest.mark.parametrize("policy", ["d", "e"])
 def test_fullscale_run_steps_match_per_step_reference(policy, monkeypatch):
     """K = 92: every arrival of a policy d or e run on fullscale.ini (20

@@ -216,3 +216,33 @@ def test_gap_constants_price_the_window_start_from_prev_config():
     assert window_cost(model, m, insts, prev) == 12.0
     _phi, psi = gap_constants(model, w, insts, y, z, y, z, prev_config=prev)
     assert psi == pytest.approx(11.0 / 12.0, rel=1e-12)
+
+
+def test_gap_constants_refuse_an_enumeration_over_budget(monkeypatch):
+    """One instance over a 3-slot window on K = 3 has 27 feasible
+    sequences: with the budget at 10, gap_constants raises before it
+    lists any sequence, and at 27 it runs."""
+    from mmcplace import oracle
+    from mmcplace.core import ConfigurationMatrix
+
+    model = LinearCostModel(np.array([0, 2.0, 1.0, 1.5]), 0.1, 0.1, 0.8)
+    w = Window(2, 3)
+    insts = [ServiceInstance(id=1, arrival_slot=2)]
+    m = ConfigurationMatrix(w, [1])
+    m.set_column(1, [1, 2, 2])
+    y, z = loads_from_matrix(model, m, insts)
+    listed = []
+    sequences = oracle.feasible_sequences
+
+    def spy(*args):
+        listed.append(args)
+        return sequences(*args)
+
+    monkeypatch.setattr(oracle, "feasible_sequences", spy)
+    monkeypatch.setattr(oracle, "DEFAULT_ENUM_BUDGET", 10)
+    with pytest.raises(EnumerationBudgetExceeded):
+        gap_constants(model, w, insts, y, z, y, z)
+    assert listed == []
+    monkeypatch.setattr(oracle, "DEFAULT_ENUM_BUDGET", 27)
+    phi, _psi = gap_constants(model, w, insts, y, z, y, z)
+    assert phi >= 1.0 and len(listed) == 1
