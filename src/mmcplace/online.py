@@ -50,10 +50,15 @@ MMC-to-MMC move it makes, is the last term of each row's sum. In
 run_online ids rise with arrival order, so every placement is such an
 append. Other writes and every departure rebuild the touched rows from
 the whole placement.
+The ledger also flags whether any of its MMC loads is at or over
+capacity (WindowLedger.full); place_on_arrival scans the arrival's rows
+for one, to route it by the generic DP, only when the flag is set.
 _fast_steps builds no joint state tuple and calls no cost function per
 cloud; an arrival's (K, K) boundary matrices are built in blocks of up
-to HOP_BLOCK_BYTES each. When its steps do not fit in one block, it
-builds only the distinct ones: a step whose two R rows equal the
+to HOP_BLOCK_BYTES each. When its steps fit in one block (every arrival
+at desk scale, K = 20), they are built at once and step q is the
+block's slab q, handed out by the block's own getter. When they do not,
+it builds only the distinct ones: a step whose two R rows equal the
 previous step's byte for byte, with no frozen move on either, reuses
 that step's matrix, handed out as a copy where _min_path would otherwise
 add into it before the next step reads it. The frozen-migration
@@ -74,10 +79,13 @@ from .core import ConfigurationMatrix, ServiceInstance, Window
 from .costs import (CostModel, DistanceContext, MmcBackendCostModel,
                     PerturbedCostModel, WindowCostEvaluator, charge_placements)
 
-# Size of one block of boundary matrices in _fast_steps: max(1,
+# Size of one block of boundary matrices in _fast_steps: n = max(1,
 # HOP_BLOCK_BYTES // (8 K^2)) slabs, one distinct boundary each, are built
 # as one array, a whole desk span at K = 20 and 3 slabs at K = 92. A 1 MiB
-# block raised fullscale-sim's peak memory 42.6 -> 45.2 MB.
+# block raised fullscale-sim's peak memory 42.6 -> 45.2 MB. The ledger's
+# block has one spare slab after the n: steps that fit in one block sit
+# at their own index, 1..n for a new arrival, so hop is the block's
+# getter; a multi-block arrival copies a shared slab into the spare.
 HOP_BLOCK_BYTES = 256 * 1024
 
 
@@ -120,7 +128,15 @@ class WindowLedger:
     cloud 1..K counts as an MMC); hD, off and the backend mask are the
     constants of `base`, the capacity/backend model behind it, taken once
     (hD and off are None without one). cols, the instances in column
-    order, and distance are kept for _generic_steps.
+    order, and distance are kept for _generic_steps. block is
+    _fast_steps' boundary block, HOP_BLOCK_BYTES' n slabs and a spare
+    one, `spare`, after them.
+
+    full says whether any row holds an MMC load (clouds 1..backend-1) at
+    or over base's capacity; it is always False without a base. Loads
+    only grow in an append, so write() sets it when an appended load
+    reaches capacity, and every build and refresh() sets it from a scan
+    of all rows.
 
     Every sum runs in instance order, so it matches a fresh refresh bit
     for bit. write() decides, before it writes, whether a placed column
@@ -167,10 +183,9 @@ class WindowLedger:
                 end = int(min(inst.planned_end, window.end))
                 if start > end:
                     continue
-                self.cell_row[start - window.t0:end - window.t0 + 1, j] = (
-                    np.fromiter((distance.user_cell_of(inst.id, t) or 0
-                                 for t in range(start, end + 1)),
-                                dtype=np.int32, count=end + 1 - start))
+                self.cell_row[start - window.t0:end - window.t0 + 1, j] = [
+                    distance.user_cell_of(inst.id, t) or 0
+                    for t in range(start, end + 1)]
             self.hops = distance.cell_hops
             self.pairD = distance.pair_hops
         # is_mmc[k]: cloud k is an MMC, neither 0 nor the backend; mmc is
@@ -181,15 +196,17 @@ class WindowLedger:
         self.is_mmc = np.ones(K + 1, dtype=bool)
         self.is_mmc[0] = False
         self.hD = self.off = self.block = self.spare = None
+        self.cap, self.mmc_y = math.inf, None
         if self.base is not None:
             self.is_mmc[self.base.backend] = False
-            # _fast_steps' boundary blocks, no more than the window's slots,
-            # and one spare boundary: a block allocated per build (203 KB at
-            # K = 92, over malloc's mmap threshold) took its time from what
-            # the heap held before
+            self.cap = self.base.capacity
+            # _fast_steps' boundary block, no more slabs than the window's
+            # slots, and one spare slab after them: a block allocated per
+            # build (203 KB at K = 92, over malloc's mmap threshold) took
+            # its time from what the heap held before
             self.block = np.empty((min(max(1, HOP_BLOCK_BYTES // (8 * K * K)),
-                                       window.T), K, K))
-            self.spare = np.empty((K, K))
+                                       window.T) + 1, K, K))
+            self.spare = self.block[-1]
             self.hD = np.ascontiguousarray(
                 (self.base.h * self.pairD[1:, 1:]).T)
             if model is not self.base:
@@ -204,25 +221,34 @@ class WindowLedger:
         self.moves = np.zeros(rows, dtype=bool)
         self.y[0] = np.bincount(self.prev, self.loc, K + 1)
         self.y[0, 0] = 0.0
+        if self.base is not None:
+            self.mmc_y = self.y[:, 1:self.base.backend]
+        self.full = False
         if self.place[1:].any():            # else the zero rows are right
             self.refresh(window.t0, window.end)
+        elif self.mmc_y is not None:
+            self.full = bool(np.count_nonzero(self.mmc_y >= self.cap))
 
     def write(self, j: int, t: int, path: tuple[int, ...]) -> None:
         """Place column j on `path` from slot t on, and update the rows."""
         a = t - self.window.t0 + 1                # ledger rows [a, b)
         b = a + len(path)
-        append = not self.place[a:b, j:].any()     # decided before the write
+        # decided before the write
+        append = not np.count_nonzero(self.place[a:b, j:])
         self.place[a:b, j] = path
         if not append:
             self.refresh(t, t + len(path) - 1)
             return
+        y, r, cap, mmc = self.y, self.r, self.cap, self.mmc
         loc, hops, cells = self.loc[j], self.hops, self.cell_row[:, j]
         for row, k in enumerate(path, start=a):   # short spans: no arrays
-            self.y[row, k] += loc
-            self.r[row, k] += hops[cells[row - 1], k]
+            y[row, k] = load = y[row, k] + loc
+            if load >= cap and mmc[k]:
+                self.full = True
+            r[row, k] += hops[cells[row - 1], k]
         c = min(b + 1, self.window.T + 1)          # boundaries into [a, c)
         seq = self.place[a - 1:c, j].tolist()
-        mmc, mig = self.mmc, self.mig[j]
+        mig = self.mig[j]
         for row, (f, g) in enumerate(zip(seq, seq[1:]), start=a):
             if mmc[f] and mmc[g] and f != g:
                 self.zout[row, f] += mig
@@ -249,6 +275,8 @@ class WindowLedger:
         self.zin[a:c] = np.bincount(q * K1 + to[q, j], self.mig[j],
                                     n * K1).reshape(n, K1)
         self.moves[a:c] = self.zout[a:c].any(axis=1)
+        if self.mmc_y is not None:
+            self.full = bool(np.count_nonzero(self.mmc_y >= self.cap))
 
 
 def _min_path(first, local, hop, tail):
@@ -264,33 +292,34 @@ def _min_path(first, local, hop, tail):
 
     Ties go to the smallest final cloud, then to the smallest predecessor
     at each boundary going back: the minimum of (cost, reversed path).
-    Returns (path of cloud ids, relaxations, saturated), with
-    relaxations = K + K^2 (span - 1) and saturated True when every route
-    costs inf.
+    Returns (path, relaxations, saturated): path a tuple of cloud ids
+    1..K as Python ints, relaxations = K + K^2 (span - 1) and saturated
+    True when every route costs inf.
     """
     nu = first
     K = nu.shape[0]
-    columns = np.arange(K)
+    row_start = np.arange(0, K * K, K)       # flat index of cand[l, 0]
     back: list[np.ndarray] = []
     for q in range(1, len(local)):
         # cand[l, k]: reach k by slot t+q-1, then hop k -> l into slot t+q
         cand = hop(q)
         cand += nu
         choice = cand.argmin(axis=1)
-        nu = cand[columns, choice]
+        nu = cand.take(choice + row_start)   # cand[l, choice[l]]
         nu += local[q]
         back.append(choice)
     if tail is not None:
         nu = nu + tail
 
-    end = int(np.argmin(nu))
-    path = [end]
+    end = k = int(nu.argmin())
+    path = [k + 1]
     for choice in reversed(back):
-        path.append(int(choice[path[-1]]))
+        k = int(choice[k])
+        path.append(k + 1)
     path.reverse()
     saturated = not math.isfinite(float(nu[end]))
     relax = K + K * K * (len(local) - 1)
-    return tuple(k + 1 for k in path), relax, saturated
+    return tuple(path), relax, saturated
 
 
 def _generic_steps(instance, t, t_e, ledger):
@@ -387,12 +416,15 @@ def _fast_steps(instance, t, t_e, ledger):
     slabs built as one array of HOP_BLOCK_BYTES at most. The steps are q
     = q_lo..span-1, q_lo 0 for a carried instance (its entry is its
     column of hop(0), the boundary into slot t) and 1 otherwise. When
-    they fit in one block, each step is its own slab. When they do not,
-    a step shares the previous step's slab if its two R rows, R_plus[q]
-    and R_plus[q+1], equal that step's byte for byte and neither step has
-    a frozen move: a boundary is a pure function of those rows, b, hD and
-    the backend constants. _min_path adds in place, so a step whose slab
-    the next step reads too gets a copy in the ledger's spare buffer.
+    they fit in one block (span - q_lo <= n), each step is its own slab,
+    built at once at ledger.block[q], and hop is ledger.block's getter;
+    a new arrival of one slot has no step and builds none. When they do
+    not, a step shares the previous step's slab if its two R rows,
+    R_plus[q] and R_plus[q+1], equal that step's byte for byte and
+    neither step has a frozen move: a boundary is a pure function of
+    those rows, b, hD and the backend constants. _min_path adds in place,
+    so a step whose slab the next step reads too gets a copy in the
+    ledger's spare slab.
 
     A boundary's correction in_l + out_k is added only where it is
     nonzero: rows l with in_l != 0 are rebuilt whole as entry + (in_l +
@@ -427,13 +459,13 @@ def _fast_steps(instance, t, t_e, ledger):
     r2 = np.empty((2, span, K))
     r2[0] = ledger.r[i:i_e + 1, 1:]
     np.add(r2[0], ledger.hops[ledger.cell_row[i - 1:i_e, j], 1:], out=r2[1])
-    u_now, u_plus = base.u_from_R(y2[:, 1:], r2, R2[:, 1:])
-    y, y_plus = y2[:, 1:]
+    u2 = base.u_from_R(y2[:, 1:], r2, R2[:, 1:])
+    y = y2[0, 1:]
     if off is not None:
-        # a slot's offset is charged only where the cloud hosts load
-        off = off[i - 1:i_e, 1:]
-        u_plus = np.where(y_plus > 0, u_plus + off, u_plus)
-        u_now = u_now + off
+        # a slot's offset is charged only where the cloud hosts load (and
+        # u_now is read only there)
+        np.add(u2, off[i - 1:i_e, 1:], out=u2, where=y2[:, 1:] > 0)
+    u_now, u_plus = u2
     ld = np.where(y > 0, u_plus - u_now, u_plus)
     hop_backend = base.h_backend * b
     # frozen MMC-to-MMC moves over the boundaries into ledger rows
@@ -441,9 +473,8 @@ def _fast_steps(instance, t, t_e, ledger):
     # zin are nonzero together: both sum the same nonnegative moves)
     moves = ledger.moves[i:i_e + 2]
 
-    n = len(ledger.block)
+    n = len(ledger.block) - 1         # slabs per block; the last is spare
     slab = None                       # one block: step q is slab q
-    R_from, R_to, slabs = R_plus, R_plus[1:], span
     if span - q_lo > n:
         # own[q]: R_plus[q+1] differs from R_plus[q] or step q has a
         # frozen move; step q needs its own slab, new[q - q_lo], when
@@ -459,7 +490,7 @@ def _fast_steps(instance, t, t_e, ledger):
 
     fix_rows = fix_cols = None        # nonzero hop corrections, by slab
     fixed = []                        # the slabs they touch, sorted
-    if moves.any():
+    if np.count_nonzero(moves):
         zout = ledger.zout[i:i_e + 2, 1:]
         zin = ledger.zin[i:i_e + 2, 1:]
         diff = np.where(np.isfinite(R_plus), R_plus - R_now, np.inf)
@@ -475,23 +506,30 @@ def _fast_steps(instance, t, t_e, ledger):
             fix_cols = (at[m], frm, out_shift[m, frm, None])
             fixed = sorted({*fix_rows[0].tolist(), *fix_cols[0].tolist()})
 
-    block, s0 = (), 0
+    # hop(q): the boundary into slot t+q (ledger row i+q)
+    if slab is None:
+        # one block: step q is slab q, built at ledger.block[q] (up to
+        # index n for a new arrival, whose index 0 stays unused)
+        if span > q_lo:
+            _boundaries(ledger.block[q_lo:], R_plus[q_lo:span],
+                        R_plus[q_lo + 1:], b, hD, hop_backend, b0)
+            if fixed:
+                _correct(ledger.block, 0, span, fix_rows, fix_cols)
+        hop = ledger.block.__getitem__
+    else:
+        block, s0 = (), 0
 
-    def slab_at(s):
-        # slab s, built in one block with up to n - 1 slabs after it
-        nonlocal block, s0
-        if not s0 <= s < s0 + len(block):
-            s0, s1 = s, min(s + n, slabs)
-            block = _boundaries(ledger.block, R_from[s0:s1], R_to[s0:s1], b,
-                                hD, hop_backend, b0)
-            if bisect_left(fixed, s0) < bisect_left(fixed, s1):
-                _correct(block, s0, s1, fix_rows, fix_cols)
-        return block[s - s0]
+        def slab_at(s):
+            # slab s, built in one block with up to n - 1 slabs after it
+            nonlocal block, s0
+            if not s0 <= s < s0 + len(block):
+                s0, s1 = s, min(s + n, slabs)
+                block = _boundaries(ledger.block, R_from[s0:s1], R_to[s0:s1],
+                                    b, hD, hop_backend, b0)
+                if bisect_left(fixed, s0) < bisect_left(fixed, s1):
+                    _correct(block, s0, s1, fix_rows, fix_cols)
+            return block[s - s0]
 
-    # hop(q): the boundary into slot t+q (ledger row i+q), slab q when
-    # the steps fit in one block
-    hop = slab_at
-    if slab is not None:
         slab_of = slab.tolist() + [-1]
 
         def hop(q):
@@ -549,7 +587,8 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     MMC load in the ledger rows the arrival reads (slots t-1..t_e+1) is
     already at or over capacity, where the generic DP prices every joint
     state of such a slot as inf and the fast deltas would be inf - inf;
-    _fast_steps otherwise.
+    _fast_steps otherwise. Those rows are scanned (_frozen_overload) only
+    when the ledger's `full` flag says some row holds such a load.
 
     ledger, when given, must own `matrix` (run_online keeps one per
     window) and be built for `model` (else ValueError). Without one, a
@@ -568,7 +607,7 @@ def place_on_arrival(instance: ServiceInstance, t: int,
         raise ValueError("arrival slot after the instance's planned end")
     if instance.id not in matrix._col:
         raise ValueError("matrix has no column for the arriving instance")
-    if matrix.data[:, matrix._col[instance.id]].any():
+    if np.count_nonzero(matrix.data[:, matrix._col[instance.id]]):
         raise ValueError("the arriving instance is already placed")
     if ledger is not None and matrix.data.base is not ledger.place:
         raise ValueError("ledger does not own the matrix")
@@ -583,7 +622,9 @@ def place_on_arrival(instance: ServiceInstance, t: int,
                                     distance)
     # at a frozen MMC at capacity the fast deltas are inf - inf = NaN,
     # which argmin would take as the minimum: route as the generic DP
-    generic = ledger.base is None or _frozen_overload(ledger, t, t_e)
+    # (without ledger.full, no ledger row holds one)
+    generic = ledger.base is None or (ledger.full and _frozen_overload(
+        ledger, t, t_e))
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = (_generic_steps if generic else _fast_steps)(
             instance, t, t_e, ledger)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -393,6 +394,47 @@ def test_block_built_steps_match_reference_with_two_moves_out(
     # our load saturates MMC 3 in slot 3 and MMC 4 in slot 4
     assert ledger.y[2, 3] + 1 >= 3 and ledger.y[3, 4] + 1 >= 3
     _assert_steps_match_reference(args)
+
+
+@pytest.mark.parametrize("moves", [True, False])
+@pytest.mark.parametrize("k_prev, t, life, over", [
+    (1, 2, math.inf, 0), (1, 2, math.inf, 1), (5, 2, 5, 0), (5, 2, 5, 1),
+    (1, 2, 1, 0), (0, 3, math.inf, 0), (0, 3, math.inf, 1), (0, 4, 2, 0),
+    (0, 4, 1, -1), (0, 9, math.inf, -1)])
+def test_block_edges_match_per_step_reference(moves, k_prev, t, life, over,
+                                              monkeypatch):
+    """Blocks of n slabs where the steps q_lo..span-1 number exactly n
+    (one block, up to its last slab) or n + 1 (the first block size that
+    needs two), for a carried arrival (q_lo 0) and a new one (q_lo 1),
+    and new arrivals of one slot (over -1), which have no step at all:
+    every output equals the per-step reference bit for bit."""
+    from mmcplace import online
+
+    span = int(min(t + life - 1, 9)) - t + 1          # window [2, 9]
+    n = span - (k_prev == 0) - over                   # steps - n == over
+    monkeypatch.setattr(online, "HOP_BLOCK_BYTES", 8 * 5 * 5 * n)
+    args = _kernel_case(moves, False, k_prev, t, life)
+    assert len(args[3].block) - 1 == n
+    _assert_steps_match_reference(args)
+
+
+@pytest.mark.parametrize("saturated", [False, True])
+def test_min_path_returns_python_ints(saturated):
+    """_min_path's path is a tuple of Python ints (cloud ids 1..K), and an
+    all-inf case reports saturation and takes cloud 1 throughout."""
+    rng = np.random.default_rng(3)
+    K, span = 4, 3
+    fill = math.inf if saturated else 0.0
+    first = rng.uniform(0, 1, K) + fill
+    local = [first] + [rng.uniform(0, 1, K) for _ in range(span - 1)]
+    hops = [rng.uniform(0, 1, (K, K)) for _ in range(span - 1)]
+    path, relax, sat = _min_path(first, local, lambda q: hops[q - 1].copy(),
+                                 None)
+    assert type(path) is tuple and len(path) == span
+    assert all(type(k) is int and 1 <= k <= K for k in path)
+    assert sat is saturated and relax == K + K * K * (span - 1)
+    if saturated:
+        assert path == (1,) * span
 
 
 def _assert_steps_match_reference(args, fast_steps=None):
@@ -1105,6 +1147,101 @@ def test_whole_run_ledger_stays_fresh_on_the_linear_family(case):
                           grid_distance(oracle.actual.K))
 
 
+class _TighteningOracle:
+    """oracle's predictions, with the capacity/backend model's capacity
+    cut to `capacity` in every window that starts after slot 1."""
+
+    def __init__(self, oracle, capacity):
+        self.actual = oracle.actual
+        self.oracle = oracle
+        self.capacity = capacity
+
+    def predicted_model(self, t0, window):
+        model = self.oracle.predicted_model(t0, window)
+        if t0 == 1:
+            return model
+        base = model.base if isinstance(model, PerturbedCostModel) else model
+        tight = copy.copy(base)
+        tight.capacity = self.capacity
+        if model is base:
+            return tight
+        return PerturbedCostModel(tight, model.offsets)
+
+
+def test_overload_flag_matches_checking_every_arrival(monkeypatch):
+    """Desk (K = 20) for 60 slots in windows of 10, with a predicted
+    capacity that drops to the local demand after the first window: an
+    instance that sat alone on an MMC at t0-1 leaves it at capacity, so
+    the arrivals at t0 take _generic_steps. The ledger's overload flag
+    equals a scan of its MMC loads after every build, write and refresh,
+    and the run equals one where _frozen_overload is consulted on every
+    arrival, which calls it more often."""
+    from pathlib import Path
+
+    from mmcplace import online
+    from mmcplace.config import parse_config
+    from mmcplace.simulator import build_scenario
+
+    root = Path(__file__).resolve().parent.parent
+    cfg = parse_config(str(root / "configs" / "desk.ini"))
+    cfg.horizon = 60
+    scn = build_scenario(cfg, 1)
+    oracle = _TighteningOracle(
+        CostOracle(scn.model, PowerLawErrorBound(cfg.beta, cfg.alpha),
+                   seed=scn.seed), cfg.local_demand)
+    Ledger = online.WindowLedger
+
+    class CheckedLedger(Ledger):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.check()
+
+        def write(self, *args):
+            super().write(*args)
+            self.check()
+
+        def refresh(self, *args):
+            super().refresh(*args)
+            self.check()
+
+        def check(self):
+            if self.base is not None:
+                over = self.y[:, 1:self.base.backend] >= self.base.capacity
+                assert self.full == over.any()
+
+    class AlwaysFull(Ledger):
+        full = property(lambda self: True, lambda self, value: None)
+
+    calls = {"generic": 0, "overload": 0}
+    generic_steps = online._generic_steps
+    frozen_overload = online._frozen_overload
+
+    def counted_generic(*args):
+        calls["generic"] += 1
+        return generic_steps(*args)
+
+    def counted_overload(*args):
+        calls["overload"] += 1
+        return frozen_overload(*args)
+
+    def run(ledger_class):
+        calls.update(generic=0, overload=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(online, "WindowLedger", ledger_class)
+            mp.setattr(online, "_generic_steps", counted_generic)
+            mp.setattr(online, "_frozen_overload", counted_overload)
+            out = run_online(cfg.horizon, 10, scn.instances, oracle,
+                             scn.distance)
+        return out, dict(calls)
+
+    gated, gated_calls = run(CheckedLedger)
+    every, every_calls = run(AlwaysFull)
+    arrivals = len(every.relaxations_per_arrival)
+    assert gated == every
+    assert gated_calls["generic"] == every_calls["generic"] > 0
+    assert 0 < gated_calls["overload"] < every_calls["overload"] == arrivals
+
+
 def test_want_cost_true_is_rejected():
     """place_on_arrival reports no window cost: want_cost=True raises and
     points to costs.window_cost."""
@@ -1303,6 +1440,29 @@ def _written_ledger(frozen, j, t, path):
     ledger = WindowLedger(m, insts, model, prev, d)
     ledger.write(j, t, path)
     return ledger, _fresh_rows(m, insts, model, prev, d)
+
+
+def test_ledger_overload_flag_follows_every_row_update():
+    """WindowLedger.full says whether an MMC load in any row is at or over
+    capacity: set by a build from slot t0-1 or from the matrix and by an
+    append that fills an MMC (a saturated DP may place there), cleared by
+    the refresh of a departure that frees it, never set by the backend."""
+    from mmcplace.online import WindowLedger
+
+    model = mmc(K=4, Y=2.0)                      # cloud 4 is the backend
+    insts = [ServiceInstance(id=k, arrival_slot=1) for k in (1, 2, 3)]
+    m = ConfigurationMatrix(Window(2, 3), [1, 2, 3])
+    assert WindowLedger(m.copy(), insts, model, {1: 2, 2: 2}).full
+    ledger = WindowLedger(m, insts, model, {1: 4, 2: 4, 3: 2})
+    assert not ledger.full
+    ledger.write(0, 2, (4, 4, 4))
+    ledger.write(1, 2, (4, 1, 4))                # the backend holds 2
+    assert not ledger.full
+    ledger.write(2, 2, (3, 1, 3))                # MMC 1 holds 2 in slot 3
+    assert ledger.full
+    assert WindowLedger(m.copy(), insts, model).full
+    handle_departure(3, 2, m, ledger=ledger)
+    assert not ledger.full
 
 
 def _assert_rows(ledger, want):
