@@ -321,3 +321,104 @@ def test_run_offline_windows_equal_enumeration(seed, family):
         offline.solve_window_offline = solve
     assert len(checked) == len(sols) == -(-horizon // T)
     assert sorted(actual) == list(range(1, horizon + 1))
+
+
+def _unpruned_dp(window, instances, prev_config, model, distance=None):
+    """The joint-state DP relaxing every pair of consecutive states, in
+    lexicographic predecessor order: (cost, matrix, relaxations), for
+    checking solve_window_offline against."""
+    from mmcplace.core import ConfigurationMatrix
+    from mmcplace.costs import WindowCostEvaluator
+    from mmcplace.offline import _active_flags, _path, _slot_states
+
+    instances = sorted(instances, key=lambda i: i.id)
+    layers = _slot_states(_active_flags(window, instances), model.K)
+    ev = WindowCostEvaluator(window, instances, model, prev_config, distance)
+    relax = 0
+    best = {ev.prior: 0.0}
+    links = []
+    for t, layer in zip(window.slots, layers):
+        nxt, link = {}, {}
+        for state in layer:
+            local = ev.local(t, state)
+            cur = via = None
+            for prev_state, pcost in best.items():
+                relax += 1
+                cand = pcost + local + ev.transition(t, prev_state, state)
+                if cur is None or cand < cur or (
+                        cand == cur and _path(links, prev_state)
+                        < _path(links, via)):
+                    cur, via = cand, prev_state
+            nxt[state] = cur
+            link[state] = via
+        links.append(link)
+        best = nxt
+    end = cost = None
+    for state, c in best.items():
+        if end is None or c < cost or (
+                c == cost and _path(links, state) < _path(links, end)):
+            end, cost = state, c
+    matrix = ConfigurationMatrix(window, [i.id for i in instances])
+    for q, state in enumerate(_path(links, end)[1:]):
+        matrix.data[q, :] = state
+    return cost, matrix, relax
+
+
+def _differential_case(family, seed):
+    """A seeded random window for one cost family: K 2-4, M 1-3, T 1-3,
+    t0 1-2, with or without t0-1 placements."""
+    rng = np.random.default_rng([seed, ["linear", "polynomial", "backend",
+                                        "perturbed"].index(family)])
+    K, M = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    T, t0 = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    w = Window(t0, T)
+    insts = [ServiceInstance(
+        id=j, arrival_slot=(t0 if rng.random() < 0.5 else
+                            int(rng.integers(max(1, t0 - 1), t0 + T))),
+        max_lifetime=int(rng.integers(1, T + 2)),
+        local_demand=float(rng.uniform(0.5, 2.0)),
+        migration_demand=float(rng.uniform(0.5, 2.0)))
+        for j in range(1, M + 1)]
+    prev = None
+    if rng.random() < 0.6:
+        prev = {i.id: int(rng.integers(1, K + 1)) for i in insts
+                if i.arrival_slot <= t0 and rng.random() < 0.7}
+    distance = None
+    if family in ("linear", "perturbed"):
+        # tied rates: many placements cost exactly the same
+        kappa = float(rng.choice([0.0, 0.5]))
+        model = LinearCostModel(np.full(K + 1, 1.0), kappa, kappa, 1.0)
+        if family == "perturbed":
+            model = PerturbedCostModel(model, {
+                t: rng.uniform(-2.0, 0.5, K + 1)
+                for t in range(t0 - 1, w.end + 1)})
+    elif family == "polynomial":
+        ucoeffs = np.zeros((K + 1, 3))
+        ucoeffs[1:, 1:] = rng.uniform(0.2, 1.5, (K, 2))
+        model = PolynomialCostModel(ucoeffs, [(0, 0, 1, 0.5), (1, 0, 1, 0.2)])
+    else:
+        # capacity 1 under demands of 0.5-2: any two instances sharing an
+        # MMC, and some alone, cost inf
+        model = MmcBackendCostModel(K=K, capacity=1.0, backend_local_rate=3.0,
+                                    backend_migration_rate=2.0,
+                                    distance_local_weight=0.3,
+                                    distance_migration_weight=0.2)
+        distance = DistanceContext(
+            user_cell_of=lambda iid, t: 1 + (iid * 7 + t) % max(1, K - 1),
+            cloud_cell_distance=lambda k, c: abs(k - c) + 1,
+            cloud_pair_distance=lambda k, l: abs(k - l), backend=K)
+    return w, insts, prev, model, distance
+
+
+@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("family", ["linear", "polynomial", "backend",
+                                    "perturbed"])
+def test_dp_matches_unpruned_relaxation(family, seed):
+    """solve_window_offline equals the DP that relaxes every pair of
+    consecutive joint states: cost in float.hex, matrix and relaxations."""
+    w, insts, prev, model, distance = _differential_case(family, seed)
+    cost, matrix, relax = _unpruned_dp(w, insts, prev, model, distance)
+    dp = solve_window_offline(w, insts, prev, model, distance)
+    assert float(dp.cost).hex() == float(cost).hex()
+    assert dp.matrix == matrix
+    assert dp.relaxations == relax
