@@ -108,6 +108,12 @@ class CostModel:
 
     def w(self, k: int, l: int, t: int, y_from: float, y_to: float,
           z: float, s: float = 0.0) -> float:
+        """Migration cost of z moving from cloud k to cloud l into slot t.
+
+        Contract: w >= 0 (and 0 at z = 0). offline.solve_window_offline
+        stops scanning predecessors on it and raises ValueError when a
+        priced transition is negative.
+        """
         raise NotImplementedError
 
     def local_total(self, t: int, y, r) -> float:
@@ -551,8 +557,8 @@ class WindowCostEvaluator:
     ends' y from the table, aggregates only the boundary (z, s) with
     _moves and prices it with one migration_total call, so a state's
     loads are not recounted per neighbour and no array or SlotLoads is
-    made per pair. Nothing is kept per (t, prev, state) pair: a DP relaxes
-    each pair once, and a layer of n states has n^2 of them.
+    made per pair. Nothing is kept per (t, prev, state) pair: a DP prices
+    each pair at most once, and a layer of n states has n^2 of them.
     """
 
     def __init__(self, window: Window, instances: list[ServiceInstance],

@@ -9,6 +9,17 @@ evaluator's prior, the joint state at t0-1. Ties in cost resolve to the
 lexicographically smallest per-slot state path: on an exact tie both
 candidates' paths are rebuilt and compared, so no path is copied per
 relaxation.
+
+Each layer's predecessors are ranked once by their best cost, and each
+state walks them cheapest first, stopping at the first one whose cost
+plus the state's local cost already exceeds the best candidate found.
+The stop is exact: every cost family's w is nonnegative, so W >= 0, and
+IEEE addition is monotone, so no later predecessor's (cost + local) + W
+can fall below or tie the best. The minimum over (cost, path) does not
+depend on the visiting order, so the costs, the tie-break and the
+back-pointers are those of relaxing every pair. relaxations counts
+every pair of consecutive states all the same; priced counts the
+transitions actually priced.
 """
 
 from __future__ import annotations
@@ -38,7 +49,8 @@ class StateBudgetExceeded(Exception):
 class OfflineSolution:
     matrix: ConfigurationMatrix
     cost: float
-    relaxations: int
+    relaxations: int     # pairs of consecutive states the DP covers
+    priced: int          # transitions it actually priced, <= relaxations
 
 
 def _active_flags(window: Window, instances: list[ServiceInstance]):
@@ -67,7 +79,12 @@ def solve_window_offline(window: Window, instances: list[ServiceInstance],
     Ties in total cost resolve to the lexicographically smallest per-slot
     state path. Raises StateBudgetExceeded before doing exponential work:
     above state_budget joint states in a slot, or above RELAXATION_BUDGET
-    relaxations (|L_1| + sum of |L_q-1| |L_q|, the count it reports).
+    relaxations (|L_1| + sum of |L_q-1| |L_q|, the count it reports as
+    relaxations). Each state walks the previous layer cheapest first and
+    stops once a predecessor's cost plus the state's local cost exceeds
+    the best candidate: priced reports the transitions priced before
+    those stops. The stop needs W >= 0, so a negative priced W raises
+    ValueError instead of returning a wrong optimum.
     """
     instances = sorted(instances, key=lambda i: i.id)
     K = model.K
@@ -81,18 +98,27 @@ def solve_window_offline(window: Window, instances: list[ServiceInstance],
     layers = _slot_states(active, K)
 
     ev = WindowCostEvaluator(window, instances, model, prev_config, distance)
-    relax = 0
+    priced = 0
     best: dict = {ev.prior: 0.0}   # state -> cost of the cheapest path to it
     links: list = []     # links[q][state] = predecessor of layer q's state
     for t, layer in zip(window.slots, layers):
         nxt: dict = {}
         link: dict = {}
+        ranked = sorted(best, key=best.__getitem__)
         for state in layer:
             local = ev.local(t, state)
             cur = via = None
-            for prev_state, pcost in best.items():
-                relax += 1
-                cand = pcost + local + ev.transition(t, prev_state, state)
+            for prev_state in ranked:
+                base = best[prev_state] + local
+                if cur is not None and base > cur:
+                    break            # W >= 0: no later predecessor can win
+                priced += 1
+                W = ev.transition(t, prev_state, state)
+                if W < 0:
+                    raise ValueError(
+                        f"migration cost {W} < 0 into slot {t}: the DP "
+                        "needs w >= 0 (CostModel.w)")
+                cand = base + W
                 if cur is None or cand < cur or (
                         cand == cur and _path(links, prev_state)
                         < _path(links, via)):
@@ -110,7 +136,8 @@ def solve_window_offline(window: Window, instances: list[ServiceInstance],
     matrix = ConfigurationMatrix(window, [i.id for i in instances])
     for q, state in enumerate(_path(links, end)[1:]):
         matrix.data[q, :] = state
-    return OfflineSolution(matrix=matrix, cost=cost, relaxations=relax)
+    return OfflineSolution(matrix=matrix, cost=cost, relaxations=pairs,
+                           priced=priced)
 
 
 def _path(links, state):

@@ -385,7 +385,8 @@ def _differential_case(family, seed):
                 if i.arrival_slot <= t0 and rng.random() < 0.7}
     distance = None
     if family in ("linear", "perturbed"):
-        # tied rates: many placements cost exactly the same
+        # tied rates: many placements cost the same, exactly or up to
+        # the order in which their demands are summed
         kappa = float(rng.choice([0.0, 0.5]))
         model = LinearCostModel(np.full(K + 1, 1.0), kappa, kappa, 1.0)
         if family == "perturbed":
@@ -422,3 +423,67 @@ def test_dp_matches_unpruned_relaxation(family, seed):
     assert float(dp.cost).hex() == float(cost).hex()
     assert dp.matrix == matrix
     assert dp.relaxations == relax
+    assert dp.priced <= dp.relaxations
+
+
+def test_walk_goes_past_predecessors_tied_with_the_best():
+    """Tied rates sum the same demands in different orders, so the joint
+    states' costs differ in the last bits. Here a predecessor whose cost
+    plus the state's local cost equals the best candidate so far still
+    wins through a move-free transition and the tie-break: the walk
+    stops only strictly above the best."""
+    model = LinearCostModel(np.full(5, 1.0), 0.5, 0.5, 1.0)
+    insts = [ServiceInstance(id=1, arrival_slot=2, max_lifetime=1,
+                             local_demand=1.0626039337332007),
+             ServiceInstance(id=2, arrival_slot=1, max_lifetime=2,
+                             local_demand=1.467397054182466),
+             ServiceInstance(id=3, arrival_slot=2, max_lifetime=2,
+                             local_demand=1.307445855475807)]
+    w = Window(2, 2)
+    cost, matrix, relax = _unpruned_dp(w, insts, None, model)
+    dp = solve_window_offline(w, insts, None, model)
+    assert float(dp.cost).hex() == float(cost).hex()
+    assert dp.matrix == matrix
+    assert matrix.data.tolist() == [[1, 1, 1], [0, 0, 1]]
+
+def test_wide_layer_prices_a_third_of_its_pairs():
+    """243 joint states per slot (K = 3, five instances, two slots): the
+    ranked predecessor walk stops early for most states, so the DP prices
+    under 40% of the K^5 + K^10 pairs it reports as relaxations."""
+    rng = np.random.default_rng(5)
+    K, M = 3, 5
+    ucoeffs = np.zeros((K + 1, 3))
+    ucoeffs[1:, 1] = rng.uniform(0.2, 2.0, K)
+    ucoeffs[1:, 2] = rng.uniform(0.0, 1.0, K)
+    model = PolynomialCostModel(ucoeffs, [(0, 0, 1, 0.6), (0, 0, 2, 0.2)])
+    insts = [ServiceInstance(id=j, arrival_slot=4,
+                             local_demand=float(rng.uniform(0.3, 1.0)),
+                             migration_demand=float(rng.uniform(0.3, 1.0)))
+             for j in range(1, M + 1)]
+    sol = solve_window_offline(Window(4, 2), insts, {1: 2, 3: 1, 4: 3},
+                               model)
+    assert sol.relaxations == K ** M + (K ** M) ** 2
+    assert sol.priced < 0.4 * sol.relaxations
+
+
+def test_negative_migration_cost_raises():
+    """The early stop relies on w >= 0. A model whose w is a shipped
+    family's negated makes the DP raise, not return a wrong optimum."""
+    from mmcplace.costs import CostModel
+
+    class NegatedW(CostModel):
+        def __init__(self, base):
+            self.base = base
+            self.K = base.K
+
+        def u(self, k, t, y, r=0.0):
+            return self.base.u(k, t, y, r)
+
+        def w(self, k, l, t, y_from, y_to, z, s=0.0):
+            return -self.base.w(k, l, t, y_from, y_to, z, s)
+
+    model = NegatedW(LinearCostModel([0, 1.0, 2.0, 3.0], 0.5, 0.5, 1.0))
+    insts = [ServiceInstance(id=1, arrival_slot=1),
+             ServiceInstance(id=2, arrival_slot=2)]
+    with pytest.raises(ValueError, match="w >= 0"):
+        solve_window_offline(Window(2, 2), insts, {1: 1}, model)
