@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 class ConfigError(Exception):

@@ -72,26 +72,27 @@ def _slot_states(active, K: int):
 def solve_window_offline(window: Window, instances: list[ServiceInstance],
                          prev_config: dict[int, int] | None,
                          model: CostModel,
-                         distance: DistanceContext | None = None,
-                         state_budget: int = DEFAULT_STATE_BUDGET) -> OfflineSolution:
+                         distance: DistanceContext | None = None
+                         ) -> OfflineSolution:
     """Minimum-cost placement matrix for one window, exactly.
 
     Ties in total cost resolve to the lexicographically smallest per-slot
     state path. Raises StateBudgetExceeded before doing exponential work:
-    above state_budget joint states in a slot, or above RELAXATION_BUDGET
-    relaxations (|L_1| + sum of |L_q-1| |L_q|, the count it reports as
-    relaxations). Each state walks the previous layer cheapest first and
-    stops once a predecessor's cost plus the state's local cost exceeds
-    the best candidate: priced reports the transitions priced before
-    those stops. The stop needs W >= 0, so a negative priced W raises
-    ValueError instead of returning a wrong optimum.
+    above DEFAULT_STATE_BUDGET joint states in a slot, or above
+    RELAXATION_BUDGET relaxations (|L_1| + sum of |L_q-1| |L_q|, the count
+    it reports as relaxations), both module constants read at call time.
+    Each state walks the previous layer cheapest first and stops once a
+    predecessor's cost plus the state's local cost exceeds the best
+    candidate: priced reports the transitions priced before those stops.
+    The stop needs W >= 0, so a negative priced W raises ValueError
+    instead of returning a wrong optimum.
     """
     instances = sorted(instances, key=lambda i: i.id)
     K = model.K
     active = _active_flags(window, instances)
     sizes = [K ** sum(flags) for flags in active]
-    if max(sizes) > state_budget:
-        raise StateBudgetExceeded(max(sizes), state_budget)
+    if max(sizes) > DEFAULT_STATE_BUDGET:
+        raise StateBudgetExceeded(max(sizes), DEFAULT_STATE_BUDGET)
     pairs = sum(a * b for a, b in zip([1] + sizes, sizes))
     if pairs > RELAXATION_BUDGET:
         raise StateBudgetExceeded(pairs, RELAXATION_BUDGET, "relaxations")

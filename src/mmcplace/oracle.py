@@ -40,11 +40,14 @@ class BruteForceSolution:
 def brute_force_offline(window: Window, instances: list[ServiceInstance],
                         prev_config: dict[int, int] | None,
                         model: CostModel,
-                        distance: DistanceContext | None = None,
-                        budget: int = DEFAULT_ENUM_BUDGET) -> BruteForceSolution:
+                        distance: DistanceContext | None = None
+                        ) -> BruteForceSolution:
     """Exact minimum over the Cartesian product of per-instance sequences.
 
     Tie-break matches the DP solver: smallest (cost, per-slot state path).
+    Raises EnumerationBudgetExceeded, before listing any sequence, when
+    the candidate matrices outnumber DEFAULT_ENUM_BUDGET (read at call
+    time, as in gap_constants).
     """
     instances = sorted(instances, key=lambda i: i.id)
     K = model.K
@@ -52,9 +55,10 @@ def brute_force_offline(window: Window, instances: list[ServiceInstance],
     for inst in instances:
         span = inst.active_span(window)
         total *= 1 if span is None else K ** (span[1] - span[0] + 1)
-        if total > budget:
+        if total > DEFAULT_ENUM_BUDGET:
             raise EnumerationBudgetExceeded(
-                f"{total}+ candidate matrices exceeds budget {budget}")
+                f"{total}+ candidate matrices exceeds budget "
+                f"{DEFAULT_ENUM_BUDGET}")
     seq_sets = [feasible_sequences(i, window, K) for i in instances]
     ev = WindowCostEvaluator(window, instances, model, prev_config, distance)
     best = None
@@ -120,11 +124,7 @@ def _water_fill(d: np.ndarray, model: CostModel) -> np.ndarray:
         caps[capped] = model.capacity * (1.0 - 1e-12)
 
     def alloc(mu):
-        ys = model.inv_marginal_array(mu, caps)
-        total = np.zeros(n)
-        for k in range(K):
-            total += ys[:, k]
-        return total
+        return np.cumsum(model.inv_marginal_array(mu, caps), axis=1)[:, -1]
 
     lo = np.zeros(n)
     hi = np.ones(n)
@@ -158,9 +158,7 @@ def _water_fill(d: np.ndarray, model: CostModel) -> np.ndarray:
     block[:, 0] = 0.0
     block[:, 1:] = ys
     u = model.u_array(slots, block, zero)
-    cost = np.zeros(n)
-    for k in range(1, K + 1):
-        cost += u[:, k]
+    cost = np.cumsum(u[:, 1:], axis=1)[:, -1]
     cost[spill] = math.inf
     return cost
 

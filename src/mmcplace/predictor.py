@@ -128,15 +128,15 @@ class CostOracle:
         """Cost model seen by a planner deciding at the start of window.
 
         The noise pattern is drawn once for the window; each slot scales
-        it by its own epsilon, exactly as offsets(t0, t) does.
+        it by its own epsilon, exactly as offsets(t0, t) does. With every
+        epsilon 0 the window sees the actual model itself.
         """
         eps = {t: self.bound.epsilon(t - t0) if t >= t0 else 0.0
                for t in window.slots}
         if all(e <= 0 for e in eps.values()):
             return self.actual
         pattern = self._pattern(t0)
-        offs = {t: self._slot_offsets(pattern, e) for t, e in eps.items()}
-        if all(not off.any() for off in offs.values()):
-            return self.actual
-        return PerturbedCostModel(self.actual, offs)
+        return PerturbedCostModel(
+            self.actual,
+            {t: self._slot_offsets(pattern, e) for t, e in eps.items()})
 

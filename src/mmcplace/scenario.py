@@ -49,7 +49,6 @@ class HexTopology:
         self.anchor_lon = anchor_lon
         self.backend = len(cells) + 1
         self.K = len(cells) + 1
-        self._axial = {c.id: (c.q, c.r) for c in cells}
         self._xy = np.array([[c.x, c.y] for c in cells])
         # circumradius: farthest in-cell point from the center
         self.cell_radius_m = spacing_m / math.sqrt(3.0)
@@ -97,7 +96,7 @@ class HexTopology:
 
     def hex_distance(self, c1: int, c2: int) -> int:
         """Hop count between two cells on the grid."""
-        if c1 not in self._axial or c2 not in self._axial:
+        if not (0 < c1 < self.backend and 0 < c2 < self.backend):
             raise KeyError(f"unknown cell id in ({c1}, {c2})")
         return int(self.hops[c1, c2])
 
@@ -121,13 +120,13 @@ class HexTopology:
 
 
 def ingest_trace(records, topology: HexTopology, horizon: int,
-                 slot_seconds: float = 60.0, staleness: float = 600.0,
-                 origin: float | None = None):
+                 slot_seconds: float = 60.0, staleness: float = 600.0):
     """Slot-quantized user activity from (user_id, timestamp, lat, lon) rows.
 
-    Slot s (1-based) is evaluated at origin + (s-1)*slot_seconds; a user
-    is active there when their latest in-coverage fix is at most
-    `staleness` seconds old, and sits in that fix's cell. Users active in
+    Slot s (1-based) is evaluated at origin + (s-1)*slot_seconds, where
+    origin is the earliest well-formed fix, in coverage or not (0 when
+    there is none); a user is active there when their latest in-coverage
+    fix is at most `staleness` seconds old, and sits in that fix's cell. Users active in
     at least one slot become rows 1..N in ascending trace-id order; the
     others take no row. Returns (cells array, skipped malformed-record
     count).
@@ -145,9 +144,8 @@ def ingest_trace(records, topology: HexTopology, horizon: int,
             skipped += 1
             continue
         by_user.setdefault(uid, []).append((ts, lat, lon))
-    if origin is None:
-        all_ts = [ts for fixes in by_user.values() for ts, _, _ in fixes]
-        origin = min(all_ts) if all_ts else 0.0
+    all_ts = [ts for fixes in by_user.values() for ts, _, _ in fixes]
+    origin = min(all_ts) if all_ts else 0.0
     rows = [[0] * (horizon + 2)]
     for _uid, fixes in sorted(by_user.items()):
         fixes.sort(key=lambda f: f[0])

@@ -1,9 +1,11 @@
+import dataclasses
 import os
+from pathlib import Path
 
 import pytest
 
 from mmcplace.cli import main
-from mmcplace.config import ScenarioConfig, serialize_config
+from mmcplace.config import ScenarioConfig, parse_config, serialize_config
 
 
 def small_ini(tmp_path, **kw):
@@ -201,3 +203,47 @@ def test_docstring_lists_every_subcommand():
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert listed == list(sub.choices)
+
+
+def _desk_variant(tmp_path, **kw):
+    """configs/desk.ini with the given fields replaced."""
+    desk = Path(__file__).resolve().parent.parent / "configs" / "desk.ini"
+    p = tmp_path / "variant.ini"
+    p.write_text(serialize_config(
+        dataclasses.replace(parse_config(str(desk)), **kw)))
+    return str(p)
+
+
+@pytest.mark.parametrize("variant", [
+    dict(n_cells=1), dict(n_cells=2), dict(n_users=0),
+    dict(local_demand=0.0), dict(local_demand=5.0), dict(local_demand=6.0),
+    dict(capacity=0.5), dict(lifetime=3.0), dict(T_max=1),
+    dict(migration_demand=0.0), dict(mobility="trace"),
+], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()))
+def test_edge_inputs_run_to_completion(tmp_path, capsys, variant):
+    """Desk variants at the edges (one or two cells, no users, demand 0,
+    at or above capacity, a capacity below the demand, finite lifetimes,
+    T_max = 1, no migration demand, a 0-byte trace) run simulate and
+    sweep-window to exit 0 with no traceback, and write one results row
+    per policy and slot, one summary row per policy and one sweep row per
+    cell. No users and a 0-byte trace both cost 0 in every slot."""
+    empty = variant.get("n_users") == 0 or "mobility" in variant
+    if variant.get("mobility") == "trace":
+        (tmp_path / "empty.csv").write_bytes(b"")
+        variant = dict(variant, trace_file=str(tmp_path / "empty.csv"))
+    config = _desk_variant(tmp_path, **variant)
+    for slots in (20, 1):
+        out = tmp_path / f"sim{slots}"
+        assert main(["simulate", "--config", config, "--slots", str(slots),
+                     "--out-dir", str(out)]) == 0
+        results = (out / "results.csv").read_text().splitlines()
+        assert len(results) == 1 + 5 * slots
+        if empty:
+            assert {row.split(",")[2] for row in results[1:]} == {"0"}
+        assert len((out / "summary.csv").read_text().splitlines()) == 1 + 5
+    out = tmp_path / "sweep"
+    assert main(["sweep-window", "--config", config, "--T-range", "1:2",
+                 "--seeds", "1", "--out-dir", str(out)]) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 2 * 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err

@@ -93,11 +93,14 @@ def test_dp_tie_break_matches_enumeration_on_tied_costs(seed, dear_end):
     assert dp.relaxations == K ** M + (T - 1) * K ** (2 * M)
 
 
-def test_state_budget_guard():
+def test_state_budget_guard(monkeypatch):
+    from mmcplace import offline
+
     w = Window(1, 2)
     insts = [ServiceInstance(id=j, arrival_slot=1) for j in range(1, 8)]
+    monkeypatch.setattr(offline, "DEFAULT_STATE_BUDGET", 1000)
     with pytest.raises(StateBudgetExceeded):
-        solve_window_offline(w, insts, None, mmc(K=10), state_budget=1000)
+        solve_window_offline(w, insts, None, mmc(K=10))
 
 
 def test_wide_layer_memory_stays_per_state():
@@ -202,9 +205,6 @@ def test_budget_guards_raise_before_enumerating(monkeypatch):
     long_one = ServiceInstance(id=1, arrival_slot=1)
     with pytest.raises(EnumerationBudgetExceeded):
         brute_force_offline(w, [long_one], None, mmc(K=10))
-    with pytest.raises(StateBudgetExceeded) as info:
-        solve_window_offline(w, [long_one], None, mmc(K=10), state_budget=9)
-    assert info.value.required == 10
     crowd = [long_one] + [ServiceInstance(id=j, arrival_slot=1,
                                           max_lifetime=1)
                           for j in range(2, 8)]
@@ -213,6 +213,10 @@ def test_budget_guards_raise_before_enumerating(monkeypatch):
     assert info.value.required == 10 ** 7
     with pytest.raises(EnumerationBudgetExceeded):
         brute_force_offline(w, crowd, None, mmc(K=10))
+    monkeypatch.setattr(offline, "DEFAULT_STATE_BUDGET", 9)
+    with pytest.raises(StateBudgetExceeded) as info:
+        solve_window_offline(w, [long_one], None, mmc(K=10))
+    assert info.value.required == 10
 
 
 def test_relaxation_guard_raises_before_enumerating(monkeypatch):

@@ -1147,6 +1147,99 @@ def test_whole_run_ledger_stays_fresh_on_the_linear_family(case):
                           grid_distance(oracle.actual.K))
 
 
+@st.composite
+def _invariant_run(draw):
+    """A tiny whole run for the run invariants: K 2..6, 1..8 instances, a
+    horizon of at most 12 slots, windows of 1..horizon slots, finite and
+    infinite lifetimes with or without a departure, and local demands up
+    to 4 against MMC capacities of 1..4, so some exceed capacity. The
+    capacity/backend family runs with a line topology, the linear family
+    (generic DP) without one; noise is off or PowerLawErrorBound(0.2, 1.1).
+    Migration demands are positive: a zero one next to a full MMC is
+    test_zero_migration_demand_keeps_the_backend_route's case."""
+    K = draw(st.integers(2, 6))
+    horizon = draw(st.integers(1, 12))
+    insts = []
+    for j in range(1, draw(st.integers(1, 8)) + 1):
+        arrival = draw(st.integers(1, horizon))
+        insts.append(ServiceInstance(
+            id=j, arrival_slot=arrival,
+            max_lifetime=draw(st.just(math.inf) | st.integers(1, horizon)),
+            actual_departure_slot=draw(st.none()
+                                       | st.integers(arrival, horizon)),
+            local_demand=draw(st.sampled_from((0.0, 0.5, 1.0, 2.5, 4.0))),
+            migration_demand=draw(st.sampled_from((0.5, 1.0, 2.5)))))
+    if draw(st.booleans()):
+        model = LinearCostModel([0.0] + [1.0 + k % 3 for k in range(K)],
+                                0.5, 0.5, 1.0)
+        distance = None
+    else:
+        model = MmcBackendCostModel(
+            K=K, capacity=draw(st.sampled_from((1.0, 2.0, 3.0, 4.0))),
+            backend_local_rate=3.0, backend_migration_rate=3.0,
+            distance_local_weight=0.2, distance_migration_weight=0.1)
+        distance = grid_distance(K)
+    bound = draw(st.sampled_from((ZERO_BOUND, PowerLawErrorBound(0.2, 1.1))))
+    oracle = CostOracle(model, bound, seed=draw(st.integers(0, 2 ** 16)))
+    return horizon, draw(st.integers(1, horizon)), insts, oracle, distance
+
+
+@given(_invariant_run())
+@settings(max_examples=150, deadline=None)
+def test_whole_runs_keep_the_placement_invariants(case):
+    """Through whole runs of the fast and generic online DPs, every slot
+    places exactly the instances present there, each on a cloud in 1..K;
+    the migration count of slot t is the number of instances placed at
+    t-1 and t on different clouds, and every actual cost is finite. Where
+    K^M <= 300, so that no joint-state layer pair is slow to relax, every
+    offline window matrix is valid for its columns, fills every slot its
+    columns are present in, and costs finitely."""
+    from mmcplace.core import validate_configuration
+    from mmcplace.offline import run_offline
+
+    horizon, T, insts, oracle, distance = case
+    K = oracle.actual.K
+    run = run_online(horizon, T, insts, oracle, distance)
+    for t in range(1, horizon + 1):
+        placed = run.placements[t]
+        assert set(placed) == {i.id for i in insts
+                               if i.arrival_slot <= t <= i.last_slot}
+        assert all(1 <= k <= K for k in placed.values())
+        before = run.placements.get(t - 1, {})
+        assert run.migrations_by_slot[t] == sum(
+            iid in before and before[iid] != k for iid, k in placed.items())
+        assert math.isfinite(run.actual_by_slot[t])
+    if K ** len(insts) > 300:
+        return
+    solutions, actual = run_offline(horizon, T, insts, oracle, distance)
+    by_id = {i.id: i for i in insts}
+    for sol in solutions:
+        columns = [by_id[iid] for iid in sol.matrix.instance_ids]
+        assert validate_configuration(sol.matrix, columns) is None
+        for inst in columns:
+            for t in sol.matrix.window.slots:
+                if inst.arrival_slot <= t <= inst.last_slot:
+                    assert sol.matrix.get(inst.id, t) != 0
+        assert math.isfinite(sol.cost)
+    assert all(math.isfinite(c) for c in actual.values())
+
+
+@pytest.mark.xfail(strict=True, reason="the fast DP's hop is b * (R_from + "
+                   "R_to): at b = 0 a full MMC's inf gives NaN, where "
+                   "MmcBackendCostModel.w(z <= 0) is 0, and NaN routes win "
+                   "argmin")
+def test_zero_migration_demand_keeps_the_backend_route():
+    """An instance whose local demand fills an MMC and whose migration
+    demand is 0 has a finite route, the backend in both slots (3 + 3), so
+    the run must not saturate onto an MMC at its capacity."""
+    model = mmc(K=3, Y=1.0)
+    inst = ServiceInstance(id=1, arrival_slot=1, local_demand=1.0,
+                           migration_demand=0.0)
+    run = run_online(2, 2, [inst], CostOracle(model, ZERO_BOUND))
+    assert run.saturated_events == 0
+    assert run.actual_by_slot == {1: 3.0, 2: 3.0}
+
+
 class _TighteningOracle:
     """oracle's predictions, with the capacity/backend model's capacity
     cut to `capacity` in every window that starts after slot 1."""

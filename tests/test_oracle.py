@@ -19,7 +19,9 @@ def mmc(K=3, Y=5.0):
                                backend_migration_rate=3.0)
 
 
-def test_brute_force_deterministic_and_budgeted():
+def test_brute_force_deterministic_and_budgeted(monkeypatch):
+    from mmcplace import oracle
+
     w = Window(1, 2)
     insts = [ServiceInstance(id=j, arrival_slot=1) for j in (1, 2)]
     model = mmc()
@@ -28,8 +30,9 @@ def test_brute_force_deterministic_and_budgeted():
     assert a.cost == b.cost
     assert np.array_equal(a.matrix.data, b.matrix.data)
     assert a.evaluated == (3 ** 2) ** 2
+    monkeypatch.setattr(oracle, "DEFAULT_ENUM_BUDGET", 10)
     with pytest.raises(EnumerationBudgetExceeded):
-        brute_force_offline(w, insts, None, model, budget=10)
+        brute_force_offline(w, insts, None, model)
 
 
 def grid_min(total, model, n=4000):
@@ -220,8 +223,9 @@ def test_gap_constants_price_the_window_start_from_prev_config():
 
 def test_gap_constants_refuse_an_enumeration_over_budget(monkeypatch):
     """One instance over a 3-slot window on K = 3 has 27 feasible
-    sequences: with the budget at 10, gap_constants raises before it
-    lists any sequence, and at 27 it runs."""
+    sequences: with the budget at 10, gap_constants and
+    brute_force_offline both raise before they list any sequence, and at
+    27 both run. Each reads the budget when called."""
     from mmcplace import oracle
     from mmcplace.core import ConfigurationMatrix
 
@@ -242,7 +246,10 @@ def test_gap_constants_refuse_an_enumeration_over_budget(monkeypatch):
     monkeypatch.setattr(oracle, "DEFAULT_ENUM_BUDGET", 10)
     with pytest.raises(EnumerationBudgetExceeded):
         gap_constants(model, w, insts, y, z, y, z)
+    with pytest.raises(EnumerationBudgetExceeded):
+        brute_force_offline(w, insts, None, model)
     assert listed == []
     monkeypatch.setattr(oracle, "DEFAULT_ENUM_BUDGET", 27)
     phi, _psi = gap_constants(model, w, insts, y, z, y, z)
     assert phi >= 1.0 and len(listed) == 1
+    assert brute_force_offline(w, insts, None, model).evaluated == 27

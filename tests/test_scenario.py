@@ -115,7 +115,7 @@ def test_trace_ingestion_staleness():
         ("bad", "x", "y", "z"),
     ]
     cells, skipped = ingest_trace(rows, topo, horizon=20, slot_seconds=60.0,
-                                  staleness=600.0, origin=0.0)
+                                  staleness=600.0)
     assert skipped == 1
     # user 5 is the only user, so row 1
     assert cells.shape == (2, 22)
@@ -127,8 +127,7 @@ def test_trace_ingestion_staleness():
 
 def test_trace_out_of_coverage_dropped():
     topo = HexTopology.build(7)
-    cells, skipped = ingest_trace([(1, 0.0, 0.0, 0.0)], topo, horizon=5,
-                                  origin=0.0)
+    cells, skipped = ingest_trace([(1, 0.0, 0.0, 0.0)], topo, horizon=5)
     assert skipped == 0
     assert cells.shape == (1, 7)
     assert not cells.any()
