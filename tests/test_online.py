@@ -1147,6 +1147,133 @@ def test_whole_run_ledger_stays_fresh_on_the_linear_family(case):
                           grid_distance(oracle.actual.K))
 
 
+def _per_pair_generic_steps(instance, t, t_e, ledger):
+    """The generic step provider priced state by state: one
+    WindowCostEvaluator.local per joint state and one transition per
+    pair of states. online._generic_steps must equal it bit for bit."""
+    ev = WindowCostEvaluator(ledger.window, ledger.cols, ledger.model,
+                             distance=ledger.distance)
+    j = ledger.col[instance.id]
+    i, K = t - ledger.window.t0 + 1, ledger.K
+    joint = np.repeat(ledger.place[i:i + t_e - t + 1, None], K, axis=1)
+    joint[:, :, j] = np.arange(1, K + 1)
+    rows = [[tuple(state) for state in row] for row in joint.tolist()]
+    local = [np.array([ev.local(t + q, state) for state in row])
+             for q, row in enumerate(rows)]
+    before = tuple(ledger.place[i - 1].tolist())
+    first = local[0] + np.array([ev.transition(t, before, state)
+                                 for state in rows[0]])
+
+    def hop(q):
+        return np.array([[ev.transition(t + q, frm, to) for frm in rows[q - 1]]
+                         for to in rows[q]])
+
+    tail = None
+    if t_e + 1 <= ledger.window.end:
+        after = tuple(ledger.place[i + len(rows)].tolist())
+        tail = np.array([ev.transition(t_e + 1, state, after)
+                         for state in rows[-1]])
+    return first, local, hop, tail
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(
+        np.ascontiguousarray(got).view(np.int64),
+        np.ascontiguousarray(want).view(np.int64))
+
+
+def _generic_run_case(seed, family):
+    """Several windows whose arrivals take the generic DP: K 2..5 on a
+    line topology, demands like 0.1, 0.2 and 0.7 whose sums round
+    differently in another order, carried instances, departures and
+    finite lifetimes, with and without prediction noise. The
+    capacity/backend family runs in windows of 2 slots, with a predicted
+    capacity that drops to 0.15 after the first window, below the loads
+    left on its MMCs, so that arrivals next to those overloads take the
+    generic DP."""
+    from mmcplace.costs import PolynomialCostModel
+
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(2, 6))
+    horizon = 10
+    insts = []
+    for j in range(1, int(rng.integers(4, 9)) + 1):
+        arrival = int(rng.integers(1, horizon + 1))
+        life = int(rng.integers(1, 7)) if rng.random() < 0.4 else math.inf
+        departure = (min(horizon, arrival + int(rng.integers(0, 6)))
+                     if rng.random() < 0.5 else None)
+        insts.append(ServiceInstance(
+            id=j, arrival_slot=arrival, max_lifetime=life,
+            actual_departure_slot=departure,
+            local_demand=float(rng.choice(_DEMANDS)),
+            migration_demand=float(rng.choice(_DEMANDS))))
+    if family == "linear":
+        model = LinearCostModel(np.r_[0.0, rng.uniform(0.5, 2.0, K)],
+                                0.3, 0.2, 0.9)
+    elif family == "polynomial":
+        ucoeffs = np.zeros((K + 1, 4))
+        ucoeffs[1:, 1:] = rng.uniform(0.1, 1.0, (K, 3))
+        model = PolynomialCostModel(ucoeffs, [(0, 0, 1, 0.6), (1, 1, 1, 0.2),
+                                              (2, 0, 2, 0.1)])
+    else:
+        model = MmcBackendCostModel(K=K, capacity=2.0,
+                                    backend_local_rate=3.0,
+                                    backend_migration_rate=3.0,
+                                    distance_local_weight=0.2,
+                                    distance_migration_weight=0.1)
+    bound = PowerLawErrorBound(0.3, 1.1) if seed % 2 else ZERO_BOUND
+    oracle = CostOracle(model, bound, seed=seed)
+    T = int(rng.integers(2, 6))
+    if family == "capacity":
+        oracle, T = _TighteningOracle(oracle, 0.15), 2
+    return horizon, T, insts, oracle, grid_distance(K)
+
+
+@pytest.mark.parametrize("family", ["linear", "polynomial", "capacity"])
+@pytest.mark.parametrize("seed", range(8))
+def test_whole_run_generic_steps_equal_per_pair_pricing(family, seed):
+    """Through whole runs, every arrival's generic steps (first, each
+    local row, each hop and the tail) equal the per-pair reference's bit
+    for bit, and the run equals one routed by the reference: placements,
+    costs in float.hex, relaxations and saturation events."""
+    from mmcplace import online
+
+    horizon, T, insts, oracle, distance = _generic_run_case(seed, family)
+    generic = online._generic_steps
+    arrivals = []
+
+    def checked(instance, t, t_e, ledger):
+        steps = generic(instance, t, t_e, ledger)
+        first, local, hop, tail = _per_pair_generic_steps(instance, t, t_e,
+                                                          ledger)
+        assert _same_bits(steps[0], first)
+        assert len(steps[1]) == len(local)
+        for q in range(len(local)):
+            assert _same_bits(steps[1][q], local[q])
+        for q in range(1, len(local)):
+            assert _same_bits(steps[2](q), hop(q))
+        assert (steps[3] is None) == (tail is None)
+        if tail is not None:
+            assert _same_bits(steps[3], tail)
+        arrivals.append(t)
+        return steps
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(online, "_generic_steps", _per_pair_generic_steps)
+        want = run_online(horizon, T, insts, oracle, distance)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(online, "_generic_steps", checked)
+        got = run_online(horizon, T, insts, oracle, distance)
+    assert arrivals
+    assert got.placements == want.placements
+    assert ({t: c.hex() for t, c in got.actual_by_slot.items()}
+            == {t: c.hex() for t, c in want.actual_by_slot.items()})
+    assert got.migrations_by_slot == want.migrations_by_slot
+    assert got.relaxations_per_arrival == want.relaxations_per_arrival
+    assert got.saturated_events == want.saturated_events
+
+
 @st.composite
 def _invariant_run(draw):
     """A tiny whole run for the run invariants: K 2..6, 1..8 instances, a
