@@ -418,7 +418,7 @@ def placement_loads(t: int, instances, clouds, K: int,
     y, r = _occupancy(t, instances, clouds, K, distance)
     loads = SlotLoads(y=y, r=r)
     if before is not None:
-        loads.z, loads.s, loads.moved = _moves(instances, clouds, before, K,
+        loads.z, loads.s, loads.moved = _moves(instances, clouds, before,
                                                distance)
     return loads
 
@@ -437,7 +437,7 @@ def _occupancy(t, instances, clouds, K, distance):
     return y, r
 
 
-def _moves(instances, clouds, before, K, distance):
+def _moves(instances, clouds, before, distance):
     """The boundary half of placement_loads: (z, s, moved)."""
     z: dict = {}
     count: dict = {}
@@ -447,12 +447,23 @@ def _moves(instances, clouds, before, K, distance):
         key = (k, l)
         z[key] = z.get(key, 0.0) + inst.migration_demand
         count[key] = count.get(key, 0) + 1
-    s: dict = {}
-    if distance is not None:
-        pair = distance.pair_hops
-        s = {(k, l): float(pair[k, l]) * n for (k, l), n in count.items()
-             if k != distance.backend and l != distance.backend}
-    return z, s, sum(count.values())
+    return z, _pair_hops(count, distance), sum(count.values())
+
+
+def _add_move(z, count, key, demand):
+    """One move of `demand` over pair `key`, as _moves adds it."""
+    z[key] = z.get(key, 0.0) + demand
+    count[key] = count.get(key, 0) + 1
+
+
+def _pair_hops(count, distance):
+    """_moves' s: pair hops times moves per MMC-to-MMC pair, in count's
+    order; empty without a topology."""
+    if distance is None:
+        return {}
+    pair = distance.pair_hops
+    return {(k, l): float(pair[k, l]) * n for (k, l), n in count.items()
+            if k != distance.backend and l != distance.backend}
 
 
 def charge_placements(model: CostModel,
@@ -559,6 +570,14 @@ class WindowCostEvaluator:
     loads are not recounted per neighbour and no array or SlotLoads is
     made per pair. Nothing is kept per (t, prev, state) pair: a DP prices
     each pair at most once, and a layer of n states has n^2 of them.
+
+    The online DP's states differ in one column j only: price_column
+    fills the table for a slot's states from one walk over the other
+    columns' loads, and transitions prices a boundary's pairs from one
+    listing of the other columns' moves. Both add j's term at its turn
+    in instance order, so every sum adds the same terms in the same
+    order as _occupancy, _moves and migration_total do per state and
+    pair, and both equal local and transition bit for bit.
     """
 
     def __init__(self, window: Window, instances: list[ServiceInstance],
@@ -593,7 +612,7 @@ class WindowCostEvaluator:
         """Fill loads.z / loads.s for the boundary into slot t from
         prev_state, the joint state at t-1 (prior at the window start)."""
         loads.z, loads.s, loads.moved = _moves(
-            self.instances, state, prev_state, self.model.K, self.distance)
+            self.instances, state, prev_state, self.distance)
 
     def local(self, t: int, state: tuple[int, ...]) -> float:
         return self._price(t, state)[2]
@@ -604,10 +623,96 @@ class WindowCostEvaluator:
         if t <= 1:
             return 0.0
         y = self._price(t, state)[0]
-        z, s, _moved = _moves(self.instances, state, prev_state, self.model.K,
+        z, s, _moved = _moves(self.instances, state, prev_state,
                               self.distance)
         return self.model.migration_total(
             t, self._price(t - 1, prev_state)[0], y, z, s)
+
+    def price_column(self, t: int, states: list[tuple[int, ...]],
+                     j: int) -> list[float]:
+        """local(t, state) of each of `states`, joint states that agree
+        outside column j. Unpriced states enter the table with the y and
+        r that _occupancy gives them: each cloud sums the columns before
+        j, then j's load where the state puts it, then the later ones."""
+        K, distance = self.model.K, self.distance
+
+        def term(inst, k):
+            # (y, r) that a column adds to cloud k; r is None where
+            # _occupancy adds none
+            h = None
+            if distance is not None and k != distance.backend:
+                cell = distance.user_cell_of(inst.id, t) or 0
+                h = float(distance.cell_hops[cell, k])
+            return inst.local_demand, h
+
+        def add(yr, terms):
+            y, r = yr
+            for d, h in terms:
+                y += d
+                if h is not None:
+                    r += h
+            return y, r
+
+        head = [[] for _ in range(K + 1)]       # per cloud: terms before j
+        tail = [[] for _ in range(K + 1)]       # and after j
+        for col, (inst, k) in enumerate(zip(self.instances, states[0])):
+            if k and col != j:
+                (head if col < j else tail)[k].append(term(inst, k))
+        pre = [add((0.0, 0.0), head[k]) for k in range(K + 1)]
+        y_rest, r_rest = zip(*(add(pre[k], tail[k]) for k in range(K + 1)))
+        out = []
+        for state in states:
+            entry = self._priced.get((t, state))
+            if entry is None:
+                y, r, c = list(y_rest), list(r_rest), state[j]
+                if c:
+                    y[c], r[c] = add(pre[c], [term(self.instances[j], c),
+                                              *tail[c]])
+                y, r = tuple(y), tuple(r)
+                entry = (y, r, self.model.local_total(t, y, r))
+                self._priced[(t, state)] = entry
+            out.append(entry[2])
+        return out
+
+    def transitions(self, t: int, prevs: list[tuple[int, ...]],
+                    states: list[tuple[int, ...]],
+                    j: int) -> list[list[float]]:
+        """[l][k] = transition(t, prevs[k], states[l]), where prevs (at
+        t-1) and states (at t) are each joint states that agree outside
+        column j. The other columns' moves over the boundary are listed
+        once, split at j; each pair's z sums those before j, then j's
+        move, then those after j, in _moves' order, and is priced by one
+        migration_total call."""
+        if t <= 1:
+            return [[0.0] * len(prevs) for _ in states]
+        y_prev = [self._price(t - 1, p)[0] for p in prevs]
+        z0, n0 = {}, {}                  # z and move count before j
+        after = []                       # (pair, demand) after j
+        for col, (inst, l, k) in enumerate(zip(self.instances, states[0],
+                                               prevs[0])):
+            if l == 0 or k == 0 or k == l or col == j:
+                continue
+            if col < j:
+                _add_move(z0, n0, (k, l), inst.migration_demand)
+            else:
+                after.append(((k, l), inst.migration_demand))
+        b = self.instances[j].migration_demand
+        migration_total, distance = self.model.migration_total, self.distance
+        out = []
+        for state in states:
+            y, l = self._price(t, state)[0], state[j]
+            row = []
+            for prev, yp in zip(prevs, y_prev):
+                z, count = dict(z0), dict(n0)
+                k = prev[j]
+                if l and k and k != l:
+                    _add_move(z, count, (k, l), b)
+                for key, m in after:
+                    _add_move(z, count, key, m)
+                row.append(migration_total(t, yp, y, z,
+                                           _pair_hops(count, distance)))
+            out.append(row)
+        return out
 
     def path_cost(self, states: list[tuple[int, ...]]) -> float:
         """Window cost of a full per-slot state path (length T), from prior."""

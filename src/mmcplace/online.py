@@ -21,9 +21,12 @@ One DP recursion, _min_path, owns the min-plus step over the K clouds
 of each slot, the relaxation count, the saturation flag, backtracking
 and the tie-break. Two step providers price its steps and run no
 recursion of their own: _generic_steps evaluates full joint states for
-any cost model, and _fast_steps prices the capacity/backend family in
-vectorized form, where the migration cost is linear in the migration
-loads so per-candidate deltas reduce to row/column corrections. It takes
+any cost model, a slot's K states with one
+WindowCostEvaluator.price_column call and a boundary's K^2 pairs with
+one transitions call, each of which lists the frozen columns once; and
+_fast_steps prices the capacity/backend family in vectorized form,
+where the migration cost is linear in the migration loads so
+per-candidate deltas reduce to row/column corrections. It takes
 R and u from the model's array forms (MmcBackendCostModel.R_array and
 u_from_R), one stacked R over the arrival's loads without and with its
 own, and has no copy of those formulas. A step
@@ -113,14 +116,14 @@ class WindowLedger:
     before the window. place[i] is that slot's placement: place[0] is
     prev_config over the matrix columns and place[1:] is the window's
     matrix, whose data the ledger rebinds to that view when it is built.
-    y[i] and r[i] (i >= 1) equal WindowCostEvaluator.state_loads of a
-    slot's joint state, and y[0] that of the evaluator's prior: the whole
-    slot t0-1 map (r[0] stays zero; no cost reads it). zout[i] / zin[i]
-    hold, per MMC, the migration load that leaves / enters it in
-    MMC-to-MMC moves over the boundary into slot i, the per-cloud totals
-    of transition_loads' per-pair z (equal up to rounding: the pairs are
-    summed first there); moves[i] flags a nonzero zout[i], a frozen move
-    over that boundary. cell_row holds each column's user cell ids, 0
+    y[i] and r[i] (i >= 1) equal costs.placement_loads of a slot's joint
+    state, and y[0] that of WindowCostEvaluator.prior: the whole slot
+    t0-1 map (r[0] stays zero; no cost reads it). zout[i] / zin[i] hold,
+    per MMC, the migration load that leaves / enters it in MMC-to-MMC
+    moves over the boundary into slot i, the per-cloud totals of
+    costs._moves' per-pair z (equal up to rounding: the pairs are summed
+    first there); moves[i] flags a nonzero zout[i], a frozen move over
+    that boundary. cell_row holds each column's user cell ids, 0
     when unknown, looked up once for the slots from max(arrival slot, t0)
     to min(planned_end, window end), a column's only placeable slots; a
     column whose planned end is before t0 is not looked up. The ledger
@@ -327,8 +330,11 @@ def _generic_steps(instance, t, t_e, ledger):
 
     The frozen joint states are the ledger's placement rows (row 0 is slot
     t0-1). rows[q][k - 1], slot t+q's row with cloud k in the instance's
-    column, is built once; every step is priced by an evaluator over the
-    ledger's columns, model and distances.
+    column j, is built once. An evaluator over the ledger's columns, model
+    and distances prices each slot's K states with one price_column call
+    and each boundary's pairs with one transitions call, which list the
+    frozen columns once and add column j's term at its turn: the same
+    sums as local and transition per state and pair, bit for bit.
     """
     ev = WindowCostEvaluator(ledger.window, ledger.cols, ledger.model,
                              distance=ledger.distance)
@@ -337,24 +343,21 @@ def _generic_steps(instance, t, t_e, ledger):
     joint = np.repeat(ledger.place[i:i + t_e - t + 1, None], K, axis=1)
     joint[:, :, j] = np.arange(1, K + 1)
     rows = [[tuple(state) for state in row] for row in joint.tolist()]
-    local = [np.array([ev.local(t + q, state) for state in row])
+    local = [np.array(ev.price_column(t + q, row, j))
              for q, row in enumerate(rows)]
     # the frozen joint state at t-1 is the migration baseline
     before = tuple(ledger.place[i - 1].tolist())
-    first = local[0] + np.array([ev.transition(t, before, state)
-                                 for state in rows[0]])
+    first = local[0] + np.array(ev.transitions(t, [before], rows[0], j))[:, 0]
 
     def hop(q):
-        return np.array([[ev.transition(t + q, frm, to) for frm in rows[q - 1]]
-                         for to in rows[q]])
+        return np.array(ev.transitions(t + q, rows[q - 1], rows[q], j))
 
     tail = None
     if t_e + 1 <= ledger.window.end:
         # frozen migrations over the next boundary still feel the load we
         # leave behind at t_e
         after = tuple(ledger.place[i + len(rows)].tolist())
-        tail = np.array([ev.transition(t_e + 1, state, after)
-                         for state in rows[-1]])
+        tail = np.array(ev.transitions(t_e + 1, rows[-1], [after], j)[0])
     return first, local, hop, tail
 
 

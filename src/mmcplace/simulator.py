@@ -79,9 +79,13 @@ def build_scenario(config: ScenarioConfig, seed: int) -> BuiltScenario:
         cells, skipped = ingest_trace(records, topology, config.horizon,
                                       config.slot_seconds,
                                       config.staleness_seconds)
+        # at most one warning per trace: malformed rows, else an empty run
         if skipped:
             log.warning("trace %s: skipped %d malformed rows",
                         config.trace_file, skipped)
+        elif len(cells) == 1:                 # only the unused row 0
+            log.warning("trace %s: no user is active in any of the %d slots",
+                        config.trace_file, config.horizon)
     else:
         rng_mob = np.random.default_rng(
             np.random.SeedSequence(entropy=[seed, 101]))

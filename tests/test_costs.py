@@ -573,3 +573,164 @@ def test_transition_equals_the_numpy_formula_bit_for_bit(seed, family,
         got = ev.transition(t, prev_state, state)
         want = _numpy_transition(ev, t, prev_state, state)
         assert float(got).hex() == float(want).hex()
+
+
+# Column pricing: a DP step over column j prices K joint states that agree
+# outside j with one price_column call and their K^2 pairs with one
+# transitions call. Both must equal local and transition bit for bit.
+
+def _column_states(frozen, j, clouds):
+    """Joint states equal to `frozen` outside column j, one per cloud."""
+    return [frozen[:j] + (c,) + frozen[j + 1:] for c in clouds]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _assert_column_pricing(make_ev, t, prev_frozen, frozen, j, K,
+                           prev_first):
+    """price_column and transitions over every cloud 0..K of column j, on
+    one evaluator, against local and transition of a fresh one per
+    value; the table entries price_column fills (y, r and local) are
+    compared too. prev_first prices the t-1 states with price_column
+    before transitions reads them. Returns transitions' [l][k] rows."""
+    ev = make_ev()
+    clouds = range(K + 1)
+    states = _column_states(frozen, j, clouds)
+    prevs = _column_states(prev_frozen, j, clouds)
+    if prev_first:
+        assert _hex(ev.price_column(t - 1, prevs, j)) == _hex(
+            make_ev().local(t - 1, p) for p in prevs)
+    got = ev.price_column(t, states, j)
+    assert _hex(got) == _hex(make_ev().local(t, s) for s in states)
+    for state in states:
+        y, r, local = ev._price(t, state)
+        y0, r0, local0 = make_ev()._price(t, state)
+        assert _hex(y) == _hex(y0) and _hex(r) == _hex(r0)
+        assert float(local).hex() == float(local0).hex()
+    got = ev.transitions(t, prevs, states, j)
+    assert [_hex(row) for row in got] == [
+        _hex(make_ev().transition(t, p, s) for p in prevs) for s in states]
+    # one state on either side: a step's entry and its tail
+    assert [_hex(row) for row in ev.transitions(t, [prev_frozen], states,
+                                                 j)] == [
+        _hex([make_ev().transition(t, prev_frozen, s)]) for s in states]
+    assert _hex(ev.transitions(t, prevs, [frozen], j)[0]) == _hex(
+        make_ev().transition(t, p, frozen) for p in prevs)
+    return got
+
+
+def _column_model(family):
+    K = 3
+    if family == "linear":
+        return LinearCostModel([0.0, 1.0, 2.0, 3.0], 0.3, 0.2, 0.9)
+    if family == "capacity":
+        return MmcBackendCostModel(K=K, capacity=1.0, backend_local_rate=3.0,
+                                   backend_migration_rate=2.0,
+                                   distance_local_weight=0.2,
+                                   distance_migration_weight=0.1)
+    ucoeffs = np.zeros((K + 1, 3))
+    ucoeffs[1:, 1] = (0.3, 0.7, 1.1)
+    ucoeffs[1:, 2] = (0.5, 0.1, 0.9)
+    model = PolynomialCostModel(ucoeffs, [(0, 0, 1, 0.6), (1, 1, 1, 0.2),
+                                          (2, 0, 2, 0.1)])
+    if family == "perturbed":
+        model = PerturbedCostModel(model, {
+            1: np.array([0.0, -2.0, 0.5, -0.3]),
+            2: np.array([0.0, -1.7, -2.0, 0.4]),
+            3: np.array([0.0, 0.25, -0.6, -2.0])})
+    return model
+
+
+# Six columns. At t-1 column 0 sits on cloud 2, column 3 is not running
+# and the rest are on 1; at t column 0 is on 1, column 5 on 3 and the
+# rest on 2. So columns before and after a middle j move over 1 -> 2, the
+# pair j takes when it moves 1 -> 2, and the loads of cloud 2 at t sum
+# 0.1, 0.2 and 0.7 on both sides of j: adding j's terms out of instance
+# order changes bits.
+_COLUMN_LOCAL = (0.7, 0.1, 0.2, 0.7, 0.1, 0.2)
+_COLUMN_MIGRATION = (0.2, 0.1, 0.7, 0.2, 0.7, 0.1)
+_COLUMN_PREV = (2, 1, 1, 0, 1, 1)
+_COLUMN_NOW = (1, 2, 2, 2, 2, 3)
+
+
+@pytest.mark.parametrize("family", ["linear", "polynomial", "perturbed",
+                                    "capacity"])
+@pytest.mark.parametrize("j", [0, 2, 5])
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("with_distance", [True, False])
+def test_column_pricing_equals_per_state_and_per_pair_bit_for_bit(
+        family, j, t, with_distance):
+    """price_column equals local per state and transitions equals
+    transition per pair in float.hex, for column j first, in the middle
+    and last, at t = 1 (W = 0), at the window start t0 = 2 (the t-1
+    states are the prior row, from prev_config) and inside the window."""
+    model = _column_model(family)
+    distance = None
+    if with_distance:
+        distance = DistanceContext(
+            user_cell_of=lambda iid, t: 1 + (iid + t) % 2,
+            cloud_cell_distance=lambda k, c: abs(k - c) + 0.3 * k,
+            cloud_pair_distance=lambda k, l: abs(k - l) + 0.1 * l,
+            backend=3)
+    insts = [ServiceInstance(id=i + 1, arrival_slot=1, local_demand=a,
+                             migration_demand=b)
+             for i, (a, b) in enumerate(zip(_COLUMN_LOCAL,
+                                            _COLUMN_MIGRATION))]
+    prev_config = {i + 1: k for i, k in enumerate(_COLUMN_PREV) if k}
+
+    def make_ev():
+        return WindowCostEvaluator(Window(2, 2), insts, model, prev_config,
+                                   distance)
+
+    assert make_ev().prior == _COLUMN_PREV
+    for prev_first in (False, True):
+        got = _assert_column_pricing(make_ev, t, _COLUMN_PREV, _COLUMN_NOW,
+                                     j, model.K, prev_first)
+    flat = [v for row in got for v in row]
+    if t == 1:
+        assert set(flat) == {0.0}
+    else:
+        assert any(v > 0 for v in flat)
+    if family == "capacity":
+        loads = make_ev().price_column(t, _column_states(_COLUMN_NOW, j,
+                                                         range(4)), j)
+        assert math.inf in loads                # cloud 2 at or over capacity
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["linear", "polynomial", "backend", "perturbed"]),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_column_pricing_on_random_states_bit_for_bit(seed, family,
+                                                     with_distance):
+    """price_column and transitions on random frozen rows (clouds 0..K),
+    a random column j and slot t, equal local and transition of a fresh
+    evaluator in float.hex, for every cost family."""
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(2, 5))
+    model = _family(family, rng, K)
+    distance = None
+    if with_distance:
+        distance = DistanceContext(
+            user_cell_of=lambda iid, t: 1 + (iid + t) % (K - 1),
+            cloud_cell_distance=lambda k, c: abs(k - c) + 1,
+            cloud_pair_distance=lambda k, l: abs(k - l), backend=K)
+    demands = (0.1, 0.2, 0.4, 0.7, 1.0)
+    M = int(rng.integers(1, 8))
+    insts = [ServiceInstance(id=i, arrival_slot=1,
+                             local_demand=float(rng.choice(demands)),
+                             migration_demand=float(rng.choice(demands)))
+             for i in range(1, M + 1)]
+    prev_frozen, frozen = (tuple(rng.integers(0, K + 1, M).tolist())
+                           for _ in range(2))
+    prev_config = {i + 1: k for i, k in enumerate(prev_frozen) if k}
+
+    def make_ev():
+        return WindowCostEvaluator(Window(2, 3), insts, model, prev_config,
+                                   distance)
+
+    _assert_column_pricing(make_ev, int(rng.integers(1, 5)), prev_frozen,
+                           frozen, int(rng.integers(M)), K,
+                           bool(rng.integers(2)))

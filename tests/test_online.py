@@ -1274,6 +1274,54 @@ def test_whole_run_generic_steps_equal_per_pair_pricing(family, seed):
     assert got.saturated_events == want.saturated_events
 
 
+def test_generic_arrival_lists_the_frozen_columns_once_per_row(monkeypatch):
+    """One generic arrival over slots 3..6 of Window(2, 6) (K = 4, span 4,
+    five boundaries with the entry and the tail) next to six frozen
+    columns that move at every boundary: it aggregates moves with at
+    most one costs._moves call per boundary, not one per pair, and loads
+    with at most span + 2 costs._occupancy calls, one per row plus the
+    frozen rows t-1 and t_e+1. Its path and relaxations equal the
+    per-pair reference's."""
+    from mmcplace import costs, online
+
+    K = 4
+    model = LinearCostModel([0.0, 1.0, 1.5, 2.0, 2.5], 0.3, 0.2, 0.9)
+    w = Window(2, 6)
+    insts = [ServiceInstance(id=i, arrival_slot=1, local_demand=d,
+                             migration_demand=d)
+             for i, d in enumerate((0.1, 0.2, 0.7, 0.1, 0.2, 0.7, 0.4), 1)]
+    arriving = ServiceInstance(id=8, arrival_slot=3, max_lifetime=4,
+                               local_demand=0.2, migration_demand=0.7)
+    insts.insert(3, arriving)                 # a middle column
+    m = ConfigurationMatrix(w, [i.id for i in insts])
+    for n, inst in enumerate(insts):
+        if inst is not arriving:
+            m.set_column(inst.id, [1 + (n + q) % K for q in range(w.T)])
+    prev = {i.id: 1 + (n + 3) % K for n, i in enumerate(insts)
+            if i is not arriving}
+    t, span = 3, 4
+
+    def place(steps):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(online, "_generic_steps", steps)
+            return place_on_arrival(arriving, t, m, insts, model, prev)
+
+    calls = {"_moves": 0, "_occupancy": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(costs, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(costs, name, counted)
+    got = place(online._generic_steps)
+    counts = dict(calls)
+    monkeypatch.undo()
+    want = place(_per_pair_generic_steps)
+    assert counts["_moves"] <= span + 1
+    assert counts["_occupancy"] <= span + 2
+    assert got.relaxations == want.relaxations == K + K * K * (span - 1)
+    assert got.matrix == want.matrix
+
+
 @st.composite
 def _invariant_run(draw):
     """A tiny whole run for the run invariants: K 2..6, 1..8 instances, a

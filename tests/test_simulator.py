@@ -239,6 +239,27 @@ def test_malformed_trace_rows_are_counted_in_a_warning(tmp_path, caplog):
          f"trace {trace}: skipped 2 malformed rows")]
 
 
+@pytest.mark.parametrize("text", [
+    "", "user_id,timestamp,lat,lon\n",
+    "user_id,timestamp,lat,lon\n1,0,0.0,0.0\n1,60,0.0,0.001\n",
+], ids=["0-byte", "header-only", "out-of-coverage"])
+def test_trace_with_no_active_user_warns(tmp_path, caplog, text):
+    """A trace that yields no user active in any slot (a 0-byte file, a
+    header alone, fixes all out of coverage) runs as an empty scenario
+    that costs 0 in every slot, with one warning that says so."""
+    trace = tmp_path / "empty.csv"
+    trace.write_text(text)
+    with caplog.at_level(logging.WARNING, logger="mmcplace"):
+        scn, results = _all_policies(small_config(mobility="trace",
+                                                  trace_file=str(trace)))
+    assert scn.instances == []
+    for res in results:
+        assert res.slot_costs == {t: 0.0 for t in range(1, 31)}
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("mmcplace.simulator", logging.WARNING,
+         f"trace {trace}: no user is active in any of the 30 slots")]
+
+
 @pytest.mark.parametrize("overrides", [dict(horizon=3, window_T=10),
                                        dict(n_cells=1)])
 def test_edge_short_horizon_and_single_cell_are_finite(overrides):
