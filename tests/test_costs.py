@@ -395,7 +395,8 @@ def _hand_maps():
     """K = 4 (backend 4), capacity 2. Slot 3 is absent, so slot 4 has no
     y(t-1); instance 4 moves with migration demand 0; MMC 2 is at capacity
     in slot 2 and over it in slot 5, where a move into it costs inf too;
-    slot 8 moves into and out of the backend."""
+    slot 8 moves into and out of the backend; into slot 10, instance 4
+    moves 1 -> 3 first in the map, then 1 and 3 (3 over the same pair)."""
     insts = [ServiceInstance(id=1, arrival_slot=1, local_demand=1.5,
                              migration_demand=0.7),
              ServiceInstance(id=2, arrival_slot=1, local_demand=0.5,
@@ -412,6 +413,8 @@ def _hand_maps():
         6: {},
         7: {1: 4, 2: 1, 3: 1, 4: 3},
         8: {1: 2, 2: 4, 3: 3, 4: 1},
+        9: {1: 2, 3: 1, 4: 1},
+        10: {4: 3, 1: 1, 3: 3},
     }
     return insts, placements
 
@@ -446,8 +449,17 @@ def test_charge_matches_per_slot_reference_on_hand_made_maps(
             backend=4)
     _assert_charge_matches_reference(model, placements, insts, distance)
     cost, moved = charge_placements(model, placements, insts, distance)
-    assert moved == {1: 0, 2: 2, 4: 0, 5: 2, 6: 0, 7: 0, 8: 4}
+    assert moved == {1: 0, 2: 2, 4: 0, 5: 2, 6: 0, 7: 0, 8: 4, 9: 1, 10: 3}
     assert cost[6] == 0.0
+    # a move of demand 0 counts in moved, but not in its pair's z and s
+    by_id = {inst.id: inst for inst in insts}
+    loads = placement_loads(10, [by_id[i] for i in placements[10]],
+                            placements[10].values(), 4, distance,
+                            [placements[9][i] for i in placements[10]])
+    assert loads.moved == 3
+    assert list(loads.z.items()) == [((2, 1), 0.7), ((1, 3), 0.9)]
+    assert loads.s == ({} if distance is None else {
+        (2, 1): distance.pair_hops[2, 1], (1, 3): distance.pair_hops[1, 3]})
     if family == "mmc":
         assert cost[2] == cost[5] == math.inf
         assert math.isfinite(cost[8])       # moves to and from the backend

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,10 @@ def grid_distance(K):
 
 
 def random_setup(rng, K=4, T=4, n=3, distance=False, perturb=False,
-                 dist_weights=(0.0, 0.0)):
+                 dist_weights=(0.0, 0.0), zero_demand=False):
+    """A capacity/backend window with every column but the last (the
+    arriving instance) frozen on random clouds. zero_demand gives the
+    arriving instance and the first frozen one migration demand 0."""
     model = MmcBackendCostModel(K=K, capacity=6.0, backend_local_rate=3.0,
                                 backend_migration_rate=3.0,
                                 distance_local_weight=dist_weights[0],
@@ -54,6 +58,9 @@ def random_setup(rng, K=4, T=4, n=3, distance=False, perturb=False,
             migration_demand=float(rng.uniform(0.3, 1.5))))
         if arr == 1 and rng.random() < 0.5:
             prev[j] = 1 + int(rng.integers(K))
+    if zero_demand:
+        insts[0] = replace(insts[0], migration_demand=0.0)
+        insts[-1] = replace(insts[-1], migration_demand=0.0)
     m = ConfigurationMatrix(w, [i.id for i in insts])
     # freeze all but the last column with arbitrary feasible placements
     for inst in insts[:-1]:
@@ -119,13 +126,17 @@ def _fast_path(instance, t, t_e, ledger):
 @given(st.integers(0, 2 ** 31))
 @settings(max_examples=60, deadline=None)
 def test_fast_path_matches_generic(seed):
-    """Vectorized DP and the generic per-state DP land the same cost."""
+    """Vectorized DP and the generic per-state DP land the same cost. A
+    quarter of the draws, all with distances (h > 0), give the arriving
+    instance and a frozen one migration demand 0: such a move costs
+    nothing, also where another move shares its pair."""
     from mmcplace.online import WindowLedger, _fast_base, _generic_steps
 
     rng = np.random.default_rng(seed)
     model, w, insts, prev, m, d = random_setup(
         rng, distance=bool(seed % 2), perturb=bool(seed % 3 == 0),
-        dist_weights=(0.2, 0.1) if seed % 2 else (0.0, 0.0))
+        dist_weights=(0.2, 0.1) if seed % 2 else (0.0, 0.0),
+        zero_demand=seed % 4 == 1)
     inst = insts[-1]
     t = inst.arrival_slot
     insts_sorted = sorted(insts, key=lambda i: i.id)
@@ -1330,7 +1341,7 @@ def _invariant_run(draw):
     to 4 against MMC capacities of 1..4, so some exceed capacity. The
     capacity/backend family runs with a line topology, the linear family
     (generic DP) without one; noise is off or PowerLawErrorBound(0.2, 1.1).
-    Migration demands are positive: a zero one next to a full MMC is
+    Migration demands include 0, which next to a full MMC is
     test_zero_migration_demand_keeps_the_backend_route's case."""
     K = draw(st.integers(2, 6))
     horizon = draw(st.integers(1, 12))
@@ -1343,7 +1354,7 @@ def _invariant_run(draw):
             actual_departure_slot=draw(st.none()
                                        | st.integers(arrival, horizon)),
             local_demand=draw(st.sampled_from((0.0, 0.5, 1.0, 2.5, 4.0))),
-            migration_demand=draw(st.sampled_from((0.5, 1.0, 2.5)))))
+            migration_demand=draw(st.sampled_from((0.0, 0.5, 1.0, 2.5)))))
     if draw(st.booleans()):
         model = LinearCostModel([0.0] + [1.0 + k % 3 for k in range(K)],
                                 0.5, 0.5, 1.0)

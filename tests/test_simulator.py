@@ -274,26 +274,31 @@ def test_edge_short_horizon_and_single_cell_are_finite(overrides):
 
 def test_edge_demand_at_capacity_goes_to_backend():
     """An instance as large as an MMC's capacity fits nowhere but the
-    backend: every policy pays the backend rate, none pays inf."""
-    cfg = small_config(local_demand=5.0, capacity=5.0)
-    scn, results = _all_policies(cfg)
-    for res in results:
-        assert res.avg_cost == pytest.approx(59.5, rel=1e-12)
-        for t, n in res.num_active.items():
-            assert res.slot_costs[t] == pytest.approx(
-                cfg.backend_local_rate * cfg.local_demand * n)
-    # a places each instance once, b every instance in every slot
-    overflows = {res.policy: res.overflows for res in results}
-    slots = sum(results[0].num_active.values())
-    assert overflows == {"a": len(scn.instances), "b": slots,
-                         "c": 0, "d": 0, "e": 0}
-    assert slots > len(scn.instances) > 0
-    assert all(res.saturated == 0 for res in results)
+    backend: every policy pays the backend rate, none pays inf, also
+    when moving costs nothing (migration demand 0)."""
+    for migration_demand in (1.0, 0.0):
+        cfg = small_config(local_demand=5.0, capacity=5.0,
+                           migration_demand=migration_demand)
+        scn, results = _all_policies(cfg)
+        for res in results:
+            assert res.avg_cost == pytest.approx(59.5, rel=1e-12)
+            for t, n in res.num_active.items():
+                assert res.slot_costs[t] == pytest.approx(
+                    cfg.backend_local_rate * cfg.local_demand * n)
+        # a places each instance once, b every instance in every slot
+        overflows = {res.policy: res.overflows for res in results}
+        slots = sum(results[0].num_active.values())
+        assert overflows == {"a": len(scn.instances), "b": slots,
+                             "c": 0, "d": 0, "e": 0}
+        assert slots > len(scn.instances) > 0
+        assert all(res.saturated == 0 for res in results)
 
 
 @pytest.mark.parametrize("cfg, seed", [
     (small_config(), 1), (small_config(), 2), (small_config(), 3),
-    (small_config(local_demand=5.0, capacity=5.0), 1)])
+    (small_config(local_demand=5.0, capacity=5.0), 1),
+    (small_config(local_demand=2.5, migration_demand=0.0), 1),
+    (small_config(local_demand=5.0, capacity=5.0, migration_demand=0.0), 1)])
 def test_capacity_backend_runs_never_take_the_generic_dp(cfg, seed,
                                                          monkeypatch):
     """Policies d and e route every arrival of a scenario by the fast DP:
