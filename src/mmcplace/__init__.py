@@ -14,7 +14,7 @@ from .costs import (CostModel, DistanceContext, LinearCostModel,
                     charge_placements, placement_loads, window_cost)
 from .offline import (OfflineSolution, StateBudgetExceeded, run_offline,
                       solve_window_offline)
-from .online import (OnlineRun, PlacementOutcome, handle_departure,
+from .online import (PlacementOutcome, Run, handle_departure,
                      place_on_arrival, run_online)
 from .oracle import (BruteForceSolution, EnumerationBudgetExceeded,
                      brute_force_offline, fractional_lower_bound_single_slot,

@@ -3,7 +3,8 @@
 Per-slot cost is C(t) = U(t) + W(t): U sums u_k(y_k) over clouds, W sums
 w_kl(y_k(t-1), y_l(t), z_kl) over ordered cloud pairs with migration
 traffic. Conventions baked in everywhere: u(0) = 0, w(.,.,0) = 0, and
-W = 0 in the very first slot of the whole run (t = 1).
+W = 0 in the very first slot of the whole run (t = 1). A move of demand
+0 is a migration but enters no pair's z, s or count, so it costs nothing.
 
 placement_loads turns one concrete placement into SlotLoads; its two
 halves, the slot's occupancy (y, r) and the boundary moves (z, s, moved),
@@ -51,8 +52,8 @@ class SlotLoads:
     y[k]: local resource consumption at cloud k (index 0 unused).
     r[k]: instance-user distance sum at cloud k (0 when no topology).
     z[(k, l)]: migration resource moved k -> l at the slot boundary.
-    s[(k, l)]: pair distance times number of migrated instances.
-    moved: number of instances that changed cloud at the boundary.
+    s[(k, l)]: pair distance times number of moves with positive demand.
+    moved: number of instances that changed cloud, whatever their demand.
     """
 
     y: np.ndarray
@@ -112,7 +113,8 @@ class CostModel:
 
         Contract: w >= 0 (and 0 at z = 0). offline.solve_window_offline
         stops scanning predecessors on it and raises ValueError when a
-        priced transition is negative.
+        priced transition is negative. z and s leave out moves of demand
+        0, which cost nothing.
         """
         raise NotImplementedError
 
@@ -438,16 +440,21 @@ def _occupancy(t, instances, clouds, K, distance):
 
 
 def _moves(instances, clouds, before, distance):
-    """The boundary half of placement_loads: (z, s, moved)."""
+    """The boundary half of placement_loads: (z, s, moved). A move of
+    demand 0 counts in moved only."""
     z: dict = {}
     count: dict = {}
+    moved = 0
     for inst, l, k in zip(instances, clouds, before):
         if l == 0 or k == 0 or k == l:
             continue
-        key = (k, l)
-        z[key] = z.get(key, 0.0) + inst.migration_demand
-        count[key] = count.get(key, 0) + 1
-    return z, _pair_hops(count, distance), sum(count.values())
+        moved += 1
+        demand = inst.migration_demand
+        if demand > 0:
+            key = (k, l)
+            z[key] = z.get(key, 0.0) + demand
+            count[key] = count.get(key, 0) + 1
+    return z, _pair_hops(count, distance), moved
 
 
 def _add_move(z, count, key, demand):
@@ -514,15 +521,15 @@ def charge_placements(model: CostModel,
     local = np.where(y > 0, model.u_array(slot, y, r), 0.0)
     local = np.cumsum(local, axis=1)[:, -1]
 
-    # W: z and the move count per (slot, k, l) pair, priced where z > 0
+    # W: z and the move count per (slot, k, l) pair, over positive demands
     moving = (to != 0) & (frm != 0) & (frm != to)
     moved = np.bincount(row[moving], minlength=n)
+    moving &= mig > 0
     pair = (row[moving] * K1 + frm[moving]) * K1 + to[moving]
     keys, first, of = np.unique(pair, return_index=True, return_inverse=True)
     z = np.bincount(of, mig[moving], keys.size)
     count = np.bincount(of, minlength=keys.size)
     seen = np.argsort(first, kind="stable")
-    seen = seen[z[seen] > 0]
     keys, z, count = keys[seen], z[seen], count[seen]
     q, k, l = keys // (K1 * K1), keys // K1 % K1, keys % K1
     s = (np.zeros(keys.size) if distance is None  # pair_hops: 0 at the backend
@@ -690,7 +697,8 @@ class WindowCostEvaluator:
         after = []                       # (pair, demand) after j
         for col, (inst, l, k) in enumerate(zip(self.instances, states[0],
                                                prevs[0])):
-            if l == 0 or k == 0 or k == l or col == j:
+            if (l == 0 or k == 0 or k == l or col == j
+                    or inst.migration_demand <= 0):
                 continue
             if col < j:
                 _add_move(z0, n0, (k, l), inst.migration_demand)
@@ -705,7 +713,7 @@ class WindowCostEvaluator:
             for prev, yp in zip(prevs, y_prev):
                 z, count = dict(z0), dict(n0)
                 k = prev[j]
-                if l and k and k != l:
+                if b > 0 and l and k and k != l:
                     _add_move(z, count, (k, l), b)
                 for key, m in after:
                     _add_move(z, count, key, m)

@@ -163,11 +163,11 @@ def run_offline(horizon: int, window_size: int,
     """
     solutions = []
 
-    def solve(window, model, prev_config, columns):
+    def solve(window, model, prev_config, columns, run):
         solutions.append(solve_window_offline(window, columns, prev_config,
                                               model, distance))
         return solutions[-1].matrix
 
-    _placements, actual_by_slot, _moved = run_windows(
-        horizon, window_size, instances, oracle, distance, solve)
-    return solutions, actual_by_slot
+    run = run_windows(horizon, window_size, instances, oracle, distance,
+                      solve)
+    return solutions, run.actual_by_slot

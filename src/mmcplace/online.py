@@ -7,15 +7,15 @@ solver gets the oracle's predicted model, prev_config (the whole placement
 map of slot t0-1) and the window's columns: every instance in that map
 (all zero for one that departed at the end of t0-1) plus the window's
 arrivals, in id order, so the joint state at t0-1 is an ordinary state
-(WindowCostEvaluator.prior, WindowLedger row 0). The loop records each
-slot's placement map from the solver's matrix and charges the run's
-actual costs from those maps with costs.charge_placements, the
-accounting every policy shares. run_online's solver routes each arriving
-instance by a single-instance shortest-path DP over the remainder of the
-window, with every other column frozen; carried-over instances re-arrive
-at the window start, and a departure zeroes its column without
-re-optimizing survivors. offline.run_offline's solver is the exact joint
-DP.
+(WindowCostEvaluator.prior, WindowLedger row 0). Into one Run, which
+every solver call gets for its counters, the loop records each slot's
+placement map from the solver's matrix and charges the run's actual
+costs from those maps with costs.charge_placements, the accounting every
+policy shares. run_online's solver routes each arriving instance by a
+single-instance shortest-path DP over the remainder of the window, with
+every other column frozen; carried-over instances re-arrive at the
+window start, and a departure zeroes its column without re-optimizing
+survivors. offline.run_offline's solver is the exact joint DP.
 
 One DP recursion, _min_path, owns the min-plus step over the K clouds
 of each slot, the relaxation count, the saturation flag, backtracking
@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -393,6 +393,9 @@ def _boundaries(out, R_from, R_to, b, hD, hop_backend, b0):
     as R_to + R_from."""
     K = out.shape[1]
     cand = out[:len(R_from)]
+    if not b:               # free, as w(z <= 0): no h * D, no 0 * inf = NaN
+        cand[...] = 0.0
+        return cand
     cand[...] = R_from[:, None, :]
     cand += R_to[:, :, None]
     if b != 1.0:
@@ -659,12 +662,16 @@ def handle_departure(instance_id: int, t: int,
 
 
 @dataclass
-class OnlineRun:
-    actual_by_slot: dict[int, float]
-    placements: dict[int, dict[int, int]]   # slot -> {instance id -> cloud}
-    migrations_by_slot: dict[int, int]
-    relaxations_per_arrival: list[int]
-    saturated_events: int = 0
+class Run:
+    """One run of run_windows, which fills the first three fields; its
+    solver counts the rest (see run_windows)."""
+
+    placements: dict[int, dict[int, int]] = field(default_factory=dict)
+    actual_by_slot: dict[int, float] = field(default_factory=dict)
+    migrations_by_slot: dict[int, int] = field(default_factory=dict)
+    relaxations_per_arrival: list[int] = field(default_factory=list)
+    saturated_events: int = 0    # arrivals whose every route cost inf
+    overflows: int = 0           # a/b placements that found no MMC room
 
     @property
     def total_cost(self) -> float:
@@ -673,25 +680,27 @@ class OnlineRun:
 
 def run_windows(horizon: int, window_size: int,
                 instances: list[ServiceInstance], oracle,
-                distance: DistanceContext | None, solve):
+                distance: DistanceContext | None, solve) -> Run:
     """The window loop of run_online, offline.run_offline and the
     simulator's one-slot policies a, b and c.
 
     Tiles [1, horizon] into windows of window_size slots (the last one may
-    be shorter) and calls solve(window, model, prev_config, columns) on
-    each: model is oracle.predicted_model(t0, window), prev_config the
-    placement map of slot t0-1, and columns the instances in that map plus
-    those arriving in the window, in id order. solve returns the window's
-    ConfigurationMatrix over those columns. Returns (slot -> {instance id
-    -> cloud}, actual cost per slot, migrations per slot), the last two
-    charged from the maps by charge_placements once the last window is
-    placed.
+    be shorter) and calls solve(window, model, prev_config, columns, run)
+    on each: model is oracle.predicted_model(t0, window), prev_config the
+    placement map of slot t0-1, columns the instances in that map plus
+    those arriving in the window, in id order, and run the one Run that
+    every call gets and the loop returns. solve returns the window's
+    ConfigurationMatrix over those columns and counts on run: run_online's
+    relaxations_per_arrival and saturated_events, the simulator's a/b
+    overflows. The loop records each slot's map in run.placements and,
+    once the last window is placed, charges run.actual_by_slot and
+    run.migrations_by_slot from the maps by charge_placements.
     """
     by_id = {inst.id: inst for inst in instances}
     arrivals_at: dict[int, list[int]] = {}
     for inst in instances:
         arrivals_at.setdefault(inst.arrival_slot, []).append(inst.id)
-    placements: dict[int, dict[int, int]] = {}
+    run = Run()
     prev_config: dict[int, int] = {}
     t0 = 1
     while t0 <= horizon:
@@ -702,22 +711,22 @@ def run_windows(horizon: int, window_size: int,
         ids.sort()
         columns = [by_id[iid] for iid in ids]
         matrix = solve(window, oracle.predicted_model(t0, window),
-                       prev_config, columns)
+                       prev_config, columns, run)
         column_id = matrix.instance_ids.__getitem__
         for t, row in zip(window.slots, matrix.data):
             on = row.nonzero()[0]
-            placements[t] = dict(zip(map(column_id, on.tolist()),
-                                     row[on].tolist()))
-        prev_config = placements[window.end]
+            run.placements[t] = dict(zip(map(column_id, on.tolist()),
+                                         row[on].tolist()))
+        prev_config = run.placements[window.end]
         t0 += window.T
-    actual, moved = charge_placements(oracle.actual, placements, instances,
-                                      distance)
-    return placements, actual, moved
+    run.actual_by_slot, run.migrations_by_slot = charge_placements(
+        oracle.actual, run.placements, instances, distance)
+    return run
 
 
 def run_online(horizon: int, window_size: int,
                instances: list[ServiceInstance], oracle,
-               distance: DistanceContext | None = None) -> OnlineRun:
+               distance: DistanceContext | None = None) -> Run:
     """Full-horizon online control loop: run_windows, placing arrivals.
 
     instances carry their true arrival/departure slots; the loop only
@@ -726,9 +735,7 @@ def run_online(horizon: int, window_size: int,
     carried-over columns, those with last_slot >= t0, re-enter as arrivals
     at its start, keeping their slot t0-1 cloud as the migration baseline.
     """
-    run = OnlineRun({}, {}, {}, [])
-
-    def solve(window, model, prev_config, columns):
+    def solve(window, model, prev_config, columns, run):
         matrix = ConfigurationMatrix(window, [i.id for i in columns])
         ledger = WindowLedger(matrix, columns, model, prev_config, distance)
         # a column arrives at its first slot in the window and departs at
@@ -752,6 +759,5 @@ def run_online(horizon: int, window_size: int,
                 handle_departure(iid, t, matrix, ledger=ledger)
         return matrix
 
-    run.placements, run.actual_by_slot, run.migrations_by_slot = run_windows(
-        horizon, window_size, instances, oracle, distance, solve)
-    return run
+    return run_windows(horizon, window_size, instances, oracle, distance,
+                       solve)

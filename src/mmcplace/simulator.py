@@ -10,10 +10,11 @@ Policies:
 
 Every policy is a solver of online.run_windows: a, b and c place one-slot
 windows on the actual costs, d and e are run_online's look-ahead windows.
-run_windows records each slot's placement map {instance id: cloud} and
+run_windows records each slot's placement map {instance id: cloud},
 charges all five the actual (unperturbed) per-slot costs from those maps
-by costs.charge_placements; num_active and num_migrations come from the
-same maps. Results keep the counts, not the maps.
+by costs.charge_placements and returns one online.Run, on which the
+solvers count overflows (a, b) and saturated arrivals (d, e). A
+PolicyResult keeps its counts, num_active included, not its maps.
 """
 
 from __future__ import annotations
@@ -129,32 +130,20 @@ def pick_window(config: ScenarioConfig, beta: float | None = None) -> int:
     return optimal_window_binary_search(obj, config.T_max)
 
 
-def _nearest_with_capacity(scn: BuiltScenario, user_cell: int,
-                           load: np.ndarray, demand: float) -> int:
-    """Closest cell to the user with room; overflow to next-nearest, then
-    to the backend. An active instance's user always has a cell: its stay
+def _cell_solver(scn: BuiltScenario, policy: str):
+    """The run_windows solver of policies a (stay put), b (always follow)
+    and c (backend), which run as one-slot windows on the actual costs. A
+    column is present while t <= last_slot. a keeps each present column's
+    slot t-1 cloud, counting those loads first; every other present
+    column, in id order, goes to the backend (c), or (a, b) to the cell
+    nearest its user that has room, else to the backend, an overflow
+    counted on run. An active instance's user always has a cell: its stay
     ends before the first slot without one."""
-    topo = scn.topology
-    for cid in topo.nearest[user_cell]:
-        if load[cid] + demand < scn.config.capacity:
-            return cid
-    return topo.backend
-
-
-def _run_cell_policy(scn: BuiltScenario, policy: str):
-    """Policies a (stay put), b (always follow) and c (backend) as
-    one-slot windows of run_windows on the actual costs. A column is
-    present while t <= last_slot. a keeps each present column's slot t-1
-    cloud, counting those loads first; every other present column, in id
-    order, goes to the backend (c) or to _nearest_with_capacity (a, b),
-    an overflow when that is the backend. Returns run_windows' output and
-    the overflow count."""
-    backend = scn.topology.backend
+    backend, nearest = scn.topology.backend, scn.topology.nearest
+    capacity = scn.config.capacity
     last = {i.id: i.last_slot for i in scn.instances}
-    overflows = 0
 
-    def solve(window, model, prev_config, columns):
-        nonlocal overflows
+    def solve(window, model, prev_config, columns, run):
         t, load = window.t0, np.zeros(model.K + 1)
         present = [j for j, i in enumerate(columns) if last[i.id] >= t]
         row = [0] * len(columns)
@@ -167,37 +156,20 @@ def _run_cell_policy(scn: BuiltScenario, policy: str):
             if policy == "c":
                 row[j] = backend
             elif not row[j]:
-                row[j] = cell = _nearest_with_capacity(
-                    scn, scn.distance.user_cell_of(inst.id, t), load,
-                    inst.local_demand)
-                overflows += cell == backend
-                load[cell] += inst.local_demand
+                demand = inst.local_demand
+                for cell in nearest[scn.distance.user_cell_of(inst.id, t)]:
+                    if load[cell] + demand < capacity:
+                        break
+                else:
+                    cell = backend
+                    run.overflows += 1
+                row[j] = cell
+                load[cell] += demand
         matrix = ConfigurationMatrix(window, [i.id for i in columns])
         matrix.data[0] = row
         return matrix
 
-    out = run_windows(scn.config.horizon, 1, scn.instances,
-                      CostOracle(scn.model, ZERO_BOUND), scn.distance, solve)
-    return out, {"overflows": overflows}
-
-
-def _run_online_policy(scn: BuiltScenario, policy: str,
-                       window_T: int | None = None,
-                       beta: float | None = None):
-    config, instances = scn.config, scn.instances
-    if policy == "d":
-        T, bound = config.horizon, ZERO_BOUND
-        instances = [replace(i, max_lifetime=i.last_slot - i.arrival_slot + 1)
-                     for i in instances]
-    else:
-        beta = config.beta if beta is None else beta
-        T = window_T if window_T else pick_window(config, beta)
-        bound = (PowerLawErrorBound(beta, config.alpha) if beta > 0
-                 else ZERO_BOUND)
-    run = run_online(config.horizon, T, instances,
-                     CostOracle(scn.model, bound, seed=scn.seed), scn.distance)
-    return ((run.placements, run.actual_by_slot, run.migrations_by_slot),
-            {"window_T": T, "saturated": run.saturated_events})
+    return solve
 
 
 def run_policy(scn: BuiltScenario, policy: str,
@@ -207,14 +179,27 @@ def run_policy(scn: BuiltScenario, policy: str,
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     start = time.perf_counter()
-    if policy in ("a", "b", "c"):
-        (placements, costs, moved), counts = _run_cell_policy(scn, policy)
+    config, instances = scn.config, scn.instances
+    T, bound = None, ZERO_BOUND
+    if policy == "d":
+        T = config.horizon
+        instances = [replace(i, max_lifetime=i.last_slot - i.arrival_slot + 1)
+                     for i in instances]
+    elif policy == "e":
+        beta = config.beta if beta is None else beta
+        T = window_T or pick_window(config, beta)
+        bound = PowerLawErrorBound(beta, config.alpha)
+    oracle = CostOracle(scn.model, bound, seed=scn.seed)
+    if T is None:
+        run = run_windows(config.horizon, 1, instances, oracle, scn.distance,
+                          _cell_solver(scn, policy))
     else:
-        (placements, costs, moved), counts = _run_online_policy(
-            scn, policy, window_T, beta)
-    return PolicyResult(policy, costs,
-                        {t: len(placed) for t, placed in placements.items()},
-                        moved, (time.perf_counter() - start) * 1e3, **counts)
+        run = run_online(config.horizon, T, instances, oracle, scn.distance)
+    return PolicyResult(
+        policy, run.actual_by_slot,
+        {t: len(placed) for t, placed in run.placements.items()},
+        run.migrations_by_slot, (time.perf_counter() - start) * 1e3, T,
+        run.overflows, run.saturated_events)
 
 
 def sweep_window(config: ScenarioConfig, T_values, beta_values, seeds):

@@ -735,9 +735,10 @@ def test_window_loop_gives_each_window_the_offline_column_rule(window_size):
     model, the previous window's last slot map as prev_config and, in id
     order, the columns run_offline chose by its own rule: placed in t0-1
     or active in the window; every slot's map lists its ids in that
-    order, though ids do not rise with arrival. Over the seeds, windows
-    see carried instances, instances that departed at t0-1 and (windows
-    of 2 slots or more) arrivals after t0."""
+    order, though ids do not rise with arrival. Every call gets the same
+    Run, the one run_windows returns. Over the seeds, windows see carried
+    instances, instances that departed at t0-1 and (windows of 2 slots or
+    more) arrivals after t0."""
     from collections import Counter
 
     from mmcplace.online import run_windows
@@ -758,20 +759,22 @@ def test_window_loop_gives_each_window_the_offline_column_rule(window_size):
         rng.shuffle(insts)
         calls = []
 
-        def solve(window, model, prev_config, columns):
+        def solve(window, model, prev_config, columns, run):
             matrix = ConfigurationMatrix(window, [i.id for i in columns])
             for inst in columns:
                 span = inst.active_span(window)
                 for t in range(span[0], span[1] + 1) if span else ():
                     matrix.set(inst.id, t, 1 + inst.id % K)
             calls.append((window, model, dict(prev_config),
-                          [i.id for i in columns], matrix))
+                          [i.id for i in columns], matrix, run))
             return matrix
 
-        placements, _actual, _moved = run_windows(
-            horizon, window_size, insts, _MarkerOracle(mmc(K)), None, solve)
+        run = run_windows(horizon, window_size, insts, _MarkerOracle(mmc(K)),
+                          None, solve)
+        assert all(call[-1] is run for call in calls)
+        placements = run.placements
         t0, last_map = 1, {}
-        for window, model, prev_config, ids, matrix in calls:
+        for window, model, prev_config, ids, matrix, _run in calls:
             assert window == Window(t0, min(window_size, horizon - t0 + 1))
             assert model == ("predicted", t0, window)
             assert prev_config == last_map
@@ -1410,10 +1413,6 @@ def test_whole_runs_keep_the_placement_invariants(case):
     assert all(math.isfinite(c) for c in actual.values())
 
 
-@pytest.mark.xfail(strict=True, reason="the fast DP's hop is b * (R_from + "
-                   "R_to): at b = 0 a full MMC's inf gives NaN, where "
-                   "MmcBackendCostModel.w(z <= 0) is 0, and NaN routes win "
-                   "argmin")
 def test_zero_migration_demand_keeps_the_backend_route():
     """An instance whose local demand fills an MMC and whose migration
     demand is 0 has a finite route, the backend in both slots (3 + 3), so

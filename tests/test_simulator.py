@@ -120,6 +120,18 @@ def test_online_policies_run_and_record_window():
     e = run_policy(scn, "e")
     assert e.window_T == pick_window(scn.config)
     assert set(d.slot_costs) == set(range(1, 31))
+    # at beta = 0 policy e plans on the actual costs; beta < 0 is refused
+    from mmcplace.online import run_online
+    from mmcplace.predictor import ZERO_BOUND, CostOracle
+
+    cfg = scn.config
+    zero = run_policy(scn, "e", beta=0.0)
+    plain = run_online(cfg.horizon, cfg.T_max, scn.instances,
+                       CostOracle(scn.model, ZERO_BOUND), scn.distance)
+    assert zero.window_T == cfg.T_max
+    assert zero.slot_costs == plain.actual_by_slot
+    with pytest.raises(ValueError):
+        run_policy(scn, "e", beta=-0.1)
 
 
 def test_pick_window_override_and_zero_beta():
