@@ -53,9 +53,11 @@ MMC-to-MMC move it makes, is the last term of each row's sum. In
 run_online ids rise with arrival order, so every placement is such an
 append. Other writes and every departure rebuild the touched rows from
 the whole placement.
-The ledger also flags whether any of its MMC loads is at or over
-capacity (WindowLedger.full); place_on_arrival scans the arrival's rows
-for one, to route it by the generic DP, only when the flag is set.
+For the capacity/backend family the ledger refuses any MMC load at or
+over capacity (ValueError): the all-backend route always costs finitely,
+and a finite route fills no MMC, so from a slot t0-1 map with room every
+arrival finds a finite route and _fast_steps never reads an inf frozen
+cost.
 _fast_steps builds no joint state tuple and calls no cost function per
 cloud; an arrival's (K, K) boundary matrices are built in blocks of up
 to HOP_BLOCK_BYTES each. When its steps fit in one block (every arrival
@@ -135,11 +137,10 @@ class WindowLedger:
     _fast_steps' boundary block, HOP_BLOCK_BYTES' n slabs and a spare
     one, `spare`, after them.
 
-    full says whether any row holds an MMC load (clouds 1..backend-1) at
-    or over base's capacity; it is always False without a base. Loads
-    only grow in an append, so write() sets it when an appended load
-    reaches capacity, and every build and refresh() sets it from a scan
-    of all rows.
+    With a base, no row may hold an MMC load (clouds 1..backend-1) at or
+    over base's capacity: the build checks row 0, refresh() the rows it
+    rebuilds and write() each load it appends, the only places loads are
+    set, and each raises ValueError naming the row.
 
     Every sum runs in instance order, so it matches a fresh refresh bit
     for bit. write() decides, before it writes, whether a placed column
@@ -199,7 +200,7 @@ class WindowLedger:
         self.is_mmc = np.ones(K + 1, dtype=bool)
         self.is_mmc[0] = False
         self.hD = self.off = self.block = self.spare = None
-        self.cap, self.mmc_y = math.inf, None
+        self.cap = math.inf
         if self.base is not None:
             self.is_mmc[self.base.backend] = False
             self.cap = self.base.capacity
@@ -224,13 +225,21 @@ class WindowLedger:
         self.moves = np.zeros(rows, dtype=bool)
         self.y[0] = np.bincount(self.prev, self.loc, K + 1)
         self.y[0, 0] = 0.0
-        if self.base is not None:
-            self.mmc_y = self.y[:, 1:self.base.backend]
-        self.full = False
+        self._check(0, 1)
         if self.place[1:].any():            # else the zero rows are right
             self.refresh(window.t0, window.end)
-        elif self.mmc_y is not None:
-            self.full = bool(np.count_nonzero(self.mmc_y >= self.cap))
+
+    def _check(self, a: int, b: int) -> None:
+        """Raise ValueError if an MMC load in rows a..b-1 is at or over
+        base's capacity."""
+        if self.base is None:
+            return
+        over = self.y[a:b, 1:self.base.backend] >= self.cap
+        if np.count_nonzero(over):
+            row = a + int(over.any(axis=1).argmax())
+            raise ValueError(
+                f"ledger row {row} (slot {self.window.t0 + row - 1}) holds "
+                f"an MMC load at or over capacity {self.cap}")
 
     def write(self, j: int, t: int, path: tuple[int, ...]) -> None:
         """Place column j on `path` from slot t on, and update the rows."""
@@ -247,7 +256,7 @@ class WindowLedger:
         for row, k in enumerate(path, start=a):   # short spans: no arrays
             y[row, k] = load = y[row, k] + loc
             if load >= cap and mmc[k]:
-                self.full = True
+                self._check(row, row + 1)
             r[row, k] += hops[cells[row - 1], k]
         c = min(b + 1, self.window.T + 1)          # boundaries into [a, c)
         seq = self.place[a - 1:c, j].tolist()
@@ -278,8 +287,7 @@ class WindowLedger:
         self.zin[a:c] = np.bincount(q * K1 + to[q, j], self.mig[j],
                                     n * K1).reshape(n, K1)
         self.moves[a:c] = self.zout[a:c].any(axis=1)
-        if self.mmc_y is not None:
-            self.full = bool(np.count_nonzero(self.mmc_y >= self.cap))
+        self._check(a, b)
 
 
 def _min_path(first, local, hop, tail):
@@ -361,9 +369,9 @@ def _generic_steps(instance, t, t_e, ledger):
     return first, local, hop, tail
 
 
-# The helpers below run inside place_on_arrival's np.errstate: where a
-# load reaches capacity, inf - inf is expected and masked or kept, as the
-# scalar cost functions produce it.
+# The helpers below run inside place_on_arrival's np.errstate: where the
+# arrival's load would fill a cloud, inf * 0 is expected and masked, as
+# the scalar cost functions produce it.
 
 def _shift(diff, weight):
     """weight * diff where weight > 0, else 0 (so inf only where it matters)."""
@@ -499,7 +507,7 @@ def _fast_steps(instance, t, t_e, ledger):
     if np.count_nonzero(moves):
         zout = ledger.zout[i:i_e + 2, 1:]
         zin = ledger.zin[i:i_e + 2, 1:]
-        diff = np.where(np.isfinite(R_plus), R_plus - R_now, np.inf)
+        diff = R_plus - R_now
         moved = moves[1:span].nonzero()[0] + 1  # steps q with frozen moves
         if moved.size:
             out_shift = _shift(diff[moved], zout[moved])
@@ -559,14 +567,6 @@ def _fast_steps(instance, t, t_e, ledger):
     return first, ld, hop, tail
 
 
-def _frozen_overload(ledger, t, t_e) -> bool:
-    """Whether an MMC's frozen load (clouds 1..backend-1) is at or over
-    capacity in a ledger row the arrival at t..t_e reads (t-1..t_e+1)."""
-    i = t - ledger.window.t0 + 1
-    rows = ledger.y[i - 1:i + t_e - t + 2, 1:ledger.base.backend]
-    return bool((rows >= ledger.base.capacity).any())
-
-
 def place_on_arrival(instance: ServiceInstance, t: int,
                      matrix: ConfigurationMatrix,
                      instances: list[ServiceInstance],
@@ -588,13 +588,10 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     to the smallest final cloud, then the smallest predecessor at each
     boundary going back (see _min_path).
 
-    The step provider is chosen once, before routing: _generic_steps
-    for a model outside the capacity/backend family, or when a frozen
-    MMC load in the ledger rows the arrival reads (slots t-1..t_e+1) is
-    already at or over capacity, where the generic DP prices every joint
-    state of such a slot as inf and the fast deltas would be inf - inf;
-    _fast_steps otherwise. Those rows are scanned (_frozen_overload) only
-    when the ledger's `full` flag says some row holds such a load.
+    The step provider is chosen once, before routing: _fast_steps for
+    the capacity/backend family, _generic_steps for any other model. In
+    that family the ledger refuses a frozen MMC load at or over capacity
+    (ValueError, see WindowLedger), so no fast delta is inf - inf.
 
     ledger, when given, must own `matrix` (run_online keeps one per
     window) and be built for `model` (else ValueError). Without one, a
@@ -626,11 +623,7 @@ def place_on_arrival(instance: ServiceInstance, t: int,
     out = matrix if ledger is not None else matrix.copy()
     ledger = ledger or WindowLedger(out, instances, model, prev_config,
                                     distance)
-    # at a frozen MMC at capacity the fast deltas are inf - inf = NaN,
-    # which argmin would take as the minimum: route as the generic DP
-    # (without ledger.full, no ledger row holds one)
-    generic = ledger.base is None or (ledger.full and _frozen_overload(
-        ledger, t, t_e))
+    generic = ledger.base is None
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = (_generic_steps if generic else _fast_steps)(
             instance, t, t_e, ledger)

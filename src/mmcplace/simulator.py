@@ -13,8 +13,9 @@ windows on the actual costs, d and e are run_online's look-ahead windows.
 run_windows records each slot's placement map {instance id: cloud},
 charges all five the actual (unperturbed) per-slot costs from those maps
 by costs.charge_placements and returns one online.Run, on which the
-solvers count overflows (a, b) and saturated arrivals (d, e). A
-PolicyResult keeps its counts, num_active included, not its maps.
+solvers count overflows (a, b) and saturated arrivals, which d and e
+cannot have (see online.WindowLedger). A PolicyResult keeps its counts,
+num_active included, not its maps.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class PolicyResult:
     runtime_ms: float
     window_T: int | None = None
     overflows: int = 0           # a/b placements that found no MMC with room
-    saturated: int = 0           # d/e arrivals whose every route cost inf
+    saturated: int = 0           # 0: every d/e arrival has a finite route
 
     @property
     def avg_cost(self) -> float:

@@ -21,6 +21,11 @@ gradient entry of the gap-constant code on seeded windows (linear and
 polynomial costs, t0 = 1 to 3, with and without a prev_config, and load
 maxima of once and twice the loads).
 
+The goldens were written with numpy 2.4.6, the version CI installs:
+NumPy keeps RandomState streams fixed but may change Generator
+algorithms in a feature release, so every golden failure names the
+numpy that ran.
+
 Regenerate after a deliberate behaviour change with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -69,6 +74,7 @@ EXACT_GOLDEN = GOLDEN / "exact_paths.csv"
 EXACT_FAMILIES = ("linear", "polynomial", "backend", "perturbed")
 EXACT_SEEDS = (1, 2, 3)
 GAP_GOLDEN = GOLDEN / "gap_constants.csv"
+NUMPY = f"numpy {np.__version__} (goldens written with 2.4.6)"
 
 
 def _run(name):
@@ -254,18 +260,19 @@ def _check(name):
     results = _run(name)
     want = _read(f"{name}_results.csv")
     got = _results_rows(results)
-    assert len(got) == len(want)
+    assert len(got) == len(want), NUMPY
     for (t, policy, cost, active, moved), row in zip(got, want):
-        assert (t, policy) == (int(row["slot"]), row["policy"])
+        assert (t, policy) == (int(row["slot"]), row["policy"]), NUMPY
         assert cost == pytest.approx(float(row["actual_cost"]), rel=REL,
-                                     abs=0.0), (t, policy)
+                                     abs=0.0), (t, policy, NUMPY)
         assert (active, moved) == (int(row["num_active"]),
-                                   int(row["num_migrations"])), (t, policy)
+                                   int(row["num_migrations"])), (t, policy,
+                                                                 NUMPY)
     summary = _read(f"{name}_summary.csv")
     assert [row["policy"] for row in summary] == [r.policy for r in results]
     for res, row in zip(results, summary):
         assert res.avg_cost == pytest.approx(float(row["avg_cost"]), rel=REL,
-                                             abs=0.0), res.policy
+                                             abs=0.0), (res.policy, NUMPY)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -278,21 +285,22 @@ def test_fullscale_outputs_match_golden():
 
 
 def test_ratio_curve_matches_golden(tmp_path):
-    assert _ratio_csv(tmp_path).read_bytes() == RATIO_GOLDEN.read_bytes()
+    assert (_ratio_csv(tmp_path).read_bytes()
+            == RATIO_GOLDEN.read_bytes()), NUMPY
 
 
 def test_exact_solvers_match_golden():
     """Offline DP, brute force and the generic online DP, bit for bit."""
     want = [(row["case"], row["quantity"], row["value"])
             for row in _read(EXACT_GOLDEN.name)]
-    assert _exact_rows() == want
+    assert _exact_rows() == want, NUMPY
 
 
 def test_gap_constants_match_golden():
     """phi, psi, the window costs and every gradient entry, bit for bit."""
     want = [(row["case"], row["quantity"], row["value"])
             for row in _read(GAP_GOLDEN.name)]
-    assert _gap_rows() == want
+    assert _gap_rows() == want, NUMPY
 
 
 if __name__ == "__main__":

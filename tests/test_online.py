@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -220,14 +221,15 @@ def test_fast_path_matches_generic_near_capacity(seed):
     assert fast[2] is gen[2] is False
 
 
-def test_fast_path_matches_generic_at_frozen_capacity():
+def test_place_on_arrival_refuses_a_frozen_mmc_at_capacity():
     """A frozen MMC load already at capacity. Inside the window: three
     unit instances on clouds [2, 2, 3] over slots 1..3 fill cloud 2 in
     slots 1-2. Only in slot t0-1: three unit instances on cloud 2 (or 3)
-    there move to clouds 1, 2, 3 over Window(2, 3). Every route costs
-    inf; the capacity/backend model and a subclass of it (which takes the
-    generic DP) both report saturation and route the arrival the same
-    way, by the generic DP's tie rule."""
+    there move to clouds 1, 2, 3 over Window(2, 3). The capacity/backend
+    model's ledger refuses the load, naming its row, and nothing is
+    placed; a subclass of it, which takes the generic DP, prices every
+    route as inf, reports saturation and routes the arrival by the
+    generic DP's tie rule."""
     class Subclass(MmcBackendCostModel):
         pass
 
@@ -239,14 +241,20 @@ def test_fast_path_matches_generic_at_frozen_capacity():
         for j in (1, 2, 3):
             for t in m.window.slots:
                 m.set(j, t, clouds(j, t - t0))
-        out = place_on_arrival(insts[3], t0, m, insts, model, prev_config)
+        before = m.copy()
+        try:
+            out = place_on_arrival(insts[3], t0, m, insts, model, prev_config)
+        finally:
+            assert m == before
         return out.matrix.data[:, 3].tolist(), out.saturated
 
-    cases = [(1, lambda j, q: (2, 2, 3)[q], None)]
-    cases += [(2, lambda j, q: j, {1: k, 2: k, 3: k}) for k in (2, 3)]
-    for case in cases:
-        assert (place(MmcBackendCostModel, *case) == place(Subclass, *case)
-                == ([1, 1, 1], True))
+    cases = [(1, lambda j, q: (2, 2, 3)[q], None, "row 1 (slot 1)")]
+    cases += [(2, lambda j, q: j, {1: k, 2: k, 3: k}, "row 0 (slot 1)")
+              for k in (2, 3)]
+    for *case, row in cases:
+        with pytest.raises(ValueError, match=re.escape(row)):
+            place(MmcBackendCostModel, *case)
+        assert place(Subclass, *case) == ([1, 1, 1], True)
 
 
 def _per_step_reference(instance, t, t_e, ledger):
@@ -1202,10 +1210,11 @@ def _generic_run_case(seed, family):
     line topology, demands like 0.1, 0.2 and 0.7 whose sums round
     differently in another order, carried instances, departures and
     finite lifetimes, with and without prediction noise. The
-    capacity/backend family runs in windows of 2 slots, with a predicted
-    capacity that drops to 0.15 after the first window, below the loads
-    left on its MMCs, so that arrivals next to those overloads take the
-    generic DP."""
+    capacity/backend family runs in windows of 2 slots behind
+    _Delegating, so that its arrivals take the generic DP, with a
+    predicted capacity that drops to 0.15 after the first window, below
+    the loads left on its MMCs, so that arrivals next to those overloads
+    price joint states as inf."""
     from mmcplace.costs import PolynomialCostModel
 
     rng = np.random.default_rng(seed)
@@ -1240,7 +1249,7 @@ def _generic_run_case(seed, family):
     oracle = CostOracle(model, bound, seed=seed)
     T = int(rng.integers(2, 6))
     if family == "capacity":
-        oracle, T = _TighteningOracle(oracle, 0.15), 2
+        oracle, T = _GenericOracle(_TighteningOracle(oracle, 0.15)), 2
     return horizon, T, insts, oracle, grid_distance(K)
 
 
@@ -1379,7 +1388,8 @@ def test_whole_runs_keep_the_placement_invariants(case):
     """Through whole runs of the fast and generic online DPs, every slot
     places exactly the instances present there, each on a cloud in 1..K;
     the migration count of slot t is the number of instances placed at
-    t-1 and t on different clouds, and every actual cost is finite. Where
+    t-1 and t on different clouds, every actual cost is finite, and no
+    arrival saturates: both families have a finite route. Where
     K^M <= 300, so that no joint-state layer pair is slow to relax, every
     offline window matrix is valid for its columns, fills every slot its
     columns are present in, and costs finitely."""
@@ -1389,6 +1399,7 @@ def test_whole_runs_keep_the_placement_invariants(case):
     horizon, T, insts, oracle, distance = case
     K = oracle.actual.K
     run = run_online(horizon, T, insts, oracle, distance)
+    assert run.saturated_events == 0
     for t in range(1, horizon + 1):
         placed = run.placements[t]
         assert set(placed) == {i.id for i in insts
@@ -1446,78 +1457,27 @@ class _TighteningOracle:
         return PerturbedCostModel(tight, model.offsets)
 
 
-def test_overload_flag_matches_checking_every_arrival(monkeypatch):
-    """Desk (K = 20) for 60 slots in windows of 10, with a predicted
+def test_fast_run_refuses_a_predicted_capacity_below_a_frozen_load():
+    """Desk (K = 20) for 20 slots in windows of 10, with a predicted
     capacity that drops to the local demand after the first window: an
-    instance that sat alone on an MMC at t0-1 leaves it at capacity, so
-    the arrivals at t0 take _generic_steps. The ledger's overload flag
-    equals a scan of its MMC loads after every build, write and refresh,
-    and the run equals one where _frozen_overload is consulted on every
-    arrival, which calls it more often."""
+    instance that sat alone on an MMC at slot 10 leaves it at capacity in
+    the second window's slot t0-1 map, and run_online's fast DP raises
+    there rather than pricing inf - inf."""
     from pathlib import Path
 
-    from mmcplace import online
     from mmcplace.config import parse_config
     from mmcplace.simulator import build_scenario
 
     root = Path(__file__).resolve().parent.parent
     cfg = parse_config(str(root / "configs" / "desk.ini"))
-    cfg.horizon = 60
+    cfg.horizon = 20
     scn = build_scenario(cfg, 1)
-    oracle = _TighteningOracle(
-        CostOracle(scn.model, PowerLawErrorBound(cfg.beta, cfg.alpha),
-                   seed=scn.seed), cfg.local_demand)
-    Ledger = online.WindowLedger
-
-    class CheckedLedger(Ledger):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.check()
-
-        def write(self, *args):
-            super().write(*args)
-            self.check()
-
-        def refresh(self, *args):
-            super().refresh(*args)
-            self.check()
-
-        def check(self):
-            if self.base is not None:
-                over = self.y[:, 1:self.base.backend] >= self.base.capacity
-                assert self.full == over.any()
-
-    class AlwaysFull(Ledger):
-        full = property(lambda self: True, lambda self, value: None)
-
-    calls = {"generic": 0, "overload": 0}
-    generic_steps = online._generic_steps
-    frozen_overload = online._frozen_overload
-
-    def counted_generic(*args):
-        calls["generic"] += 1
-        return generic_steps(*args)
-
-    def counted_overload(*args):
-        calls["overload"] += 1
-        return frozen_overload(*args)
-
-    def run(ledger_class):
-        calls.update(generic=0, overload=0)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(online, "WindowLedger", ledger_class)
-            mp.setattr(online, "_generic_steps", counted_generic)
-            mp.setattr(online, "_frozen_overload", counted_overload)
-            out = run_online(cfg.horizon, 10, scn.instances, oracle,
-                             scn.distance)
-        return out, dict(calls)
-
-    gated, gated_calls = run(CheckedLedger)
-    every, every_calls = run(AlwaysFull)
-    arrivals = len(every.relaxations_per_arrival)
-    assert gated == every
-    assert gated_calls["generic"] == every_calls["generic"] > 0
-    assert 0 < gated_calls["overload"] < every_calls["overload"] == arrivals
+    oracle = CostOracle(scn.model, PowerLawErrorBound(cfg.beta, cfg.alpha),
+                        seed=scn.seed)
+    run_online(cfg.horizon, 10, scn.instances, oracle, scn.distance)
+    with pytest.raises(ValueError, match=re.escape("row 0 (slot 10)")):
+        run_online(cfg.horizon, 10, scn.instances,
+                   _TighteningOracle(oracle, cfg.local_demand), scn.distance)
 
 
 def test_want_cost_true_is_rejected():
@@ -1720,27 +1680,51 @@ def _written_ledger(frozen, j, t, path):
     return ledger, _fresh_rows(m, insts, model, prev, d)
 
 
-def test_ledger_overload_flag_follows_every_row_update():
-    """WindowLedger.full says whether an MMC load in any row is at or over
-    capacity: set by a build from slot t0-1 or from the matrix and by an
-    append that fills an MMC (a saturated DP may place there), cleared by
-    the refresh of a departure that frees it, never set by the backend."""
+@pytest.mark.parametrize("where", ["prev_config", "matrix"])
+def test_ledger_refuses_an_overloaded_build(where):
+    """A ledger over the capacity/backend family refuses a build whose
+    slot t0-1 map or matrix holds an MMC load at capacity, and names the
+    row; the same loads on the backend build."""
+    from mmcplace.online import WindowLedger
+
+    model = mmc(K=4, Y=2.0)                      # cloud 4 is the backend
+    insts = [ServiceInstance(id=k, arrival_slot=1) for k in (1, 2, 3)]
+
+    def build(k):
+        m = ConfigurationMatrix(Window(2, 3), [1, 2, 3])
+        if where == "matrix":
+            m.set_column(1, [4, k, 4])
+            m.set_column(2, [1, k, 0])
+            return WindowLedger(m, insts, model)
+        return WindowLedger(m, insts, model, {1: k, 2: k, 3: 1})
+
+    row = "row 0 (slot 1)" if where == "prev_config" else "row 2 (slot 3)"
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match=re.escape(row)):
+            build(k)
+    assert build(4).y[:, 4].max() == 2.0
+
+
+def test_ledger_refuses_a_write_that_fills_an_mmc():
+    """An append that fills an MMC (a saturated DP may place there) and a
+    rewrite before a later column raise, naming the row; load piling up
+    on the backend never does, nor a departure next to a loaded MMC."""
     from mmcplace.online import WindowLedger
 
     model = mmc(K=4, Y=2.0)                      # cloud 4 is the backend
     insts = [ServiceInstance(id=k, arrival_slot=1) for k in (1, 2, 3)]
     m = ConfigurationMatrix(Window(2, 3), [1, 2, 3])
-    assert WindowLedger(m.copy(), insts, model, {1: 2, 2: 2}).full
     ledger = WindowLedger(m, insts, model, {1: 4, 2: 4, 3: 2})
-    assert not ledger.full
     ledger.write(0, 2, (4, 4, 4))
     ledger.write(1, 2, (4, 1, 4))                # the backend holds 2
-    assert not ledger.full
-    ledger.write(2, 2, (3, 1, 3))                # MMC 1 holds 2 in slot 3
-    assert ledger.full
-    assert WindowLedger(m.copy(), insts, model).full
-    handle_departure(3, 2, m, ledger=ledger)
-    assert not ledger.full
+    handle_departure(1, 2, m, ledger=ledger)     # rebuilds MMC 1's rows
+    with pytest.raises(ValueError, match=re.escape("row 2 (slot 3)")):
+        ledger.write(2, 2, (3, 1, 3))            # MMC 1 holds 2 in slot 3
+    m = ConfigurationMatrix(Window(2, 3), [1, 2, 3])
+    m.set_column(3, [0, 1, 0])
+    ledger = WindowLedger(m, insts, model)
+    with pytest.raises(ValueError, match=re.escape("row 2 (slot 3)")):
+        ledger.write(0, 3, (1,))                 # not an append: refresh
 
 
 def _assert_rows(ledger, want):

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,9 +314,8 @@ def test_edge_demand_at_capacity_goes_to_backend():
     (small_config(local_demand=5.0, capacity=5.0, migration_demand=0.0), 1)])
 def test_capacity_backend_runs_never_take_the_generic_dp(cfg, seed,
                                                          monkeypatch):
-    """Policies d and e route every arrival of a scenario by the fast DP:
-    their windows never hold a frozen MMC load at capacity, so choosing
-    the DP before routing leaves their placements as they were."""
+    """Policies d and e route every arrival of a scenario by the fast DP,
+    and their ledgers never refuse a frozen MMC load at capacity."""
     from mmcplace import online
 
     def generic_steps(*args):
@@ -326,3 +326,35 @@ def test_capacity_backend_runs_never_take_the_generic_dp(cfg, seed,
     assert scn.instances
     for policy in ("d", "e"):
         run_policy(scn, policy)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_power_of_two_scaling_scales_every_slot_cost(seed):
+    """Desk with both distance weights 0: multiplying the capacity and
+    both demands by 2^k (k = -1, 1, 2) leaves every load's ratio to
+    capacity as it was, so every slot cost of policies a-d scales by 2^k
+    bit for bit and the active and migration counts stay equal. Policy e
+    is left out: its noise offsets are absolute, not scaled."""
+    from pathlib import Path
+
+    from mmcplace.config import parse_config
+
+    root = Path(__file__).resolve().parent.parent
+    cfg = parse_config(str(root / "configs" / "desk.ini"))
+    cfg.distance_local_weight = cfg.distance_migration_weight = 0.0
+
+    def run(k):
+        scaled = replace(cfg, capacity=math.ldexp(cfg.capacity, k),
+                         local_demand=math.ldexp(cfg.local_demand, k),
+                         migration_demand=math.ldexp(cfg.migration_demand, k))
+        scn = build_scenario(scaled, seed)
+        return [run_policy(scn, policy) for policy in "abcd"]
+
+    base = run(0)
+    assert any(sum(res.num_migrations.values()) for res in base)
+    for k in (-1, 1, 2):
+        for want, got in zip(base, run(k)):
+            assert got.slot_costs == {t: math.ldexp(c, k)
+                                      for t, c in want.slot_costs.items()}
+            assert got.num_active == want.num_active
+            assert got.num_migrations == want.num_migrations
