@@ -65,9 +65,9 @@ def _cmd_simulate(args) -> int:
         extra = f" T={res.window_T}" if res.window_T else ""
         print(f"policy {pol}: avg_cost={res.avg_cost:.4f} "
               f"runtime={res.runtime_ms:.0f}ms{extra}")
-        if res.overflows or res.saturated:
-            log.warning("policy %s: %d overflows to the backend, %d saturated "
-                        "arrivals", pol, res.overflows, res.saturated)
+        if res.overflows:
+            log.warning("policy %s: %d overflows to the backend", pol,
+                        res.overflows)
     os.makedirs(args.out_dir, exist_ok=True)
     write_results_csv(os.path.join(args.out_dir, "results.csv"), results)
     write_summary_csv(os.path.join(args.out_dir, "summary.csv"), results)

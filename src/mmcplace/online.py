@@ -75,7 +75,6 @@ those moves leave or enter.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -444,7 +443,7 @@ def _fast_steps(instance, t, t_e, ledger):
     nonzero: rows l with in_l != 0 are rebuilt whole as entry + (in_l +
     out_k), and the other rows get entry + out_k in the columns k with
     out_k != 0. No entry is -0.0, so adding a zero would change nothing.
-    A block is corrected only when it holds a slab with a correction.
+    _correct leaves a block whose slabs hold no correction unchanged.
     """
     a = instance.local_demand
     b = instance.migration_demand
@@ -503,7 +502,6 @@ def _fast_steps(instance, t, t_e, ledger):
         R_from, R_to, slabs = R_plus[firsts], R_plus[firsts + 1], len(firsts)
 
     fix_rows = fix_cols = None        # nonzero hop corrections, by slab
-    fixed = []                        # the slabs they touch, sorted
     if np.count_nonzero(moves):
         zout = ledger.zout[i:i_e + 2, 1:]
         zin = ledger.zin[i:i_e + 2, 1:]
@@ -518,7 +516,6 @@ def _fast_steps(instance, t, t_e, ledger):
             fix_rows = (at[m], to, in_shift[m, to, None] + out_shift[m])
             m, frm = out_shift.nonzero()
             fix_cols = (at[m], frm, out_shift[m, frm, None])
-            fixed = sorted({*fix_rows[0].tolist(), *fix_cols[0].tolist()})
 
     # hop(q): the boundary into slot t+q (ledger row i+q)
     if slab is None:
@@ -527,7 +524,7 @@ def _fast_steps(instance, t, t_e, ledger):
         if span > q_lo:
             _boundaries(ledger.block[q_lo:], R_plus[q_lo:span],
                         R_plus[q_lo + 1:], b, hD, hop_backend, b0)
-            if fixed:
+            if fix_rows is not None:
                 _correct(ledger.block, 0, span, fix_rows, fix_cols)
         hop = ledger.block.__getitem__
     else:
@@ -540,7 +537,7 @@ def _fast_steps(instance, t, t_e, ledger):
                 s0, s1 = s, min(s + n, slabs)
                 block = _boundaries(ledger.block, R_from[s0:s1], R_to[s0:s1],
                                     b, hD, hop_backend, b0)
-                if bisect_left(fixed, s0) < bisect_left(fixed, s1):
+                if fix_rows is not None:
                     _correct(block, s0, s1, fix_rows, fix_cols)
             return block[s - s0]
 

@@ -12,10 +12,10 @@ Every policy is a solver of online.run_windows: a, b and c place one-slot
 windows on the actual costs, d and e are run_online's look-ahead windows.
 run_windows records each slot's placement map {instance id: cloud},
 charges all five the actual (unperturbed) per-slot costs from those maps
-by costs.charge_placements and returns one online.Run, on which the
-solvers count overflows (a, b) and saturated arrivals, which d and e
-cannot have (see online.WindowLedger). A PolicyResult keeps its counts,
-num_active included, not its maps.
+by costs.charge_placements and returns one online.Run, on which a and b
+count overflows. d and e route every arrival finitely (see
+online.WindowLedger). A PolicyResult keeps its counts, num_active
+included, not its maps.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class PolicyResult:
     runtime_ms: float
     window_T: int | None = None
     overflows: int = 0           # a/b placements that found no MMC with room
-    saturated: int = 0           # 0: every d/e arrival has a finite route
 
     @property
     def avg_cost(self) -> float:
@@ -200,7 +199,7 @@ def run_policy(scn: BuiltScenario, policy: str,
         policy, run.actual_by_slot,
         {t: len(placed) for t, placed in run.placements.items()},
         run.migrations_by_slot, (time.perf_counter() - start) * 1e3, T,
-        run.overflows, run.saturated_events)
+        run.overflows)
 
 
 def sweep_window(config: ScenarioConfig, T_values, beta_values, seeds):

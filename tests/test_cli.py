@@ -247,3 +247,52 @@ def test_edge_inputs_run_to_completion(tmp_path, capsys, variant):
     assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 2 * 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_trace_of_a_synthetic_walk_reproduces_the_run(tmp_path, seed):
+    """A desk run's own walk, written as raw 'lat lon occupancy time' logs
+    (one per user, one fix per slot at its cell's centre jittered by up to
+    0.99 x the cell inradius), goes through convert-trace and mobility =
+    trace: the cells array is equal and results.csv is byte-equal."""
+    import math
+
+    import numpy as np
+
+    from mmcplace.config import parse_config
+    from mmcplace.scenario import EARTH_M_PER_DEG_LAT, EARTH_M_PER_DEG_LON_EQ
+    from mmcplace.simulator import build_scenario
+
+    root = Path(__file__).resolve().parent.parent
+    cfg = parse_config(str(root / "configs" / "desk.ini"))
+    scn = build_scenario(cfg, seed)
+    m_per_lon = EARTH_M_PER_DEG_LON_EQ * math.cos(math.radians(cfg.anchor_lat))
+    cell_of = {c.id: c for c in scn.topology.cells}
+    rng = np.random.default_rng(seed)
+    logs = []
+    for user, path in enumerate(scn.cells[1:, 1:-1].tolist(), start=1):
+        lines = []
+        for s, cell in enumerate(path, start=1):
+            c = cell_of[cell]
+            r = 0.99 * cfg.spacing_m / 2 * rng.random()
+            a = 2 * math.pi * rng.random()
+            lat = c.lat + r * math.sin(a) / EARTH_M_PER_DEG_LAT
+            lon = c.lon + r * math.cos(a) / m_per_lon
+            lines.append(f"{lat!r} {lon!r} 1 {(s - 1) * cfg.slot_seconds!r}\n")
+        log = tmp_path / f"user{user:03d}.txt"     # sorted order: user order
+        log.write_text("".join(lines))
+        logs.append(str(log))
+    trace = tmp_path / "trace.csv"
+    assert main(["convert-trace", *logs, "--out", str(trace)]) == 0
+    traced = dataclasses.replace(cfg, mobility="trace", trace_file=str(trace))
+    assert np.array_equal(build_scenario(traced, seed).cells, scn.cells)
+
+    results = []
+    for name, run_cfg in (("synthetic", cfg), ("trace", traced)):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(serialize_config(run_cfg))
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(ini), "--seed", str(seed),
+                     "--out-dir", str(out)]) == 0
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]

@@ -577,27 +577,28 @@ def test_repeated_boundaries_are_built_once(block_slots, k_prev, t, life,
 @pytest.mark.parametrize("k_prev, t, life", [
     (0, 2, math.inf), (1, 2, math.inf), (5, 2, math.inf), (0, 6, math.inf),
     (1, 2, 5), (0, 13, 5)])
-def test_only_blocks_with_corrected_slabs_are_corrected(block_slots, k_prev,
-                                                        t, life, monkeypatch):
-    """_correct is called for a block only when one of its slabs carries
-    a frozen-move correction, and every block that holds one gets it: the
-    steps still equal the per-step reference bit for bit."""
+def test_correcting_a_block_without_corrections_leaves_it_unchanged(
+        block_slots, k_prev, t, life, monkeypatch):
+    """Every block of an arrival with frozen-move corrections goes through
+    _correct: the steps equal the per-step reference bit for bit, and a
+    block whose slabs hold no correction comes out byte-equal."""
     from mmcplace import online
 
     monkeypatch.setattr(online, "HOP_BLOCK_BYTES", 8 * 5 * 5 * block_slots)
     correct = online._correct
-    calls = []
+    held = []
 
     def spy(block, s0, s1, fix_rows, fix_cols):
-        held = [s for fix in (fix_rows, fix_cols) for s in fix[0].tolist()
-                if s0 <= s < s1]
-        assert held, f"no correction in slabs {s0}..{s1 - 1}"
-        calls.append(s0)
-        return correct(block, s0, s1, fix_rows, fix_cols)
+        before = block.tobytes()
+        correct(block, s0, s1, fix_rows, fix_cols)
+        held.append(any(s0 <= s < s1 for fix in (fix_rows, fix_cols)
+                        for s in fix[0].tolist()))
+        if not held[-1]:
+            assert block.tobytes() == before, f"slabs {s0}..{s1 - 1} changed"
 
     monkeypatch.setattr(online, "_correct", spy)
     _assert_steps_match_reference(_stretch_case(k_prev, t, life))
-    assert calls                      # the frozen moves into 5, 12 and 16
+    assert any(held)                  # the frozen moves into 5, 12 and 16
 
 
 @pytest.mark.parametrize("policy", ["d", "e"])

@@ -304,7 +304,6 @@ def test_edge_demand_at_capacity_goes_to_backend():
         assert overflows == {"a": len(scn.instances), "b": slots,
                              "c": 0, "d": 0, "e": 0}
         assert slots > len(scn.instances) > 0
-        assert all(res.saturated == 0 for res in results)
 
 
 @pytest.mark.parametrize("cfg, seed", [
@@ -315,7 +314,9 @@ def test_edge_demand_at_capacity_goes_to_backend():
 def test_capacity_backend_runs_never_take_the_generic_dp(cfg, seed,
                                                          monkeypatch):
     """Policies d and e route every arrival of a scenario by the fast DP,
-    and their ledgers never refuse a frozen MMC load at capacity."""
+    and their ledgers never refuse a frozen MMC load at capacity. The
+    patch fires on a regression: where _fast_base no longer recognizes
+    the oracle's PerturbedCostModel, every case fails."""
     from mmcplace import online
 
     def generic_steps(*args):
