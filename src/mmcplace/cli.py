@@ -25,7 +25,7 @@ from .config import ConfigError, ScenarioConfig, parse_config, validate_config
 from .core import ServiceInstance, Window
 from .costs import WindowCostEvaluator
 from .predictor import CostOracle, PowerLawErrorBound
-from .scenario import TraceIOError
+from .scenario import TraceIOError, parse_fix
 from .simulator import (POLICIES, build_scenario, run_policy, sweep_window,
                         synthetic_ratio_experiment, write_results_csv,
                         write_summary_csv, write_sweep_csv)
@@ -155,39 +155,28 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_convert_trace(args) -> int:
     """Raw per-vehicle logs ('lat lon occupancy timestamp' lines, one file
-    per vehicle) -> normalized user_id,timestamp,lat,lon CSV."""
+    per vehicle) -> normalized user_id,timestamp,lat,lon CSV. A line that
+    parse_fix rejects, or without four fields, is malformed."""
     import csv
 
     rows = []
     malformed = 0
     try:
-        paths = sorted(args.inputs)
-        for uid, path in enumerate(paths, start=1):
+        for uid, path in enumerate(sorted(args.inputs), start=1):
             with open(path) as fh:
                 for line in fh:
-                    parts = line.split()
-                    if len(parts) != 4:
-                        malformed += 1
-                        continue
                     try:
-                        lat, lon = float(parts[0]), float(parts[1])
-                        ts = float(parts[3])
+                        lat, lon, _occupancy, ts = line.split()
+                        rows.append(parse_fix(uid, ts, lat, lon))
                     except ValueError:
                         malformed += 1
-                        continue
-                    rows.append((uid, ts, lat, lon))
-    except OSError as exc:
-        print(f"trace I/O error: {exc}", file=sys.stderr)
-        return 3
-    rows.sort(key=lambda r: (r[0], r[1]))
-    try:
+        rows.sort(key=lambda r: (r[0], r[1]))
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["user_id", "timestamp", "lat", "lon"])
             writer.writerows(rows)
     except OSError as exc:
-        print(f"trace I/O error: {exc}", file=sys.stderr)
-        return 3
+        raise TraceIOError(str(exc)) from exc
     print(f"wrote {args.out}: {len(rows)} fixes from {len(args.inputs)} "
           f"users, {malformed} malformed lines skipped")
     return 0

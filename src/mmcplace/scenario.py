@@ -119,49 +119,56 @@ class HexTopology:
         return self.cells[i].id
 
 
+def parse_fix(uid, ts, lat, lon) -> tuple[int, float, float, float]:
+    """One well-formed trace fix: an int user id and finite floats.
+    Raises ValueError when a field does not parse, overflows or is not
+    finite."""
+    try:
+        fix = (int(uid), float(ts), float(lat), float(lon))
+    except OverflowError as exc:           # int(inf), float(10**400)
+        raise ValueError(f"out-of-range field in {uid, ts, lat, lon}") from exc
+    if not all(map(math.isfinite, fix[1:])):
+        raise ValueError(f"non-finite field in {fix}")
+    return fix
+
+
 def ingest_trace(records, topology: HexTopology, horizon: int,
                  slot_seconds: float = 60.0, staleness: float = 600.0):
     """Slot-quantized user activity from (user_id, timestamp, lat, lon) rows.
 
-    Slot s (1-based) is evaluated at origin + (s-1)*slot_seconds, where
-    origin is the earliest well-formed fix, in coverage or not (0 when
-    there is none); a user is active there when their latest in-coverage
-    fix is at most `staleness` seconds old, and sits in that fix's cell. Users active in
-    at least one slot become rows 1..N in ascending trace-id order; the
-    others take no row. Returns (cells array, skipped malformed-record
-    count).
+    A row that parse_fix rejects is malformed. Slot s (1-based) is
+    evaluated at origin + (s-1)*slot_seconds, where origin is the
+    earliest well-formed fix, in coverage or not (0 when there is none);
+    a user is active there when their latest in-coverage fix (the last
+    row among equal times) is at most `staleness` seconds old, and sits
+    in that fix's cell. Users active in at least one slot become rows
+    1..N in ascending trace-id order; the others take no row. Returns
+    (cells array, skipped malformed-record count).
     """
     by_user: dict = {}
     skipped = 0
     for rec in records:
         try:
-            uid, ts, lat, lon = rec
-            uid = int(uid)
-            ts = float(ts)
-            lat = float(lat)
-            lon = float(lon)
+            uid, *fix = parse_fix(*rec)
         except (TypeError, ValueError):
             skipped += 1
             continue
-        by_user.setdefault(uid, []).append((ts, lat, lon))
-    all_ts = [ts for fixes in by_user.values() for ts, _, _ in fixes]
-    origin = min(all_ts) if all_ts else 0.0
-    rows = [[0] * (horizon + 2)]
+        by_user.setdefault(uid, []).append(fix)
+    origin = min((f[0] for fixes in by_user.values() for f in fixes),
+                 default=0.0)
+    now = origin + np.arange(horizon) * slot_seconds
+    rows = [np.zeros(horizon + 2)]
     for _uid, fixes in sorted(by_user.items()):
         fixes.sort(key=lambda f: f[0])
-        in_cov = [(ts, topology.latlon_to_cell(lat, lon))
-                  for ts, lat, lon in fixes]
-        in_cov = [(ts, c) for ts, c in in_cov if c is not None]
-        path = [0] * (horizon + 2)
-        j = -1
-        for s in range(1, horizon + 1):
-            now = origin + (s - 1) * slot_seconds
-            while j + 1 < len(in_cov) and in_cov[j + 1][0] <= now:
-                j += 1
-            if j >= 0 and now - in_cov[j][0] <= staleness:
-                path[s] = in_cov[j][1]
-        if any(path):
-            rows.append(path)
+        seen = [(ts, c) for ts, lat, lon in fixes
+                if (c := topology.latlon_to_cell(lat, lon)) is not None]
+        if not seen:
+            continue
+        ts, cell = map(np.array, zip(*seen))
+        j = np.searchsorted(ts, now, side="right") - 1   # latest fix per slot
+        live = (j >= 0) & (now - ts[j] <= staleness)
+        if live.any():
+            rows.append(np.pad(np.where(live, cell[j], 0), 1))
     return np.array(rows, dtype=np.int32), skipped
 
 
@@ -170,8 +177,10 @@ class TraceIOError(OSError):
 
 
 def read_normalized_trace(path):
-    """Rows of a normalized trace CSV (user_id, timestamp, lat, lon).
-    An OSError while opening or reading the file is raised as
+    """Rows of a normalized trace CSV (user_id, timestamp, lat, lon), as
+    lists of strings for ingest_trace to parse. A first row starting
+    with "user_id" is the header and is dropped; any other first row is
+    data. An OSError while opening or reading the file is raised as
     TraceIOError."""
     try:
         with open(path, newline="") as fh:

@@ -55,6 +55,31 @@ def test_sweep_window_csv(tmp_path):
     assert len(lines) == 4
 
 
+def test_sweep_window_slots_overrides_the_horizon(tmp_path):
+    """--slots N gives the sweep of a config whose horizon is N."""
+    rows = []
+    for argv in (["--config", small_ini(tmp_path), "--slots", "6"],
+                 ["--config", small_ini(tmp_path, horizon=6)]):
+        out = tmp_path / f"sw{len(rows)}"
+        assert main(["sweep-window", *argv, "--T-range", "1,2",
+                     "--beta-list", "0.4", "--seeds", "1",
+                     "--out-dir", str(out)]) == 0
+        rows.append((out / "sweep.csv").read_text())
+    assert rows[0] == rows[1]
+
+
+def test_simulate_without_config_uses_the_defaults(tmp_path):
+    """simulate with no --config runs ScenarioConfig()'s defaults."""
+    (tmp_path / "defaults.ini").write_text(serialize_config(ScenarioConfig()))
+    results = []
+    for argv in ([], ["--config", str(tmp_path / "defaults.ini")]):
+        out = tmp_path / f"o{len(results)}"
+        assert main(["simulate", *argv, "--policy", "c", "--slots", "4",
+                     "--seed", "1", "--out-dir", str(out)]) == 0
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]
+
+
 def test_oracle_check_ok(tmp_path, capsys):
     """The reported largest gap - epsilon is below 0: the noise scale is
     < 1, so every sampled gap stays strictly inside the bound."""
@@ -65,6 +90,23 @@ def test_oracle_check_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "within the bound" in out
     assert float(out.rsplit("epsilon", 1)[1].strip(" )\n")) < 0
+
+
+def test_oracle_check_fails_on_offsets_past_the_bound(tmp_path, capsys,
+                                                      monkeypatch):
+    """An oracle whose offsets are ten times its own exits 1 with a FAIL
+    line."""
+    import mmcplace.cli as cli
+
+    class Loud(cli.CostOracle):
+        def _slot_offsets(self, pattern, eps):
+            return 10.0 * super()._slot_offsets(pattern, eps)
+
+    monkeypatch.setattr(cli, "CostOracle", Loud)
+    rc = main(["oracle-check", "--config", small_ini(tmp_path), "--seed",
+               "2", "--samples", "20"])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("FAIL: ")
 
 
 def test_config_error_exit_code(tmp_path):
@@ -92,11 +134,36 @@ def test_convert_trace(tmp_path):
     assert lines[3].startswith("2,1211018000")
 
 
+def test_convert_trace_counts_non_finite_lines_as_malformed(tmp_path,
+                                                            capsys):
+    """A line with a NaN or infinite field is malformed: counted and not
+    written."""
+    log = tmp_path / "veh.txt"
+    log.write_text("nan nan 1 0\n"
+                   "37.75 -122.39 1 inf\n"
+                   "37.75 -122.39 1 1211018404\n")
+    out = tmp_path / "trace.csv"
+    assert main(["convert-trace", str(log), "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [
+        "user_id,timestamp,lat,lon", "1,1211018404.0,37.75,-122.39"]
+    assert "2 malformed lines skipped" in capsys.readouterr().out
+
+
 def test_convert_trace_missing_file(tmp_path, capsys):
     rc = main(["convert-trace", str(tmp_path / "nope.txt"),
                "--out", str(tmp_path / "o.csv")])
     assert rc == 3
     assert "I/O error" in capsys.readouterr().err
+
+
+def test_convert_trace_unwritable_output_exits_3(tmp_path, capsys):
+    """An output file that cannot be written is a trace I/O error too."""
+    log = tmp_path / "veh.txt"
+    log.write_text("37.75 -122.39 1 1211018404\n")
+    out = tmp_path / "missing" / "trace.csv"
+    assert main(["convert-trace", str(log), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("trace I/O error:") and "trace.csv" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep-window",

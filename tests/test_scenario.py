@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmcplace.core import ServiceInstance
 from mmcplace.costs import DistanceContext, placement_loads
 from mmcplace.scenario import (HexTopology, generate_service_demand,
                                generate_synthetic, ingest_trace,
-                               synthetic_mobility)
+                               read_normalized_trace, synthetic_mobility)
 
 
 def bfs_hops(topology, src, dst):
@@ -131,6 +131,125 @@ def test_trace_out_of_coverage_dropped():
     assert skipped == 0
     assert cells.shape == (1, 7)
     assert not cells.any()
+
+
+_TOPO7 = HexTopology.build(7)
+_C4 = _TOPO7.cells[3]
+
+
+@pytest.mark.parametrize("row", [
+    (1, 0.0, math.nan, math.nan), (1, 0.0, _C4.lat, -math.inf),
+    (1, math.inf, _C4.lat, _C4.lon), (1, 10 ** 400, _C4.lat, _C4.lon),
+    (math.inf, 0.0, _C4.lat, _C4.lon)],
+    ids=["nan-latlon", "-inf-lon", "inf-ts", "huge-int-ts", "inf-uid"])
+def test_trace_non_finite_field_is_a_malformed_row(row):
+    """A fix with a field that is not finite, or too large for a float,
+    is skipped and counted. A NaN lat/lon does not put its user in the
+    first cell."""
+    cells, skipped = ingest_trace([row], _TOPO7, horizon=5)
+    assert skipped == 1
+    assert cells.shape == (1, 7) and not cells.any()
+
+
+def test_trace_nan_first_timestamp_does_not_empty_the_trace():
+    """A NaN timestamp read first is skipped and counted; slot 1 is still
+    the earliest well-formed fix, so the trace keeps its user."""
+    topo = HexTopology.build(7)
+    c = topo.cells[2]
+    rows = [(1, "nan", c.lat, c.lon), (1, 0.0, c.lat, c.lon),
+            (2, 60.0, c.lat, c.lon)]
+    cells, skipped = ingest_trace(rows, topo, horizon=3, staleness=0.0)
+    assert skipped == 1
+    assert cells.tolist() == [[0] * 5, [0, c.id, 0, 0, 0],
+                              [0, 0, c.id, 0, 0]]
+
+
+def _per_slot_walk(records, topology, horizon, slot_seconds=60.0,
+                   staleness=600.0):
+    """Reference ingestion: each user's in-coverage fixes walked slot by
+    slot, slot s evaluated at origin + (s - 1) * slot_seconds. Rows of
+    finite fields only; a row that does not parse is counted."""
+    by_user: dict = {}
+    skipped = 0
+    for rec in records:
+        try:
+            uid, ts, lat, lon = rec
+            uid = int(uid)
+            ts = float(ts)
+            lat = float(lat)
+            lon = float(lon)
+        except (TypeError, ValueError):
+            skipped += 1
+            continue
+        by_user.setdefault(uid, []).append((ts, lat, lon))
+    all_ts = [ts for fixes in by_user.values() for ts, _, _ in fixes]
+    origin = min(all_ts) if all_ts else 0.0
+    rows = [[0] * (horizon + 2)]
+    for _uid, fixes in sorted(by_user.items()):
+        fixes.sort(key=lambda f: f[0])
+        in_cov = [(ts, topology.latlon_to_cell(lat, lon))
+                  for ts, lat, lon in fixes]
+        in_cov = [(ts, c) for ts, c in in_cov if c is not None]
+        path = [0] * (horizon + 2)
+        j = -1
+        for s in range(1, horizon + 1):
+            now = origin + (s - 1) * slot_seconds
+            while j + 1 < len(in_cov) and in_cov[j + 1][0] <= now:
+                j += 1
+            if j >= 0 and now - in_cov[j][0] <= staleness:
+                path[s] = in_cov[j][1]
+        if any(path):
+            rows.append(path)
+    return np.array(rows, dtype=np.int32), skipped
+
+
+# cell centres 1..7, and one place out of coverage
+_PLACES = [(c.lat, c.lon) for c in _TOPO7.cells] + [(0.0, 0.0)]
+_FIX = st.builds(
+    lambda uid, ts, place, as_text: (
+        tuple(map(str, (uid, ts, *_PLACES[place]))) if as_text
+        else (uid, ts, *_PLACES[place])),
+    st.integers(0, 5),
+    # a 30 s grid makes equal times and fixes exactly `staleness` old
+    st.one_of(st.integers(-4, 24).map(lambda k: 30.0 * k),
+              st.floats(-900.0, 900.0, allow_nan=False)),
+    st.integers(0, len(_PLACES) - 1), st.booleans())
+_TRACES = st.lists(st.one_of(_FIX, st.just(("bad", "x", "y", "z")),
+                             st.just((1, 2.0))), max_size=30)
+
+
+@given(_TRACES, st.integers(1, 25), st.sampled_from([30.0, 60.0, 45.5]),
+       st.sampled_from([0.0, 30.0, 120.0, 600.0]))
+@example(
+    # unsorted; equal times in two cells; a fix exactly 120 s old; an
+    # out-of-coverage fix; user 4 with no fix in coverage
+    [(2, 90.0, *_PLACES[3]), (2, 0.0, *_PLACES[1]), (2, 90.0, *_PLACES[5]),
+     (3, 30.0, *_PLACES[7]), (3, 60.0, *_PLACES[2]),
+     (4, 0.0, *_PLACES[7]), ("bad", "x", "y", "z")],
+    8, 30.0, 120.0)
+@settings(max_examples=300, deadline=None)
+def test_ingest_trace_equals_the_per_slot_walk(records, horizon,
+                                               slot_seconds, staleness):
+    """Random finite traces give the same cells array and skipped count
+    as walking each user slot by slot."""
+    want = _per_slot_walk(records, _TOPO7, horizon, slot_seconds, staleness)
+    cells, skipped = ingest_trace(records, _TOPO7, horizon, slot_seconds,
+                                  staleness)
+    assert skipped == want[1]
+    assert cells.dtype == np.int32
+    assert np.array_equal(cells, want[0])
+
+
+def test_trace_csv_without_a_header_keeps_its_first_row(tmp_path):
+    """The first row is dropped only when it is the user_id header."""
+    bare = tmp_path / "bare.csv"
+    bare.write_text("1,0,37.7,-122.4\n2,60,37.8,-122.5\n")
+    assert list(read_normalized_trace(bare)) == [
+        ["1", "0", "37.7", "-122.4"], ["2", "60", "37.8", "-122.5"]]
+    headed = tmp_path / "headed.csv"
+    headed.write_text("user_id,timestamp,lat,lon\n1,0,37.7,-122.4\n")
+    assert list(read_normalized_trace(headed)) == [
+        ["1", "0", "37.7", "-122.4"]]
 
 
 def test_synthetic_mobility_stays_on_grid():
